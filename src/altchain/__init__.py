@@ -53,6 +53,7 @@ from .spectral import (
     eigensystem_numeric,
     eigensystem_odd,
     solve_even_roots,
+    spectra,
 )
 from .verify import run_all
 
@@ -98,6 +99,7 @@ __all__ = [
     "run_all",
     "sample_curve",
     "solve_even_roots",
+    "spectra",
     "table1_sweep",
     "transfer_probability",
     "transfer_probability_even_form",

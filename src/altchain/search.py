@@ -26,7 +26,7 @@ from ._util import ordered_map
 from .chain import ChainSpec
 from .dynamics import TransferCurve, transfer_probability
 from .errors import HorizonError, ValidationError
-from .spectral import EigenSystem, eigensystem_for
+from .spectral import EigenSystem, eigensystem_for, spectra
 
 _WINDOW_FACTOR = 1.3
 _GRID_STEP_CAP = 0.01
@@ -36,6 +36,9 @@ _DELTA_GRID = 0.002
 _DELTA_TOL = 1e-4
 _FIXED_TIME_GRID = 0.001
 _FIXED_TIME_TOL = 1e-6
+# matrix entries per stacked eigensolve of the fixed-time grid, which
+# bounds its memory (8 MB per stack) on wide ratio ranges
+_GRID_CHUNK_ENTRIES = 1 << 20
 _DEGENERACY_FLOOR = 1e-12
 _MAX_GRID_POINTS = 20_000_000
 
@@ -105,8 +108,12 @@ def first_peak(spec: ChainSpec) -> TransferTriad:
     Scans (0, 1.3*pi/lambda_min] on a grid no coarser than 0.01 and
     than a fiftieth of the fastest half-period, takes the global
     sampled maximum of the whole window (earliest on exact ties), and
-    polishes it by golden-section to 1e-8 in t.  An earlier peak lower
-    than that maximum is not returned, even when it is a high one.
+    polishes it by golden-section until the bracket is 1e-8 wide.  That
+    width is not the accuracy of t_h: near the flat top of a peak the
+    comparisons of P stop resolving t well before 1e-8, and t_h can
+    miss the root of dP/dt by more (1.1e-7 at N=16, delta=2.380).  An
+    earlier peak lower than the window maximum is not returned, even
+    when it is a high one.
     """
     eig = eigensystem_for(spec)
     lam_min, window, step = _peak_window(eig, spec.d1)
@@ -140,6 +147,8 @@ def first_peak(spec: ChainSpec) -> TransferTriad:
 
 
 def _validate_delta_range(delta_lo: float, delta_hi: float) -> None:
+    if not (math.isfinite(delta_lo) and math.isfinite(delta_hi)):
+        raise ValidationError(f"delta range must be finite: [{delta_lo}, {delta_hi}]")
     if not (delta_lo > 0.0 and delta_hi > 0.0):
         raise ValidationError("delta range must be positive")
     if not delta_lo < delta_hi:
@@ -183,17 +192,36 @@ def optimize_delta(n_sites: int, delta_lo: float, delta_hi: float) -> TransferTr
     return first_peak(ChainSpec(n_sites, delta_h))
 
 
+def _best_arrival_index(n_sites: int, t_fixed: float, grid: np.ndarray) -> int:
+    """Index of the grid ratio with the highest P(delta, t_fixed), earliest on ties.
+
+    P = |sum_j c_j exp(-i lambda_j t/2)|^2 from stacked spectra, taken
+    in chunks of at most _GRID_CHUNK_ENTRIES matrix entries.
+    """
+    chunk = max(1, _GRID_CHUNK_ENTRIES // (n_sites * n_sites))
+    best, best_p = 0, -1.0
+    for start in range(0, grid.size, chunk):
+        lam, ends = spectra(n_sites, grid[start:start + chunk])
+        amp = np.sum(ends * np.exp(-0.5j * (t_fixed * lam)), axis=1)
+        probs = np.abs(amp) ** 2
+        k = int(np.argmax(probs))
+        if probs[k] > best_p:
+            best, best_p = start + k, float(probs[k])
+    return best
+
+
 def fixed_time_optimize(
     n_sites: int, t_fixed: float, delta_lo: float, delta_hi: float
 ) -> TransferTriad:
     """Best ratio for arrival at one prescribed time.
 
-    Grid (step 0.001) over the ratio range plus golden-section
-    refinement of P(delta, t_fixed); the reported triad keeps the
+    Grid (step 0.001) over the ratio range, evaluated from stacked
+    spectra, plus golden-section refinement of P(delta, t_fixed) on
+    the per-chain eigensystems; the reported triad keeps the
     prescribed time.
     """
-    if not t_fixed > 0.0:
-        raise ValidationError(f"t_fixed must be positive, got {t_fixed}")
+    if not (math.isfinite(t_fixed) and t_fixed > 0.0):
+        raise ValidationError(f"t_fixed must be positive and finite, got {t_fixed}")
     _validate_delta_range(delta_lo, delta_hi)
     ChainSpec(n_sites, delta_lo)  # validates n_sites
 
@@ -206,8 +234,7 @@ def fixed_time_optimize(
         eig = eigensystem_for(ChainSpec(n_sites, float(delta)))
         return float(transfer_probability(eig, t_fixed))
 
-    values = ordered_map(arrival_probability, list(grid))
-    best = int(np.argmax(values))
+    best = _best_arrival_index(n_sites, t_fixed, grid)
     lo = max(delta_lo, float(grid[best]) - _FIXED_TIME_GRID)
     hi = min(delta_hi, float(grid[best]) + _FIXED_TIME_GRID)
     delta_h, p_h = _golden_max(arrival_probability, lo, hi, _FIXED_TIME_TOL)

@@ -12,6 +12,10 @@ Three construction routes produce the same object:
   every size, ratio, and on-site precession pattern, and serving as
   the independent cross-check for both closed forms.
 
+A ratio sweep needs only the spectrum and the end products u_1j*u_Nj of
+each chain: spectra() computes those for a whole stack of zero-larmor
+chains in one stacked np.linalg.eigh.
+
 Eigenvalues are sorted descending.  With a zero diagonal the spectrum
 is symmetric under negation, and paired columns share their even-site
 components while odd-site components flip sign.
@@ -160,23 +164,36 @@ def solve_even_roots(spec: ChainSpec) -> EvenRootSet:
 def _validate_eigensystem(
     lam: np.ndarray, vectors: np.ndarray, matrix: CouplingMatrix, paired: bool
 ) -> None:
+    _validate_stack(
+        lam[None], vectors[None], matrix.to_dense()[None], np.array([matrix.max_abs()]), paired
+    )
+
+
+def _validate_stack(
+    lam: np.ndarray, vectors: np.ndarray, dense: np.ndarray, scale: np.ndarray, paired: bool
+) -> None:
+    """Checks on a stack of eigensystems, each against its own tolerance.
+
+    lam is (B, N), vectors and dense are (B, N, N), scale is the (B,)
+    largest matrix entry that sets each residual tolerance.
+    """
     if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(vectors))):
         raise NumericError("eigensystem contains non-finite entries")
-    gram = vectors.T @ vectors
-    orth = float(np.max(np.abs(gram - np.eye(lam.size))))
+    gram = np.swapaxes(vectors, 1, 2) @ vectors
+    orth = float(np.max(np.abs(gram - np.eye(lam.shape[1]))))
     if not orth <= _ORTHONORMALITY_TOL:
         raise NumericError(f"eigenvectors not orthonormal (defect {orth:.3e})")
-    dense = matrix.to_dense()
-    residual = float(np.max(np.abs(dense @ vectors - vectors * lam)))
-    scale = matrix.max_abs()
-    if not residual <= _RESIDUAL_REL_TOL * scale:
+    residual = np.max(np.abs(dense @ vectors - vectors * lam[:, None, :]), axis=(1, 2))
+    bad = ~(residual <= _RESIDUAL_REL_TOL * scale)
+    if np.any(bad):
+        i = int(np.argmax(bad))
         raise NumericError(
-            f"eigenpair residual {residual:.3e} exceeds {_RESIDUAL_REL_TOL * scale:.3e}"
+            f"eigenpair residual {residual[i]:.3e} exceeds {_RESIDUAL_REL_TOL * scale[i]:.3e}"
         )
-    if np.any(np.diff(lam) > _PAIRING_TOL):
+    if np.any(np.diff(lam, axis=1) > _PAIRING_TOL):
         raise NumericError("eigenvalues are not sorted in descending order")
     if paired:
-        mirror = float(np.max(np.abs(lam + lam[::-1])))
+        mirror = float(np.max(np.abs(lam + lam[:, ::-1])))
         if not mirror <= _PAIRING_TOL:
             raise NumericError(f"spectrum not symmetric under negation (defect {mirror:.3e})")
 
@@ -343,3 +360,37 @@ def eigensystem_for(spec: ChainSpec, analytic_max_n: int = 12) -> EigenSystem:
         if spec.delta > threshold * (1.0 + _THRESHOLD_MARGIN) and spec.n_sites <= analytic_max_n:
             return eigensystem_even(spec)
     return eigensystem_numeric(build_coupling_matrix(spec))
+
+
+def spectra(n_sites: int, deltas: np.ndarray, d1: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Spectra of a stack of zero-larmor chains that differ only in ratio.
+
+    Builds the (B, N, N) coupling matrices for the B ratios and
+    diagonalises them with one stacked np.linalg.eigh.  Returns the (B, N)
+    eigenvalues, descending per row, and the (B, N) end products
+    u_1j * u_Nj, which do not depend on the eigenvector signs.  Every
+    system passes the checks of the per-chain routes, at the same
+    tolerances, or the whole stack raises NumericError.
+    """
+    ChainSpec(n_sites, 1.0, d1)  # validates n_sites and d1
+    ratios = np.asarray(deltas, dtype=float)
+    if ratios.ndim != 1 or ratios.size == 0:
+        raise ValidationError(f"deltas must be a non-empty 1-D array, got shape {ratios.shape}")
+    if not (math.isfinite(d1) and np.all(np.isfinite(ratios)) and np.all(ratios > 0.0)):
+        raise ValidationError("deltas and d1 must be finite and positive")
+    n = int(n_sites)
+    bonds = np.empty((ratios.size, n - 1))
+    bonds[:, 0::2] = d1
+    bonds[:, 1::2] = (ratios * d1)[:, None]
+    idx = np.arange(n - 1)
+    dense = np.zeros((ratios.size, n, n))
+    dense[:, idx, idx + 1] = bonds
+    dense[:, idx + 1, idx] = bonds
+    try:
+        values, vectors = np.linalg.eigh(dense)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"stacked diagonalisation failed: {exc}") from exc
+    values = values[:, ::-1]
+    vectors = vectors[:, :, ::-1]
+    _validate_stack(values, vectors, dense, np.max(bonds, axis=1), paired=True)
+    return values, vectors[:, 0, :] * vectors[:, -1, :]

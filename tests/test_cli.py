@@ -90,6 +90,19 @@ def test_validation_exit_code(capsys):
     assert "delta" in err
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("flag", ["--time", "--delta-min", "--delta-max"])
+def test_fixed_time_non_finite_exit_code(capsys, flag, value):
+    argv = {"--time": "60", "--delta-min": "2.0", "--delta-max": "3.0"}
+    argv[flag] = value
+    code, out, err = run_cli(
+        "fixed-time", "--n", "8", *(f"{k}={v}" for k, v in argv.items()), capsys=capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_unknown_flag_exit_code(capsys):
     code, _, err = run_cli("eigs", "--n", "4", "--delta", "2", "--bogus", capsys=capsys)
     assert code == 1

@@ -16,8 +16,10 @@ from altchain import (
     optimize_delta,
     sample_curve,
     table1_sweep,
+    transfer_probability,
 )
 from altchain._util import WORKERS_ENV
+from altchain import search as search_mod
 
 # frozen search outputs, produced by this code and cross-checked against
 # the tridiagonal eigensolver route before committing
@@ -88,6 +90,76 @@ def test_fixed_time_tiny_window_transfers_nothing():
 def test_fixed_time_rejects_nonpositive_time():
     with pytest.raises(ValidationError):
         fixed_time_optimize(4, 0.0, 2.0, 3.0)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("slot", ["t", "lo", "hi"])
+def test_fixed_time_rejects_non_finite(slot, value):
+    args = {"t": 60.0, "lo": 2.0, "hi": 3.0}
+    args[slot] = value
+    with pytest.raises(ValidationError):
+        fixed_time_optimize(8, args["t"], args["lo"], args["hi"])
+
+
+def test_optimize_rejects_infinite_range():
+    with pytest.raises(ValidationError):
+        optimize_delta(4, 2.0, math.inf)
+
+
+def _per_ratio_fixed_time(n, t, lo, hi):
+    """The fixed-time search as one eigensystem per grid ratio."""
+    count = int(math.floor((hi - lo) / 0.001 + 1e-9))
+    grid = lo + 0.001 * np.arange(count + 1)
+    if grid[-1] < hi - 1e-12:
+        grid = np.append(grid, hi)
+
+    def arrival(delta):
+        return float(transfer_probability(eigensystem_for(ChainSpec(n, float(delta))), t))
+
+    best = int(np.argmax([arrival(d) for d in grid]))
+    a = max(lo, float(grid[best]) - 0.001)
+    b = min(hi, float(grid[best]) + 0.001)
+    return search_mod._golden_max(arrival, a, b, 1e-6)
+
+
+@pytest.mark.parametrize(
+    "n,t,lo,hi",
+    [
+        (8, 60.0, 2.0, 3.0),  # the README example
+        (7, 23.5, 1.6, 2.2),  # odd chain, closed-form odd route
+        (14, 51.0, 2.2, 2.5),  # above analytic_max_n, numeric route
+    ],
+)
+def test_fixed_time_matches_per_ratio_search(n, t, lo, hi):
+    triad = fixed_time_optimize(n, t, lo, hi)
+    delta_h, p_h = _per_ratio_fixed_time(n, t, lo, hi)
+    assert format(triad.delta_h, ".12g") == format(delta_h, ".12g")
+    assert format(triad.p_h, ".12g") == format(p_h, ".12g")
+    if (n, t, lo, hi) == (8, 60.0, 2.0, 3.0):
+        assert format(triad.delta_h, ".12g") == "2.51001270251"
+        assert format(triad.p_h, ".12g") == "0.973031036118"
+
+
+@pytest.mark.parametrize("ratios_per_chunk", [1, 7])
+def test_fixed_time_chunking_changes_nothing(monkeypatch, ratios_per_chunk):
+    whole = fixed_time_optimize(6, 25.0, 2.0, 2.4)  # 401 ratios, one chunk
+    monkeypatch.setattr(search_mod, "_GRID_CHUNK_ENTRIES", ratios_per_chunk * 6 * 6)
+    assert fixed_time_optimize(6, 25.0, 2.0, 2.4) == whole
+
+
+@pytest.mark.parametrize("tied,expected", [((6, 7), 6), ((3, 10), 3), ((13, 14), 13)])
+def test_fixed_time_grid_ties_take_earliest(monkeypatch, tied, expected):
+    grid = 2.0 + 0.001 * np.arange(20)
+    high = grid[list(tied)]
+
+    def fake_spectra(n_sites, deltas):
+        # one unit-weight mode at zero frequency: P is the squared weight
+        ends = np.where(np.isin(deltas, high), 0.9, 0.5)[:, None]
+        return np.zeros_like(ends), ends
+
+    monkeypatch.setattr(search_mod, "spectra", fake_spectra)
+    monkeypatch.setattr(search_mod, "_GRID_CHUNK_ENTRIES", 7 * 2 * 2)  # 7 ratios per chunk
+    assert search_mod._best_arrival_index(2, 1.0, grid) == expected
 
 
 def test_sweep_rows_sorted_and_complete():

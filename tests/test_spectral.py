@@ -16,13 +16,16 @@ from altchain import (
     PROVENANCE_ANALYTIC_EVEN,
     PROVENANCE_ANALYTIC_ODD,
     PROVENANCE_NUMERIC,
+    NumericError,
     RegimeError,
+    ValidationError,
     build_coupling_matrix,
     eigensystem_even,
     eigensystem_for,
     eigensystem_numeric,
     eigensystem_odd,
     solve_even_roots,
+    spectra,
 )
 
 # four sites, ratio 2.272: trig root, hyperbolic root, spectrum
@@ -198,3 +201,44 @@ def test_odd_eigensystem_properties(n_half, delta):
 def test_smallest_positive():
     eig = eigensystem_odd(ChainSpec(5, 2.0))
     assert eig.smallest_positive() == pytest.approx(math.sqrt(3.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 9, 14])
+def test_spectra_match_numeric_route(n):
+    # ratios on both sides of the even threshold (N+2)/N
+    deltas = np.array([1.1, 1.6, 2.38, 3.2])
+    lam, ends = spectra(n, deltas)
+    assert lam.shape == ends.shape == (deltas.size, n)
+    for i, delta in enumerate(deltas):
+        eig = eigensystem_numeric(build_coupling_matrix(ChainSpec(n, float(delta))))
+        assert np.max(np.abs(lam[i] - eig.eigenvalues)) <= 1e-12
+        expected = eig.vectors[0] * eig.vectors[-1]
+        assert np.max(np.abs(ends[i] - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "deltas", [[2.0, math.inf], [math.nan], [2.0, -1.0], [0.0], [], [[2.0, 3.0]]]
+)
+def test_spectra_rejects_bad_ratios(deltas):
+    with pytest.raises(ValidationError):
+        spectra(6, np.array(deltas, dtype=float))
+
+
+@pytest.mark.parametrize("corrupt", ["nan", "scale", "shift"])
+def test_spectra_validates_every_system(monkeypatch, corrupt):
+    real = np.linalg.eigh
+
+    def broken(stack):
+        values, vectors = real(stack)
+        values, vectors = values.copy(), vectors.copy()
+        if corrupt == "nan":
+            vectors[1, 0, 0] = math.nan
+        elif corrupt == "scale":
+            vectors[1] *= 1.0 + 1e-8
+        else:
+            values[1, 0] += 1e-6
+        return values, vectors
+
+    monkeypatch.setattr(np.linalg, "eigh", broken)
+    with pytest.raises(NumericError):
+        spectra(6, np.array([2.0, 2.1, 2.2]))
