@@ -22,6 +22,35 @@ import numpy as np
 from .errors import ValidationError
 
 
+def alternating_couplings(
+    n_sites: int, d1: float | np.ndarray, d2: float | np.ndarray
+) -> np.ndarray:
+    """Bond strengths (d1, d2, d1, ...) along a last axis of length N-1.
+
+    d1 and d2 broadcast against each other: arrays of shape (B,) give
+    the (B, N-1) bonds of a stack of chains.
+    """
+    d1, d2 = np.asarray(d1, dtype=float), np.asarray(d2, dtype=float)
+    bonds = np.empty(np.broadcast_shapes(d1.shape, d2.shape) + (n_sites - 1,))
+    bonds[..., 0::2] = d1[..., None]
+    bonds[..., 1::2] = d2[..., None]
+    return bonds
+
+
+def tridiagonal_dense(diagonal: np.ndarray, offdiagonal: np.ndarray) -> np.ndarray:
+    """Dense symmetric matrix from its bands, (..., N) and (..., N-1).
+
+    Leading axes stack matrices: the result has shape (..., N, N).
+    """
+    n = diagonal.shape[-1]
+    dense = np.zeros(diagonal.shape + (n,))
+    idx = np.arange(n)
+    dense[..., idx, idx] = diagonal
+    dense[..., idx[:-1], idx[1:]] = offdiagonal
+    dense[..., idx[1:], idx[:-1]] = offdiagonal
+    return dense
+
+
 @dataclass(frozen=True)
 class ChainSpec:
     """Immutable description of one alternating chain.
@@ -84,10 +113,7 @@ class ChainSpec:
 
     def couplings(self) -> np.ndarray:
         """Bond strengths (d1, d2, d1, ...) as a length N-1 array."""
-        bonds = np.empty(self.n_sites - 1)
-        bonds[0::2] = self.d1
-        bonds[1::2] = self.d2
-        return bonds
+        return alternating_couplings(self.n_sites, self.d1, self.d2)
 
     def even_regime_threshold(self) -> float:
         """Lower delta limit (N+2)/N for the even-N closed forms."""
@@ -122,11 +148,7 @@ class CouplingMatrix:
         return self.diagonal.shape[0]
 
     def to_dense(self) -> np.ndarray:
-        dense = np.diag(self.diagonal)
-        idx = np.arange(self.size - 1)
-        dense[idx, idx + 1] = self.offdiagonal
-        dense[idx + 1, idx] = self.offdiagonal
-        return dense
+        return tridiagonal_dense(self.diagonal, self.offdiagonal)
 
     def max_abs(self) -> float:
         return float(max(np.max(np.abs(self.diagonal)), np.max(np.abs(self.offdiagonal))))

@@ -78,14 +78,24 @@ def node_amplitudes(eig: EigenSystem, times: np.ndarray) -> np.ndarray:
     return phases @ weights.T
 
 
+def spectral_probability(lam: np.ndarray, weights: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """|sum_j w_j exp(-i lambda_j t/2)|^2 at each time, shape (..., T).
+
+    lam and weights are (..., N): the eigenvalues and the products
+    u_kj * u_1j of one chain, or of a stack of chains along the leading
+    axes; times is (..., T) and broadcasts against those axes.
+    """
+    phases = np.exp(-0.5j * (times[..., :, None] * lam[..., None, :]))
+    return np.abs((phases @ weights[..., :, None])[..., 0]) ** 2
+
+
 def node_probability(eig: EigenSystem, node: int, t: float | np.ndarray) -> float | np.ndarray:
     """Occupation probability of one node; scalar in, scalar out."""
     if not 1 <= node <= eig.size:
         raise ValidationError(f"node must lie in 1..{eig.size}, got {node}")
     times, scalar = _as_times(t)
     weights = eig.vectors[node - 1] * eig.vectors[0]
-    amp = np.exp(-0.5j * np.multiply.outer(times, eig.eigenvalues)) @ weights
-    probs = np.abs(amp) ** 2
+    probs = spectral_probability(eig.eigenvalues, weights, times)
     return float(probs[0]) if scalar else probs
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from ._util import ordered_map
 from .chain import ChainSpec
-from .dynamics import TransferCurve, transfer_probability
+from .dynamics import TransferCurve, spectral_probability, transfer_probability
 from .errors import HorizonError, ValidationError
 from .spectral import EigenSystem, eigensystem_for, spectra
 
@@ -195,15 +195,14 @@ def optimize_delta(n_sites: int, delta_lo: float, delta_hi: float) -> TransferTr
 def _best_arrival_index(n_sites: int, t_fixed: float, grid: np.ndarray) -> int:
     """Index of the grid ratio with the highest P(delta, t_fixed), earliest on ties.
 
-    P = |sum_j c_j exp(-i lambda_j t/2)|^2 from stacked spectra, taken
-    in chunks of at most _GRID_CHUNK_ENTRIES matrix entries.
+    P comes from stacked spectra, taken in chunks of at most
+    _GRID_CHUNK_ENTRIES matrix entries.
     """
     chunk = max(1, _GRID_CHUNK_ENTRIES // (n_sites * n_sites))
     best, best_p = 0, -1.0
     for start in range(0, grid.size, chunk):
         lam, ends = spectra(n_sites, grid[start:start + chunk])
-        amp = np.sum(ends * np.exp(-0.5j * (t_fixed * lam)), axis=1)
-        probs = np.abs(amp) ** 2
+        probs = spectral_probability(lam, ends, np.array([t_fixed]))[:, 0]
         k = int(np.argmax(probs))
         if probs[k] > best_p:
             best, best_p = start + k, float(probs[k])

@@ -29,7 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .chain import ChainSpec, CouplingMatrix, build_coupling_matrix
+from .chain import (
+    ChainSpec,
+    CouplingMatrix,
+    alternating_couplings,
+    build_coupling_matrix,
+    tridiagonal_dense,
+)
 from .errors import NumericError, RegimeError, ValidationError
 from .roots import bisect, bracket_sign_changes
 
@@ -362,8 +368,8 @@ def eigensystem_for(spec: ChainSpec, analytic_max_n: int = 12) -> EigenSystem:
     return eigensystem_numeric(build_coupling_matrix(spec))
 
 
-def spectra(n_sites: int, deltas: np.ndarray, d1: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Spectra of a stack of zero-larmor chains that differ only in ratio.
+def spectra(n_sites: int, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Spectra of a stack of zero-larmor chains (d1 = 1) that differ only in ratio.
 
     Builds the (B, N, N) coupling matrices for the B ratios and
     diagonalises them with one stacked np.linalg.eigh.  Returns the (B, N)
@@ -372,20 +378,14 @@ def spectra(n_sites: int, deltas: np.ndarray, d1: float = 1.0) -> tuple[np.ndarr
     system passes the checks of the per-chain routes, at the same
     tolerances, or the whole stack raises NumericError.
     """
-    ChainSpec(n_sites, 1.0, d1)  # validates n_sites and d1
+    n = ChainSpec(n_sites, 1.0).n_sites  # validates n_sites
     ratios = np.asarray(deltas, dtype=float)
     if ratios.ndim != 1 or ratios.size == 0:
         raise ValidationError(f"deltas must be a non-empty 1-D array, got shape {ratios.shape}")
-    if not (math.isfinite(d1) and np.all(np.isfinite(ratios)) and np.all(ratios > 0.0)):
-        raise ValidationError("deltas and d1 must be finite and positive")
-    n = int(n_sites)
-    bonds = np.empty((ratios.size, n - 1))
-    bonds[:, 0::2] = d1
-    bonds[:, 1::2] = (ratios * d1)[:, None]
-    idx = np.arange(n - 1)
-    dense = np.zeros((ratios.size, n, n))
-    dense[:, idx, idx + 1] = bonds
-    dense[:, idx + 1, idx] = bonds
+    if not (np.all(np.isfinite(ratios)) and np.all(ratios > 0.0)):
+        raise ValidationError("deltas must be finite and positive")
+    bonds = alternating_couplings(n, 1.0, ratios)
+    dense = tridiagonal_dense(np.zeros((ratios.size, n)), bonds)
     try:
         values, vectors = np.linalg.eigh(dense)
     except np.linalg.LinAlgError as exc:

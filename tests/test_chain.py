@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from altchain import ChainSpec, ValidationError, build_coupling_matrix
+from altchain.chain import alternating_couplings, tridiagonal_dense
 
 
 def test_basic_fields():
@@ -21,6 +22,18 @@ def test_couplings_alternate():
     assert bonds.shape == (6,)
     # odd bonds carry d1, even bonds carry d2 (1-based bond index)
     assert list(bonds) == [2.0, 6.0, 2.0, 6.0, 2.0, 6.0]
+
+
+def test_stacked_layout_matches_each_chain():
+    # one row per ratio: the same bonds and dense matrix as each ChainSpec
+    deltas = np.array([0.5, 1.6, 2.38])
+    for n in (2, 5, 8):
+        bonds = alternating_couplings(n, 2.0, 2.0 * deltas)
+        dense = tridiagonal_dense(np.zeros((deltas.size, n)), bonds)
+        for i, delta in enumerate(deltas):
+            spec = ChainSpec(n, float(delta), d1=2.0)
+            assert np.array_equal(bonds[i], spec.couplings())
+            assert np.array_equal(dense[i], build_coupling_matrix(spec).to_dense())
 
 
 @pytest.mark.parametrize(

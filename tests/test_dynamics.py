@@ -22,6 +22,7 @@ from altchain import (
     transfer_probability_odd_form,
     z_projection_expectation,
 )
+from altchain.dynamics import spectral_probability
 
 P_8303 = 0.9999853660555051  # four sites, ratio 2.272
 P_N5_EARLY = 0.9423883339086744  # five sites, uniform, first high peak
@@ -66,6 +67,16 @@ def test_node_out_of_range(eig_n4_peak):
         node_probability(eig_n4_peak, 5, 1.0)
     with pytest.raises(ValidationError):
         node_probability(eig_n4_peak, 0, 1.0)
+
+
+def test_stacked_probability_matches_each_chain():
+    # a stack of chains at one time gives each chain's own P_N(t)
+    eigs = [eigensystem_for(ChainSpec(6, d)) for d in (1.2, 2.0, 2.9)]
+    lam = np.array([e.eigenvalues for e in eigs])
+    ends = np.array([e.vectors[0] * e.vectors[-1] for e in eigs])
+    probs = spectral_probability(lam, ends, np.array([7.5]))[:, 0]
+    expected = [transfer_probability(e, 7.5) for e in eigs]
+    assert np.max(np.abs(probs - expected)) <= 1e-14
 
 
 def test_even_form_equals_spectral_sum():
