@@ -18,6 +18,7 @@ from .dynamics import (
     full_space_state,
     node_amplitudes,
     node_probability,
+    paired_transfer_probability,
     sample_curve,
     transfer_probability,
     transfer_probability_even_form,
@@ -96,6 +97,7 @@ __all__ = [
     "node_amplitudes",
     "node_probability",
     "optimize_delta",
+    "paired_transfer_probability",
     "run_all",
     "sample_curve",
     "solve_even_roots",

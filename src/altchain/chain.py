@@ -15,6 +15,7 @@ matrix built here, so validation happens once, up front.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,8 +57,8 @@ class ChainSpec:
     """Immutable description of one alternating chain.
 
     n_sites: number of spins, at least 2.
-    delta:   bond-strength ratio d2 / d1, strictly positive.
-    d1:      odd-bond coupling, strictly positive; the default 1.0
+    delta:   bond-strength ratio d2 / d1, finite and strictly positive.
+    d1:      odd-bond coupling, finite and strictly positive; the default 1.0
              makes every reported time the dimensionless product d1*t.
     larmor:  per-site precession rates; None means all zero.  The
              closed-form eigensystems exist only for the all-zero case.
@@ -73,13 +74,14 @@ class ChainSpec:
             raise ValidationError(f"n_sites must be an integer, got {self.n_sites!r}")
         if self.n_sites < 2:
             raise ValidationError(f"n_sites must be at least 2, got {self.n_sites}")
-        if not (float(self.d1) > 0.0):
-            raise ValidationError(f"d1 must be positive, got {self.d1}")
-        if not (float(self.delta) > 0.0):
-            raise ValidationError(f"delta must be positive, got {self.delta}")
+        d1, delta = float(self.d1), float(self.delta)
+        if not (math.isfinite(d1) and d1 > 0.0):
+            raise ValidationError(f"d1 must be positive and finite, got {self.d1}")
+        if not (math.isfinite(delta) and delta > 0.0):
+            raise ValidationError(f"delta must be positive and finite, got {self.delta}")
         object.__setattr__(self, "n_sites", int(self.n_sites))
-        object.__setattr__(self, "delta", float(self.delta))
-        object.__setattr__(self, "d1", float(self.d1))
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "d1", d1)
         if self.larmor is not None:
             rates = tuple(float(w) for w in self.larmor)
             if len(rates) != self.n_sites:

@@ -13,7 +13,9 @@ Two reduced forms rewrite P_N without complex arithmetic: the paired
 +-lambda structure of a zero-diagonal chain collapses the sum to pure
 sines (even N) or pure cosines plus a zero-mode constant (odd N).
 Both are checked against the spectral sum, and the spectral sum in
-turn against brute-force evolution of the full 2^N spin space.
+turn against brute-force evolution of the full 2^N spin space.  The
+same folding applied to any eigensystem of such a chain is
+paired_transfer_probability, the kernel of the first-peak scan.
 """
 
 from __future__ import annotations
@@ -104,6 +106,33 @@ def transfer_probability(eig: EigenSystem, t: float | np.ndarray) -> float | np.
     return node_probability(eig, eig.size, t)
 
 
+def paired_transfer_probability(
+    eig: EigenSystem, t: float | np.ndarray
+) -> float | np.ndarray:
+    """P_N(t) of a zero-larmor chain from the positive half of its spectrum.
+
+    The +-lambda partners share the end product c_j = u_1j * u_Nj up to
+    the sign (-1)^(N+1), so the spectral sum folds into N/2 real terms:
+
+        even N:  P = (2 * sum_j c_j sin(lambda_j t/2))^2,
+        odd N:   P = (2 * sum_j c_j cos(lambda_j t/2) + c_0)^2,
+
+    with j over the positive eigenvalues and c_0 the end product of the
+    zero mode.  Valid only without on-site precession: the eigenvectors
+    of a dressed chain do not pair this way, and the result is wrong.
+    """
+    times, scalar = _as_times(t)
+    half = eig.size // 2
+    ends = eig.vectors[0] * eig.vectors[-1]
+    phases = 0.5 * np.multiply.outer(times, eig.eigenvalues[:half])
+    if eig.size % 2 == 0:
+        series = 2.0 * (np.sin(phases) @ ends[:half])
+    else:
+        series = 2.0 * (np.cos(phases) @ ends[:half]) + ends[half]
+    probs = series**2
+    return float(probs[0]) if scalar else probs
+
+
 def sample_curve(
     eig: EigenSystem,
     t_max: float,
@@ -111,8 +140,8 @@ def sample_curve(
     node: int | None = None,
 ) -> TransferCurve:
     """Uniform probability samples on [0, t_max], endpoints included."""
-    if not t_max > 0.0:
-        raise ValidationError(f"t_max must be positive, got {t_max}")
+    if not (math.isfinite(t_max) and t_max > 0.0):
+        raise ValidationError(f"t_max must be positive and finite, got {t_max}")
     if n_samples < 2:
         raise ValidationError(f"need at least 2 samples, got {n_samples}")
     node = eig.size if node is None else node

@@ -8,10 +8,9 @@ enough to resolve the fastest beat and takes the highest sample of the
 whole window, not the earliest peak above some level.  An earlier, lower
 peak is passed over: 16 sites at ratio 2.380 peak at P = 0.901 near
 0.85*pi/lambda_min, but the search returns the P = 0.915 peak at
-1.14*pi/lambda_min.  The winner is then polished by golden-section.  All searches are
-deterministic: grids are fixed by the parameters alone, tie-breaks take
-the earliest time (or smallest ratio), and concurrent evaluation reduces
-in input order.
+1.14*pi/lambda_min.  The winner is then polished by golden-section.
+All searches are deterministic: grids are fixed by the parameters alone
+and tie-breaks take the earliest time (or smallest ratio).
 """
 
 from __future__ import annotations
@@ -22,9 +21,13 @@ from typing import Callable
 
 import numpy as np
 
-from ._util import ordered_map
 from .chain import ChainSpec
-from .dynamics import TransferCurve, spectral_probability, transfer_probability
+from .dynamics import (
+    TransferCurve,
+    paired_transfer_probability,
+    spectral_probability,
+    transfer_probability,
+)
 from .errors import HorizonError, ValidationError
 from .spectral import EigenSystem, eigensystem_for, spectra
 
@@ -108,13 +111,19 @@ def first_peak(spec: ChainSpec) -> TransferTriad:
     Scans (0, 1.3*pi/lambda_min] on a grid no coarser than 0.01 and
     than a fiftieth of the fastest half-period, takes the global
     sampled maximum of the whole window (earliest on exact ties), and
-    polishes it by golden-section until the bracket is 1e-8 wide.  That
-    width is not the accuracy of t_h: near the flat top of a peak the
-    comparisons of P stop resolving t well before 1e-8, and t_h can
-    miss the root of dP/dt by more (1.1e-7 at N=16, delta=2.380).  An
-    earlier peak lower than the window maximum is not returned, even
-    when it is a high one.
+    polishes it by golden-section until the bracket is 1e-8 wide.  The
+    scan evaluates the real N/2-term series of the paired spectrum
+    (paired_transfer_probability), the polish the full spectral sum
+    (transfer_probability).  A dressed chain, one with nonzero larmor
+    rates, has no paired spectrum and is refused with ValidationError.
+
+    The bracket width is not the accuracy of t_h: near the flat top
+    of a peak the comparisons of P stop resolving t well before 1e-8,
+    and t_h can miss the root of dP/dt by more (1.1e-7 at N=16,
+    delta=2.380).  An earlier peak lower than the window maximum is
+    not returned, even when it is a high one.
     """
+    spec.require_zero_larmor("first_peak")
     eig = eigensystem_for(spec)
     lam_min, window, step = _peak_window(eig, spec.d1)
     count = int(math.ceil(window / step))
@@ -130,7 +139,7 @@ def first_peak(spec: ChainSpec) -> TransferTriad:
     for start in range(1, count + 1, chunk):
         idx = np.arange(start, min(start + chunk, count + 1))
         times = idx * actual
-        probs = np.asarray(transfer_probability(eig, times))
+        probs = paired_transfer_probability(eig, times)
         k = int(np.argmax(probs))
         if probs[k] > best_p:
             best_p = float(probs[k])
@@ -184,7 +193,7 @@ def optimize_delta(n_sites: int, delta_lo: float, delta_hi: float) -> TransferTr
     def peak_probability(delta: float) -> float:
         return first_peak(ChainSpec(n_sites, float(delta))).p_h
 
-    values = ordered_map(peak_probability, list(grid))
+    values = [peak_probability(delta) for delta in grid]
     best = int(np.argmax(values))
     lo = max(delta_lo, float(grid[best]) - _DELTA_GRID)
     hi = min(delta_hi, float(grid[best]) + _DELTA_GRID)
@@ -271,7 +280,7 @@ def table1_sweep(delta: float, n_list: list[int]) -> list[SweepRow]:
             estimate=triad.lambda_min_estimate,
         )
 
-    return ordered_map(one_row, lengths)
+    return [one_row(n) for n in lengths]
 
 
 def dwell_window(curve: TransferCurve, threshold: float) -> tuple[float, float] | None:

@@ -45,6 +45,10 @@ def test_stacked_layout_matches_each_chain():
         dict(n_sites=4, delta=2.0, d1=0.0),
         dict(n_sites=4, delta=2.0, larmor=(1.0, 2.0)),
         dict(n_sites=2, delta=2.0, larmor=(float("nan"), 0.0)),
+        dict(n_sites=4, delta=float("inf")),
+        dict(n_sites=4, delta=float("nan")),
+        dict(n_sites=4, delta=2.0, d1=float("inf")),
+        dict(n_sites=4, delta=2.0, d1=float("nan")),
     ],
 )
 def test_rejects_bad_parameters(kwargs):

@@ -1,7 +1,6 @@
 """Command-line surface: schemas, determinism, exit codes."""
 
 import json
-import os
 import subprocess
 import sys
 
@@ -103,6 +102,29 @@ def test_fixed_time_non_finite_exit_code(capsys, flag, value):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["curve", "--n", "4", "--delta", "2.38", "--tmax", "inf", "--samples", "3"],
+                     id="curve-tmax-inf"),
+        pytest.param(["curve", "--n", "4", "--delta", "2.38", "--tmax", "nan", "--samples", "3"],
+                     id="curve-tmax-nan"),
+        pytest.param(["curve", "--n", "4", "--delta", "inf", "--tmax", "10", "--samples", "3"],
+                     id="curve-delta-inf"),
+        pytest.param(["bound", "--n", "5", "--delta", "inf"], id="bound-delta-inf"),
+        pytest.param(["bound", "--n", "5", "--delta", "nan"], id="bound-delta-nan"),
+        pytest.param(["table1", "--delta", "inf", "--n", "4"], id="table1-delta-inf"),
+        pytest.param(["table1", "--delta", "nan", "--n", "4,5"], id="table1-delta-nan"),
+        pytest.param(["eigs", "--n", "4", "--delta", "inf"], id="eigs-delta-inf"),
+    ],
+)
+def test_non_finite_exit_code(capsys, argv):
+    code, out, err = run_cli(*argv, capsys=capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_unknown_flag_exit_code(capsys):
     code, _, err = run_cli("eigs", "--n", "4", "--delta", "2", "--bogus", capsys=capsys)
     assert code == 1
@@ -122,10 +144,8 @@ def test_output_file_lf_only(tmp_path, capsys):
 
 
 def test_byte_identical_reruns(tmp_path):
-    env = dict(os.environ)
     outputs = []
-    for workers, name in (("1", "a.csv"), ("6", "b.csv")):
-        env["ALTCHAIN_WORKERS"] = workers
+    for name in ("a.csv", "b.csv"):
         target = tmp_path / name
         proc = subprocess.run(
             [
@@ -134,7 +154,6 @@ def test_byte_identical_reruns(tmp_path):
                 "--delta-min", "2.25", "--delta-max", "2.29",
                 "--output", str(target),
             ],
-            env=env,
             capture_output=True,
             text=True,
         )

@@ -15,6 +15,7 @@ from altchain import (
     full_space_state,
     node_amplitudes,
     node_probability,
+    paired_transfer_probability,
     sample_curve,
     solve_even_roots,
     transfer_probability,
@@ -175,3 +176,29 @@ def test_curve_rejects_bad_window(eig_n4_peak):
         sample_curve(eig_n4_peak, -5.0, 100)
     with pytest.raises(ValidationError):
         sample_curve(eig_n4_peak, 10.0, 1)
+    for t_max in (math.inf, math.nan):
+        with pytest.raises(ValidationError):
+            sample_curve(eig_n4_peak, t_max, 100)
+
+
+@pytest.mark.parametrize(
+    "n,delta,route",
+    [
+        (4, 2.272, "analytic-even"),
+        (8, 2.557, "analytic-even"),
+        (5, 2.38, "analytic-odd"),
+        (9, 2.38, "analytic-odd"),
+        (14, 1.05, "numeric"),
+        (16, 2.38, "numeric"),
+        (4, 1.2, "numeric"),  # even chain below the threshold (N+2)/N
+    ],
+)
+def test_paired_series_matches_spectral_sum(n, delta, route):
+    eig = eigensystem_for(ChainSpec(n, delta))
+    assert eig.provenance == route
+    times = np.linspace(0.0, 300.0, 30001)
+    paired = paired_transfer_probability(eig, times)
+    assert np.max(np.abs(paired - transfer_probability(eig, times))) <= 1e-13
+    assert paired_transfer_probability(eig, 8.303) == pytest.approx(
+        transfer_probability(eig, 8.303), abs=1e-13
+    )

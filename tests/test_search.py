@@ -1,7 +1,6 @@
 """Peak search, ratio optimisation, sweeps."""
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from altchain import (
     table1_sweep,
     transfer_probability,
 )
-from altchain._util import WORKERS_ENV
 from altchain import search as search_mod
 
 # frozen search outputs, produced by this code and cross-checked against
@@ -26,6 +24,11 @@ from altchain import search as search_mod
 FIRST_PEAK_N4 = (8.30319227754957, 0.9999853752983222)
 FIRST_PEAK_N6 = (21.428215279877328, 0.9969859762438591)
 FIRST_PEAK_N8 = (58.96618165786005, 0.9886551620968724)
+# odd chains at ratio 2.380, the rows of table1_sweep(2.38, [5, 7, 9]) as
+# the complex-exponential scan found them
+FIRST_PEAK_N5 = (1.9730960117242953, 0.020364436159806276)
+FIRST_PEAK_N7 = (2.2486934683406923, 0.0005631763083313536)
+FIRST_PEAK_N9 = (2.434845321779752, 5.9844511561467556e-06)
 
 
 @pytest.mark.parametrize(
@@ -34,6 +37,9 @@ FIRST_PEAK_N8 = (58.96618165786005, 0.9886551620968724)
         (4, 2.272, FIRST_PEAK_N4),
         (6, 2.373, FIRST_PEAK_N6),
         (8, 2.557, FIRST_PEAK_N8),
+        (5, 2.38, FIRST_PEAK_N5),
+        (7, 2.38, FIRST_PEAK_N7),
+        (9, 2.38, FIRST_PEAK_N9),
     ],
 )
 def test_first_peak_frozen(n, delta, expected):
@@ -41,6 +47,11 @@ def test_first_peak_frozen(n, delta, expected):
     assert triad.delta_h == delta
     assert triad.t_h == pytest.approx(expected[0], abs=1e-6)
     assert triad.p_h == pytest.approx(expected[1], abs=1e-9)
+
+
+def test_first_peak_refuses_dressed_chain():
+    with pytest.raises(ValidationError, match="first_peak"):
+        first_peak(ChainSpec(6, 1.7, larmor=(0.0, 0.1, 0.0, 0.0, 0.2, 0.0)))
 
 
 def test_first_peak_estimate_quality():
@@ -198,19 +209,10 @@ def test_sweep_flags_unreachable_rows(monkeypatch):
     assert math.isnan(rows[1].t_h1) and math.isnan(rows[1].p_h1)
 
 
-def test_determinism_across_worker_counts():
-    saved = os.environ.get(WORKERS_ENV)
-    try:
-        os.environ[WORKERS_ENV] = "1"
-        serial = optimize_delta(4, 2.25, 2.29)
-        os.environ[WORKERS_ENV] = "5"
-        threaded = optimize_delta(4, 2.25, 2.29)
-    finally:
-        if saved is None:
-            os.environ.pop(WORKERS_ENV, None)
-        else:
-            os.environ[WORKERS_ENV] = saved
-    assert serial == threaded
+def test_optimize_rerun_identical():
+    first = optimize_delta(4, 2.25, 2.29)
+    rerun = optimize_delta(4, 2.25, 2.29)
+    assert repr(first) == repr(rerun)
 
 
 def test_dwell_window_brackets_peak(eig_n4_peak):
