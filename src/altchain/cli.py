@@ -134,7 +134,9 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument(
-        "--method", choices=("auto", "even", "odd", "numeric"), default="auto"
+        "--method", choices=("auto", "even", "odd", "numeric"), default="auto",
+        help="auto and numeric: LAPACK, the route every other command uses; "
+        "even, odd: the closed-form oracle of that parity",
     )
     _add_common(p)
 
@@ -183,16 +185,10 @@ def build_parser() -> _Parser:
 def _cmd_eigs(args) -> tuple[list[str], list[list]]:
     spec = ChainSpec(args.n, args.delta)
     matrix = build_coupling_matrix(spec)
-    if args.method == "auto":
-        eig = eigensystem_for(spec)
-    elif args.method == "even":
-        eig = eigensystem_even(spec)
-    elif args.method == "odd":
-        eig = eigensystem_odd(spec)
-    else:
-        eig = eigensystem_numeric(matrix)
-    dense = matrix.to_dense()
     numeric = eigensystem_numeric(matrix)
+    oracles = {"even": eigensystem_even, "odd": eigensystem_odd}
+    eig = oracles[args.method](spec) if args.method in oracles else numeric
+    dense = matrix.to_dense()
     rows = []
     for i in range(eig.size):
         lam = float(eig.eigenvalues[i])

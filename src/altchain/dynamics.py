@@ -28,11 +28,13 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .chain import ChainSpec, build_coupling_matrix
-from .errors import ResourceError, ValidationError
+from .errors import HorizonError, ResourceError, ValidationError
 from .spectral import EigenSystem, EvenRootSet
 
 _FULL_SPACE_MAX_SITES = 12
 _FULL_SPACE_DENSE_MAX_SITES = 8
+# largest rounding error of a phase lambda*t that a probability may carry
+_HORIZON_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -71,6 +73,20 @@ def _as_times(t: float | np.ndarray) -> tuple[np.ndarray, bool]:
     if np.any(times < 0.0):
         raise ValidationError("times must be non-negative")
     return times, scalar
+
+
+def check_horizon(t_max: float, lam_max: float) -> None:
+    """Refuse times whose phases lambda*t/2 have no digits left to resolve P.
+
+    A phase carries a rounding error of about t*lambda_max*eps; above
+    1e-9 that error, not the dynamics, sets the last digits of P, and
+    at t = 1e300 it sets all of them.  Raises HorizonError there.
+    """
+    if t_max * lam_max * np.finfo(float).eps > _HORIZON_TOL:
+        raise HorizonError(
+            f"time {t_max:.6g} at frequency {lam_max:.6g} leaves a phase error above "
+            f"{_HORIZON_TOL:.0e}; the probability has no significant digits there"
+        )
 
 
 def node_amplitudes(eig: EigenSystem, times: np.ndarray) -> np.ndarray:
@@ -139,11 +155,15 @@ def sample_curve(
     n_samples: int,
     node: int | None = None,
 ) -> TransferCurve:
-    """Uniform probability samples on [0, t_max], endpoints included."""
+    """Uniform probability samples on [0, t_max], endpoints included.
+
+    A t_max beyond check_horizon raises HorizonError.
+    """
     if not (math.isfinite(t_max) and t_max > 0.0):
         raise ValidationError(f"t_max must be positive and finite, got {t_max}")
     if n_samples < 2:
         raise ValidationError(f"need at least 2 samples, got {n_samples}")
+    check_horizon(t_max, float(np.max(np.abs(eig.eigenvalues))))
     node = eig.size if node is None else node
     times = np.linspace(0.0, float(t_max), int(n_samples))
     probs = node_probability(eig, node, times)

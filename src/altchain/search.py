@@ -24,6 +24,7 @@ import numpy as np
 from .chain import ChainSpec
 from .dynamics import (
     TransferCurve,
+    check_horizon,
     paired_transfer_probability,
     spectral_probability,
     transfer_probability,
@@ -94,7 +95,7 @@ def _golden_max(
 def _peak_window(eig: EigenSystem, d1: float) -> tuple[float, float, float]:
     """(lambda_min, window length, grid step) from the spectral extremes."""
     lam_min = eig.smallest_positive()
-    if lam_min is None or lam_min < _DEGENERACY_FLOOR * d1:
+    if lam_min < _DEGENERACY_FLOOR * d1:
         raise HorizonError(
             f"smallest positive eigenvalue {lam_min} is below the degeneracy "
             f"floor {_DEGENERACY_FLOOR * d1:.3e}; the peak window is unbounded"
@@ -226,12 +227,14 @@ def fixed_time_optimize(
     Grid (step 0.001) over the ratio range, evaluated from stacked
     spectra, plus golden-section refinement of P(delta, t_fixed) on
     the per-chain eigensystems; the reported triad keeps the
-    prescribed time.
+    prescribed time.  A time too long for the phases to keep digits
+    (check_horizon) raises HorizonError.
     """
     if not (math.isfinite(t_fixed) and t_fixed > 0.0):
         raise ValidationError(f"t_fixed must be positive and finite, got {t_fixed}")
     _validate_delta_range(delta_lo, delta_hi)
     ChainSpec(n_sites, delta_lo)  # validates n_sites
+    check_horizon(t_fixed, 1.0 + delta_hi)  # lambda_max <= d1 + d2 on the whole range
 
     count = int(math.floor((delta_hi - delta_lo) / _FIXED_TIME_GRID + 1e-9))
     grid = delta_lo + _FIXED_TIME_GRID * np.arange(count + 1)
@@ -246,9 +249,7 @@ def fixed_time_optimize(
     lo = max(delta_lo, float(grid[best]) - _FIXED_TIME_GRID)
     hi = min(delta_hi, float(grid[best]) + _FIXED_TIME_GRID)
     delta_h, p_h = _golden_max(arrival_probability, lo, hi, _FIXED_TIME_TOL)
-    eig = eigensystem_for(ChainSpec(n_sites, delta_h))
-    lam_min = eig.smallest_positive()
-    estimate = math.pi / lam_min if lam_min is not None else math.inf
+    estimate = math.pi / eigensystem_for(ChainSpec(n_sites, delta_h)).smallest_positive()
     return TransferTriad(
         delta_h=delta_h, t_h=t_fixed, p_h=p_h, lambda_min_estimate=estimate
     )
@@ -258,10 +259,14 @@ def table1_sweep(delta: float, n_list: list[int]) -> list[SweepRow]:
     """First-peak triads across chain lengths at one fixed ratio.
 
     Each row is first_peak of that length: the highest peak of the
-    window (0, 1.3*pi/lambda_min], not the earliest high one.  Rows
-    come back sorted by length.  A length whose peak window is
-    numerically out of reach is flagged in its note and filled with
-    NaN; the sweep continues.
+    window (0, 1.3*pi/lambda_min], not the earliest high one.  For an
+    odd length lambda_min is the smallest nonzero eigenvalue, so the
+    window is short and the row is an early, small peak, not the
+    transfer the chain reaches later: at ratio 2.38, N = 5, 7, 9 give
+    P = 0.0204, 5.6e-4, 6.0e-6, while the same curves reach 0.31,
+    0.23, 0.19 by t <= 500.  Rows come back sorted by length.  A
+    length whose peak window is numerically out of reach is flagged in
+    its note and filled with NaN; the sweep continues.
     """
     if not n_list:
         raise ValidationError("n_list must not be empty")

@@ -1,16 +1,17 @@
-"""Eigensystems of the alternating chain, closed-form and numeric.
+"""Eigensystems of the alternating chain: one LAPACK route, two closed-form oracles.
 
-Three construction routes produce the same object:
+Every computation of the library diagonalises the coupling matrix with
+LAPACK (eigensystem_numeric, reached through eigensystem_for), which is
+valid for every size, ratio and on-site precession pattern.  The closed
+forms of the paper are kept as independent oracles for verify, the
+tests and `altchain eigs --method even|odd`:
 
 * even N, delta above (N+2)/N: a trigonometric family built from the
   N/2-1 roots of  delta*sin(N x/2) + sin((N/2+1) x) = 0  on (0, pi),
   plus one hyperbolic pair from the root of
   delta*sinh(N y/2) = sinh((N/2+1) y),  y > 0;
 * odd N, any positive delta: a fully explicit trigonometric family
-  with a single zero mode localised on odd sites;
-* numeric: LAPACK symmetric-tridiagonal diagonalisation, valid for
-  every size, ratio, and on-site precession pattern, and serving as
-  the independent cross-check for both closed forms.
+  with a single zero mode localised on odd sites.
 
 A ratio sweep needs only the spectrum and the end products u_1j*u_Nj of
 each chain: spectra() computes those for a whole stack of zero-larmor
@@ -48,8 +49,8 @@ _RESIDUAL_REL_TOL = 1e-9
 _PAIRING_TOL = 1e-10
 _ROOT_RESIDUAL_TOL = 1e-12
 # Within this relative margin of the threshold the hyperbolic root is
-# so small that the normalisation forms cancel; route to the numeric
-# solver instead of returning digits the formulas cannot back.
+# so small that the normalisation forms cancel; the even closed form
+# refuses instead of returning digits the formulas cannot back.
 _THRESHOLD_MARGIN = 1e-5
 
 
@@ -91,10 +92,15 @@ class EigenSystem:
     def size(self) -> int:
         return self.eigenvalues.size
 
-    def smallest_positive(self, floor: float = 0.0) -> float | None:
-        """Smallest eigenvalue strictly above floor, None if absent."""
-        above = self.eigenvalues[self.eigenvalues > floor]
-        return float(above[-1]) if above.size else None
+    def smallest_positive(self) -> float:
+        """Smallest eigenvalue of the positive half of a paired spectrum.
+
+        That is index N//2 - 1 in descending order, the last of the
+        N//2 levels paired_transfer_probability sums over.  An odd
+        chain's zero mode sits just below it, whatever sign rounding
+        gives it.
+        """
+        return float(self.eigenvalues[self.size // 2 - 1])
 
 
 def _x_residual(x: np.ndarray | float, n: int, delta: float) -> np.ndarray | float:
@@ -351,20 +357,8 @@ def eigensystem_numeric(matrix: CouplingMatrix) -> EigenSystem:
     return EigenSystem(eigenvalues=values, vectors=vectors, provenance=PROVENANCE_NUMERIC)
 
 
-def eigensystem_for(spec: ChainSpec, analytic_max_n: int = 12) -> EigenSystem:
-    """Pick the construction route for a chain description.
-
-    Closed forms cover zero-larmor chains: odd N at any ratio, even N
-    above the threshold up to analytic_max_n sites.  Everything else,
-    including long even chains whose hyperbolic normalisation grows
-    exponentially, goes to the numeric solver.
-    """
-    if spec.larmor_is_zero():
-        if spec.n_sites % 2 == 1:
-            return eigensystem_odd(spec)
-        threshold = spec.even_regime_threshold()
-        if spec.delta > threshold * (1.0 + _THRESHOLD_MARGIN) and spec.n_sites <= analytic_max_n:
-            return eigensystem_even(spec)
+def eigensystem_for(spec: ChainSpec) -> EigenSystem:
+    """Eigensystem of any chain description, by LAPACK."""
     return eigensystem_numeric(build_coupling_matrix(spec))
 
 

@@ -111,6 +111,7 @@ def check_spectral_negation() -> None:
 
 
 def check_form_equivalence() -> None:
+    """Closed-form reduced series against the LAPACK spectral sum."""
     times = np.linspace(0.0, 80.0, 1000)
     for n, d in [(4, 2.38), (6, 2.373), (8, 2.557), (12, 2.38)]:
         spec = ChainSpec(n, d)

@@ -125,6 +125,28 @@ def test_non_finite_exit_code(capsys, argv):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["fixed-time", "--n", "8", "--time", "1e300"], id="fixed-time-1e300"),
+        pytest.param(["curve", "--n", "8", "--delta", "2.38", "--tmax", "1e300",
+                      "--samples", "3"], id="curve-tmax-1e300"),
+    ],
+)
+def test_beyond_horizon_exit_code(capsys, argv):
+    code, out, err = run_cli(*argv, capsys=capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numeric failure:")
+
+
+def test_long_time_within_horizon(capsys):
+    code, out, _ = run_cli("fixed-time", "--n", "8", "--time", "1e5", capsys=capsys)
+    assert code == 0
+    p_h = float(out.strip().split("\n")[1].split(",")[3])
+    assert 0.0 <= p_h <= 1.0
+
+
 def test_unknown_flag_exit_code(capsys):
     code, _, err = run_cli("eigs", "--n", "4", "--delta", "2", "--bogus", capsys=capsys)
     assert code == 1

@@ -8,9 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from altchain import (
     ChainSpec,
+    HorizonError,
     ResourceError,
     ValidationError,
+    build_coupling_matrix,
+    eigensystem_even,
     eigensystem_for,
+    eigensystem_numeric,
+    eigensystem_odd,
     full_space_amplitude,
     full_space_state,
     node_amplitudes,
@@ -181,6 +186,15 @@ def test_curve_rejects_bad_window(eig_n4_peak):
             sample_curve(eig_n4_peak, t_max, 100)
 
 
+def test_curve_refuses_times_beyond_the_horizon(eig_n4_peak):
+    # t * lambda_max * eps above 1e-9: the phases have no digits left
+    with pytest.raises(HorizonError):
+        sample_curve(eig_n4_peak, 1e300, 3)
+    with pytest.raises(HorizonError):
+        sample_curve(eig_n4_peak, 2e6, 3)
+    assert sample_curve(eig_n4_peak, 1e6, 3).probabilities.shape == (3,)
+
+
 @pytest.mark.parametrize(
     "n,delta,route",
     [
@@ -194,7 +208,13 @@ def test_curve_rejects_bad_window(eig_n4_peak):
     ],
 )
 def test_paired_series_matches_spectral_sum(n, delta, route):
-    eig = eigensystem_for(ChainSpec(n, delta))
+    spec = ChainSpec(n, delta)
+    if route == "analytic-even":
+        eig = eigensystem_even(spec)
+    elif route == "analytic-odd":
+        eig = eigensystem_odd(spec)
+    else:
+        eig = eigensystem_numeric(build_coupling_matrix(spec))
     assert eig.provenance == route
     times = np.linspace(0.0, 300.0, 30001)
     paired = paired_transfer_probability(eig, times)

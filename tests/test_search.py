@@ -19,8 +19,8 @@ from altchain import (
 )
 from altchain import search as search_mod
 
-# frozen search outputs, produced by this code and cross-checked against
-# the tridiagonal eigensolver route before committing
+# frozen search outputs, produced on the closed-form eigensystems and
+# reproduced by the LAPACK route within the tolerances asserted
 FIRST_PEAK_N4 = (8.30319227754957, 0.9999853752983222)
 FIRST_PEAK_N6 = (21.428215279877328, 0.9969859762438591)
 FIRST_PEAK_N8 = (58.96618165786005, 0.9886551620968724)
@@ -137,8 +137,8 @@ def _per_ratio_fixed_time(n, t, lo, hi):
     "n,t,lo,hi",
     [
         (8, 60.0, 2.0, 3.0),  # the README example
-        (7, 23.5, 1.6, 2.2),  # odd chain, closed-form odd route
-        (14, 51.0, 2.2, 2.5),  # above analytic_max_n, numeric route
+        (7, 23.5, 1.6, 2.2),  # odd chain
+        (14, 51.0, 2.2, 2.5),  # the longest chain of the fixed-time benchmark
     ],
 )
 def test_fixed_time_matches_per_ratio_search(n, t, lo, hi):
@@ -240,7 +240,7 @@ def test_dwell_window_threshold_validated(eig_n4_peak):
 
 
 def test_ideal_ratio_dwell_contains_arrival():
-    # below the even closed-form regime: numeric path drives the search
+    # below the even closed-form threshold (N+2)/N
     spec = ChainSpec(4, 2.0 / math.sqrt(3.0))
     curve = sample_curve(eigensystem_for(spec), 12.0, 6001)
     window = dwell_window(curve, 0.999)

@@ -148,17 +148,15 @@ def test_numeric_matches_odd_analytic():
                 assert min(np.max(np.abs(u - v)), np.max(np.abs(u + v))) < 1e-8
 
 
-def test_dispatch_by_parity_and_regime():
-    assert eigensystem_for(ChainSpec(5, 1.3)).provenance == PROVENANCE_ANALYTIC_ODD
-    assert eigensystem_for(ChainSpec(6, 2.0)).provenance == PROVENANCE_ANALYTIC_EVEN
-    # below the closed-form threshold the even chain falls back
-    assert eigensystem_for(ChainSpec(6, 1.2)).provenance == PROVENANCE_NUMERIC
-    # long chains route numeric regardless of regime
-    assert eigensystem_for(ChainSpec(14, 2.38)).provenance == PROVENANCE_NUMERIC
-    assert eigensystem_for(ChainSpec(12, 2.38)).provenance == PROVENANCE_ANALYTIC_EVEN
-    # dressed chains have no closed form
-    dressed = ChainSpec(5, 1.0, larmor=(0.4, 0.0, 0.0, 0.0, -0.4))
-    assert eigensystem_for(dressed).provenance == PROVENANCE_NUMERIC
+def test_every_chain_goes_through_lapack():
+    specs = [
+        ChainSpec(5, 1.3),  # odd
+        ChainSpec(6, 2.0),  # even, above the threshold (N+2)/N
+        ChainSpec(6, 1.2),  # even, below it
+        ChainSpec(40, 2.38),  # long
+        ChainSpec(5, 1.0, larmor=(0.4, 0.0, 0.0, 0.0, -0.4)),  # dressed
+    ]
+    assert {eigensystem_for(spec).provenance for spec in specs} == {PROVENANCE_NUMERIC}
 
 
 @settings(deadline=None, max_examples=60)
@@ -201,6 +199,18 @@ def test_odd_eigensystem_properties(n_half, delta):
 def test_smallest_positive():
     eig = eigensystem_odd(ChainSpec(5, 2.0))
     assert eig.smallest_positive() == pytest.approx(math.sqrt(3.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("delta", [1.0, 2.38])
+@pytest.mark.parametrize("n", range(3, 16, 2))
+def test_smallest_positive_skips_the_zero_mode(n, delta):
+    # LAPACK returns an odd chain's zero mode as +-1e-17; lambda_min is
+    # the smallest of the positive half, as on the closed form
+    spec = ChainSpec(n, delta)
+    closed = eigensystem_odd(spec).smallest_positive()
+    lapack = eigensystem_numeric(build_coupling_matrix(spec)).smallest_positive()
+    assert closed > 0.1
+    assert abs(closed - lapack) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [4, 5, 8, 9, 14])
