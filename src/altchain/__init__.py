@@ -1,9 +1,9 @@
 """Excitation transfer along open spin-1/2 chains with alternating couplings.
 
 The library works in the one-excitation sector, where the chain reduces
-to a symmetric tridiagonal coupling matrix.  It provides LAPACK
-eigensystems checked against the closed forms for both parities of the
-chain length, transfer-probability dynamics with a full Hilbert-space
+to a symmetric tridiagonal coupling matrix.  It provides eigensystems
+from the SVD of the half-size bond bidiagonal, checked against the
+closed forms for both parities of the chain length, transfer-probability dynamics with a full Hilbert-space
 oracle, the four-site perfect-transfer family, probability caps for odd
 chains, and deterministic searches for high-probability transfer
 parameters.

@@ -53,7 +53,6 @@ class BoundReport:
 
 def bound_report(spec: ChainSpec) -> BoundReport:
     """Evaluate the probability ceilings for an odd chain, delta >= 1."""
-    spec.require_zero_larmor("bound_report")
     n, delta = spec.n_sites, spec.delta
     if n % 2 != 1:
         raise ValidationError(f"bound_report needs an odd chain, got N={n}")
@@ -103,7 +102,6 @@ def equality_feasible(spec: ChainSpec, t_search: float = 1e4) -> bool:
     works; numerical sweeps confirm the answer is negative for five
     and seven sites.
     """
-    spec.require_zero_larmor("equality_feasible")
     n, delta = spec.n_sites, spec.delta
     if n % 2 != 1:
         raise ValidationError(f"equality_feasible needs an odd chain, got N={n}")

@@ -10,12 +10,16 @@ The factor 1/2 reflects that the spin Hamiltonian restricted to one
 excitation equals D/2.
 
 Two reduced forms rewrite P_N without complex arithmetic: the paired
-+-lambda structure of a zero-diagonal chain collapses the sum to pure
++-lambda structure of the bipartite chain collapses the sum to pure
 sines (even N) or pure cosines plus a zero-mode constant (odd N).
 Both are checked against the spectral sum, and the spectral sum in
 turn against brute-force evolution of the full 2^N spin space.  The
-same folding applied to any eigensystem of such a chain is
+same folding applied to any eigensystem of the chain is
 paired_transfer_probability, the kernel of the first-peak scan.
+
+The module needs numpy only: the 2^N oracle is dense up to N=8 and
+imports scipy.sparse for its matrix-exponential action at 9 <= N <= 12,
+inside that branch.
 """
 
 from __future__ import annotations
@@ -24,10 +28,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
-from .chain import ChainSpec, build_coupling_matrix
+from .chain import ChainSpec
 from .errors import HorizonError, ResourceError, ValidationError
 from .spectral import EigenSystem, EvenRootSet
 
@@ -125,7 +127,7 @@ def transfer_probability(eig: EigenSystem, t: float | np.ndarray) -> float | np.
 def paired_transfer_probability(
     eig: EigenSystem, t: float | np.ndarray
 ) -> float | np.ndarray:
-    """P_N(t) of a zero-larmor chain from the positive half of its spectrum.
+    """P_N(t) from the positive half of the paired spectrum.
 
     The +-lambda partners share the end product c_j = u_1j * u_Nj up to
     the sign (-1)^(N+1), so the spectral sum folds into N/2 real terms:
@@ -134,8 +136,7 @@ def paired_transfer_probability(
         odd N:   P = (2 * sum_j c_j cos(lambda_j t/2) + c_0)^2,
 
     with j over the positive eigenvalues and c_0 the end product of the
-    zero mode.  Valid only without on-site precession: the eigenvectors
-    of a dressed chain do not pair this way, and the result is wrong.
+    zero mode.
     """
     times, scalar = _as_times(t)
     half = eig.size // 2
@@ -181,7 +182,6 @@ def transfer_probability_even_form(
     The coefficients are the products u_Nj * u_1j of the closed-form
     eigenvectors, so this must agree with the spectral sum to 1e-10.
     """
-    spec.require_zero_larmor("transfer_probability_even_form")
     n, d1, d2 = spec.n_sites, spec.d1, spec.d2
     if n % 2 != 0:
         raise ValidationError(f"even-chain form needs even N, got {n}")
@@ -216,7 +216,6 @@ def transfer_probability_odd_form(spec: ChainSpec, t: float | np.ndarray) -> flo
     with A^2 = 2/(N+1) and B the zero-mode end weight.  The constant
     is the permanent imprint of the zero mode on both chain ends.
     """
-    spec.require_zero_larmor("transfer_probability_odd_form")
     n, d1, delta = spec.n_sites, spec.d1, spec.delta
     if n % 2 != 1:
         raise ValidationError(f"odd-chain form needs odd N, got {n}")
@@ -248,42 +247,36 @@ def transfer_probability_odd_form(spec: ChainSpec, t: float | np.ndarray) -> flo
     return float(probs[0]) if scalar else probs
 
 
-def _full_space_hamiltonian(spec: ChainSpec) -> scipy.sparse.csr_matrix:
-    """Sparse 2^N spin Hamiltonian whose one-excitation block is D/2.
+def _full_space_hamiltonian(spec: ChainSpec):
+    """2^N spin Hamiltonian whose one-excitation block is D/2.
 
-    Site n maps to bit n-1.  Each bond contributes hopping D_n/2
-    between basis states whose two bond bits differ; the precession
-    term contributes the diagonal sum_n (w_n/4)(2 b_n - 1), which is
-    w_n/2 per excited site up to a constant shift (a global phase).
-    An excited site carries spin projection +1/2.
+    Site n maps to bit n-1, and an excited site carries spin projection
+    +1/2.  Each bond contributes hopping D_n/2 between basis states
+    whose two bond bits differ.  A dense numpy array up to N=8, the
+    sizes the dense eigensolve takes; scipy.sparse CSR above, imported
+    here only.
     """
     n = spec.n_sites
     dim = 1 << n
     states = np.arange(dim, dtype=np.int64)
-    bonds = spec.couplings()
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
     vals: list[np.ndarray] = []
-    for i, strength in enumerate(bonds):
+    for i, strength in enumerate(spec.couplings()):
         mask = (1 << i) | (1 << (i + 1))
         differ = ((states >> i) & 1) != ((states >> (i + 1)) & 1)
         src = states[differ]
         rows.append(src)
         cols.append(src ^ mask)
         vals.append(np.full(src.size, 0.5 * strength))
-    diag = np.zeros(dim)
-    for i, w in enumerate(spec.larmor_rates):
-        if w != 0.0:
-            bit = (states >> i) & 1
-            diag += 0.25 * w * (2.0 * bit - 1.0)
-    rows.append(states)
-    cols.append(states)
-    vals.append(diag)
-    ham = scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim),
-    )
-    return ham.tocsr()
+    index = (np.concatenate(rows), np.concatenate(cols))
+    if n <= _FULL_SPACE_DENSE_MAX_SITES:
+        ham = np.zeros((dim, dim))
+        ham[index] = np.concatenate(vals)
+        return ham
+    import scipy.sparse
+
+    return scipy.sparse.csr_matrix((np.concatenate(vals), index), shape=(dim, dim))
 
 
 def _check_full_space_size(n: int) -> None:
@@ -291,6 +284,20 @@ def _check_full_space_size(n: int) -> None:
         raise ResourceError(
             f"full-space evolution is guarded at N <= {_FULL_SPACE_MAX_SITES}, got N={n}"
         )
+
+
+def _full_space_states(spec: ChainSpec, times: np.ndarray) -> np.ndarray:
+    """2^N states at each time, shape (T, 2^N), from one excitation on site 1."""
+    _check_full_space_size(spec.n_sites)
+    ham = _full_space_hamiltonian(spec)
+    if spec.n_sites <= _FULL_SPACE_DENSE_MAX_SITES:
+        energy, modes = np.linalg.eigh(ham)
+        return (np.exp(-1j * np.multiply.outer(times, energy)) * modes[1]) @ modes.T
+    import scipy.sparse.linalg
+
+    psi0 = np.zeros(ham.shape[0], dtype=complex)
+    psi0[1] = 1.0
+    return np.array([scipy.sparse.linalg.expm_multiply(-1j * t * ham, psi0) for t in times])
 
 
 def full_space_amplitude(spec: ChainSpec, t: float | np.ndarray) -> complex | np.ndarray:
@@ -301,37 +308,15 @@ def full_space_amplitude(spec: ChainSpec, t: float | np.ndarray) -> complex | np
     are refused.  |result|^2 must match transfer_probability, which
     validates the one-excitation reduction end to end.
     """
-    _check_full_space_size(spec.n_sites)
     times, scalar = _as_times(t)
-    n = spec.n_sites
-    src = 1 << 0
-    tgt = 1 << (n - 1)
-    ham = _full_space_hamiltonian(spec)
-    if n <= _FULL_SPACE_DENSE_MAX_SITES:
-        energy, modes = np.linalg.eigh(ham.toarray())
-        weights = modes[tgt] * modes[src]
-        amps = np.exp(-1j * np.multiply.outer(times, energy)) @ weights
-    else:
-        psi0 = np.zeros(ham.shape[0], dtype=complex)
-        psi0[src] = 1.0
-        amps = np.empty(times.size, dtype=complex)
-        for i, ti in enumerate(times):
-            state = scipy.sparse.linalg.expm_multiply(-1j * ti * ham, psi0)
-            amps[i] = state[tgt]
+    amps = _full_space_states(spec, times)[:, 1 << (spec.n_sites - 1)]
     return complex(amps[0]) if scalar else amps
 
 
 def full_space_state(spec: ChainSpec, t: float) -> np.ndarray:
     """Full 2^N state at one time, for conservation-law checks."""
-    _check_full_space_size(spec.n_sites)
     times, _ = _as_times(t)
-    ham = _full_space_hamiltonian(spec)
-    psi0 = np.zeros(ham.shape[0], dtype=complex)
-    psi0[1] = 1.0
-    if spec.n_sites <= _FULL_SPACE_DENSE_MAX_SITES:
-        energy, modes = np.linalg.eigh(ham.toarray())
-        return modes @ (np.exp(-1j * float(times[0]) * energy) * (modes.T @ psi0))
-    return scipy.sparse.linalg.expm_multiply(-1j * float(times[0]) * ham, psi0)
+    return _full_space_states(spec, times[:1])[0]
 
 
 def z_projection_expectation(state: np.ndarray) -> float:

@@ -40,8 +40,8 @@ _DELTA_GRID = 0.002
 _DELTA_TOL = 1e-4
 _FIXED_TIME_GRID = 0.001
 _FIXED_TIME_TOL = 1e-6
-# matrix entries per stacked eigensolve of the fixed-time grid, which
-# bounds its memory (8 MB per stack) on wide ratio ranges
+# the fixed-time grid takes at most this / N^2 ratios per stacked
+# solve, which bounds its memory on wide ratio ranges
 _GRID_CHUNK_ENTRIES = 1 << 20
 _DEGENERACY_FLOOR = 1e-12
 _MAX_GRID_POINTS = 20_000_000
@@ -115,8 +115,7 @@ def first_peak(spec: ChainSpec) -> TransferTriad:
     polishes it by golden-section until the bracket is 1e-8 wide.  The
     scan evaluates the real N/2-term series of the paired spectrum
     (paired_transfer_probability), the polish the full spectral sum
-    (transfer_probability).  A dressed chain, one with nonzero larmor
-    rates, has no paired spectrum and is refused with ValidationError.
+    (transfer_probability).
 
     The bracket width is not the accuracy of t_h: near the flat top
     of a peak the comparisons of P stop resolving t well before 1e-8,
@@ -124,7 +123,6 @@ def first_peak(spec: ChainSpec) -> TransferTriad:
     delta=2.380).  An earlier peak lower than the window maximum is
     not returned, even when it is a high one.
     """
-    spec.require_zero_larmor("first_peak")
     eig = eigensystem_for(spec)
     lam_min, window, step = _peak_window(eig, spec.d1)
     count = int(math.ceil(window / step))
@@ -206,7 +204,7 @@ def _best_arrival_index(n_sites: int, t_fixed: float, grid: np.ndarray) -> int:
     """Index of the grid ratio with the highest P(delta, t_fixed), earliest on ties.
 
     P comes from stacked spectra, taken in chunks of at most
-    _GRID_CHUNK_ENTRIES matrix entries.
+    _GRID_CHUNK_ENTRIES / N^2 ratios.
     """
     chunk = max(1, _GRID_CHUNK_ENTRIES // (n_sites * n_sites))
     best, best_p = 0, -1.0

@@ -1,10 +1,20 @@
-"""Eigensystems of the alternating chain: one LAPACK route, two closed-form oracles.
+"""Eigensystems of the alternating chain: one SVD engine, two closed-form oracles.
 
-Every computation of the library diagonalises the coupling matrix with
-LAPACK (eigensystem_numeric, reached through eigensystem_for), which is
-valid for every size, ratio and on-site precession pattern.  The closed
-forms of the paper are kept as independent oracles for verify, the
-tests and `altchain eigs --method even|odd`:
+The chain has no on-site terms, so it is bipartite.  With the sites
+ordered odd-then-even the coupling matrix is D = [[0, B], [B^T, 0]],
+with B the ceil(N/2) x floor(N/2) lower bidiagonal of the bonds (the
+d1 bonds on its diagonal).  The positive levels are the singular values
+of B, the eigenvectors (x, +-y)/sqrt(2) from its singular vectors, and
+an odd chain's zero mode is the extra left singular vector (Golub and
+Kahan 1965).  Every computation of the library takes its spectrum from
+the SVD of B (np.linalg.svd): for one chain (eigensystem_numeric,
+reached through eigensystem_for) or for a stack of ratios (spectra).  Each
+result is checked on B: orthonormal singular vectors and small
+residuals |Bv - s u|, |B^T u - s v|.
+
+The closed forms of the paper are kept as independent oracles for
+verify, the tests and `altchain eigs --method even|odd`, and pass the
+same checks:
 
 * even N, delta above (N+2)/N: a trigonometric family built from the
   N/2-1 roots of  delta*sin(N x/2) + sin((N/2+1) x) = 0  on (0, pi),
@@ -13,13 +23,9 @@ tests and `altchain eigs --method even|odd`:
 * odd N, any positive delta: a fully explicit trigonometric family
   with a single zero mode localised on odd sites.
 
-A ratio sweep needs only the spectrum and the end products u_1j*u_Nj of
-each chain: spectra() computes those for a whole stack of zero-larmor
-chains in one stacked np.linalg.eigh.
-
-Eigenvalues are sorted descending.  With a zero diagonal the spectrum
-is symmetric under negation, and paired columns share their even-site
-components while odd-site components flip sign.
+Eigenvalues are sorted descending and pair exactly under negation:
+paired columns share their even-site components while odd-site
+components flip sign.
 """
 
 from __future__ import annotations
@@ -28,15 +34,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .chain import (
-    ChainSpec,
-    CouplingMatrix,
-    alternating_couplings,
-    build_coupling_matrix,
-    tridiagonal_dense,
-)
+from .chain import ChainSpec, CouplingMatrix, alternating_couplings, build_coupling_matrix
 from .errors import NumericError, RegimeError, ValidationError
 from .roots import bisect, bracket_sign_changes
 
@@ -46,7 +45,7 @@ PROVENANCE_NUMERIC = "numeric"
 
 _ORTHONORMALITY_TOL = 1e-10
 _RESIDUAL_REL_TOL = 1e-9
-_PAIRING_TOL = 1e-10
+_ORDER_TOL = 1e-10
 _ROOT_RESIDUAL_TOL = 1e-12
 # Within this relative margin of the threshold the hyperbolic root is
 # so small that the normalisation forms cancel; the even closed form
@@ -97,8 +96,7 @@ class EigenSystem:
 
         That is index N//2 - 1 in descending order, the last of the
         N//2 levels paired_transfer_probability sums over.  An odd
-        chain's zero mode sits just below it, whatever sign rounding
-        gives it.
+        chain's zero mode sits just below it.
         """
         return float(self.eigenvalues[self.size // 2 - 1])
 
@@ -131,7 +129,6 @@ def solve_even_roots(spec: ChainSpec) -> EvenRootSet:
     overflow-free scaled residual.  Residuals beyond 1e-12 or a wrong
     root count abort rather than degrade.
     """
-    spec.require_zero_larmor("solve_even_roots")
     n = spec.n_sites
     if n % 2 != 0:
         raise ValidationError(f"solve_even_roots needs an even chain, got N={n}")
@@ -173,41 +170,56 @@ def solve_even_roots(spec: ChainSpec) -> EvenRootSet:
     return EvenRootSet(x_roots=xs, y_root=y)
 
 
-def _validate_eigensystem(
-    lam: np.ndarray, vectors: np.ndarray, matrix: CouplingMatrix, paired: bool
+def _validate_svd(
+    bonds: np.ndarray, levels: np.ndarray, u: np.ndarray, v: np.ndarray
 ) -> None:
-    _validate_stack(
-        lam[None], vectors[None], matrix.to_dense()[None], np.array([matrix.max_abs()]), paired
-    )
+    """Checks on a stack of singular triplets of B, each against its own tolerance.
 
-
-def _validate_stack(
-    lam: np.ndarray, vectors: np.ndarray, dense: np.ndarray, scale: np.ndarray, paired: bool
-) -> None:
-    """Checks on a stack of eigensystems, each against its own tolerance.
-
-    lam is (B, N), vectors and dense are (B, N, N), scale is the (B,)
-    largest matrix entry that sets each residual tolerance.
+    bonds is (S, N-1), levels (S, N//2), u (S, ceil(N/2), ceil(N/2))
+    and v (S, N//2, N//2); an odd chain's extra column of u must lie in
+    the null space of B^T.  Residuals are scaled by each chain's
+    largest bond.  B[i, i] is bond 2i+1 and B[i+1, i] bond 2i+2.
     """
-    if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(vectors))):
+    # ndarray methods: this runs once per chain of the first-peak search
+    if not (np.isfinite(levels).all() and np.isfinite(u).all() and np.isfinite(v).all()):
         raise NumericError("eigensystem contains non-finite entries")
-    gram = np.swapaxes(vectors, 1, 2) @ vectors
-    orth = float(np.max(np.abs(gram - np.eye(lam.shape[1]))))
+    orth = max(
+        float(np.abs(np.swapaxes(w, 1, 2) @ w - np.eye(w.shape[1])).max()) for w in (u, v)
+    )
     if not orth <= _ORTHONORMALITY_TOL:
         raise NumericError(f"eigenvectors not orthonormal (defect {orth:.3e})")
-    residual = np.max(np.abs(dense @ vectors - vectors * lam[:, None, :]), axis=(1, 2))
+    diag, sub = bonds[:, 0::2], bonds[:, 1::2]
+    cols, k = v.shape[1], sub.shape[1]
+    # B v_j - s_j u_j and B^T u_j - s_j v_j (0 for the extra column of u)
+    bv = -u[:, :, :cols] * levels[:, None, :]
+    bv[:, :cols] += diag[:, :, None] * v
+    bv[:, 1:k + 1] += sub[:, :, None] * v[:, :k]
+    btu = diag[:, :, None] * u[:, :cols]
+    btu[:, :k] += sub[:, :, None] * u[:, 1:k + 1]
+    btu[:, :, :cols] -= v * levels[:, None, :]
+    residual = np.maximum(np.abs(bv).max(axis=(1, 2)), np.abs(btu).max(axis=(1, 2)))
+    scale = bonds.max(axis=1)
     bad = ~(residual <= _RESIDUAL_REL_TOL * scale)
-    if np.any(bad):
+    if bad.any():
         i = int(np.argmax(bad))
         raise NumericError(
             f"eigenpair residual {residual[i]:.3e} exceeds {_RESIDUAL_REL_TOL * scale[i]:.3e}"
         )
-    if np.any(np.diff(lam, axis=1) > _PAIRING_TOL):
-        raise NumericError("eigenvalues are not sorted in descending order")
-    if paired:
-        mirror = float(np.max(np.abs(lam + lam[:, ::-1])))
-        if not mirror <= _PAIRING_TOL:
-            raise NumericError(f"spectrum not symmetric under negation (defect {mirror:.3e})")
+    if (levels[:, 1:] - levels[:, :-1] > _ORDER_TOL).any() or (levels < 0.0).any():
+        raise NumericError("levels are not sorted in descending order")
+
+
+def _validate_eigensystem(lam: np.ndarray, vectors: np.ndarray, spec: ChainSpec) -> None:
+    """The checks of the SVD engine on a site-ordered paired eigensystem.
+
+    Columns j < N/2 are (x, y)/sqrt(2) with level lam[j] = s_j, and an
+    odd chain's zero mode is column N//2; their partners are copies.
+    """
+    n, half = spec.n_sites, spec.n_sites // 2
+    u = vectors[0::2, : (n + 1) // 2].copy()
+    u[:, :half] *= np.sqrt(2.0)
+    v = vectors[1::2, :half] * np.sqrt(2.0)
+    _validate_svd(spec.couplings()[None], lam[None, :half], u[None], v[None])
 
 
 def _flip_odd_sites(column: np.ndarray) -> np.ndarray:
@@ -273,7 +285,7 @@ def eigensystem_even(spec: ChainSpec) -> EigenSystem:
     lam[half] = -value
     vectors[:, half] = _flip_odd_sites(column)
 
-    _validate_eigensystem(lam, vectors, build_coupling_matrix(spec), paired=True)
+    _validate_eigensystem(lam, vectors, spec)
     return EigenSystem(eigenvalues=lam, vectors=vectors, provenance=PROVENANCE_ANALYTIC_EVEN)
 
 
@@ -286,7 +298,6 @@ def eigensystem_odd(spec: ChainSpec) -> EigenSystem:
     of the two neighbouring even-site sines.  The zero mode lives on
     odd sites only, with geometrically decaying weight (-delta)^((N-j)/2).
     """
-    spec.require_zero_larmor("eigensystem_odd")
     n, d1, delta = spec.n_sites, spec.d1, spec.delta
     if n % 2 != 1:
         raise ValidationError(f"eigensystem_odd needs an odd chain, got N={n}")
@@ -327,50 +338,97 @@ def eigensystem_odd(spec: ChainSpec) -> EigenSystem:
     lam[m] = 0.0
     vectors[:, m] = column
 
-    _validate_eigensystem(lam, vectors, build_coupling_matrix(spec), paired=True)
+    _validate_eigensystem(lam, vectors, spec)
     return EigenSystem(eigenvalues=lam, vectors=vectors, provenance=PROVENANCE_ANALYTIC_ODD)
 
 
-def eigensystem_numeric(matrix: CouplingMatrix) -> EigenSystem:
-    """Diagonalise a tridiagonal coupling matrix numerically.
+def _bond_svd(bonds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validated SVD of the bond bidiagonals B of a (S, N-1) stack of chains.
 
-    Implicit-shift QL/QR on the symmetric tridiagonal bands (LAPACK),
-    reordered to descending eigenvalues.  Each column is normalised to
-    a deterministic sign: its first component of appreciable size is
-    made positive.
+    Returns the (S, N//2) positive levels, descending, with U
+    (S, ceil(N/2), ceil(N/2)) and V (S, N//2, N//2), singular vectors
+    in columns.  For even N the smallest level, the edge-mode splitting
+    that shrinks exponentially with N above (N+2)/N, is set from
+    det B = d1^(N/2): s_min = d1 * prod_j (d1 / s_j) over the other
+    levels, summed in logarithms so that no chain length overflows.
+    LAPACK bounds its error only by eps*s_max; the other levels stay
+    away from 0, so the identity keeps s_min to full relative precision.
     """
+    n = bonds.shape[1] + 1
+    diag, sub = bonds[:, 0::2], bonds[:, 1::2]
+    rows, cols, k = (n + 1) // 2, diag.shape[1], sub.shape[1]
+    # LAPACK gets B^T, square and upper bidiagonal (an odd chain's gets a
+    # zero last row), so its reduction to bidiagonal form is exact.  The
+    # levels come from the values-only SVD (qd iterations, high relative
+    # accuracy): those of the divide-and-conquer SVD that supplies the
+    # vectors carry about three times the error at N=16, and a phase
+    # lambda*t/2 multiplies it by t.
+    bt = np.zeros((bonds.shape[0], rows, rows))
+    bt[:, np.arange(cols), np.arange(cols)] = diag
+    bt[:, np.arange(k), np.arange(1, k + 1)] = sub
     try:
-        values, vectors = scipy.linalg.eigh_tridiagonal(matrix.diagonal, matrix.offdiagonal)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise NumericError(f"tridiagonal diagonalisation failed: {exc}") from exc
-    order = np.argsort(-values, kind="stable")
-    values = values[order]
-    vectors = vectors[:, order]
-    for col in range(values.size):
-        column = vectors[:, col]
-        big = np.abs(column) > 1e-12 * np.max(np.abs(column))
-        lead = int(np.argmax(big))
-        if column[lead] < 0.0:
-            vectors[:, col] = -column
-    paired = bool(np.all(matrix.diagonal == 0.0))
-    _validate_eigensystem(values, vectors, matrix, paired=paired)
-    return EigenSystem(eigenvalues=values, vectors=vectors, provenance=PROVENANCE_NUMERIC)
+        v, _, ut = np.linalg.svd(bt)
+        levels = np.linalg.svd(bt, compute_uv=False)[:, :cols]
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"bidiagonal SVD failed: {exc}") from exc
+    v = v[:, :cols, :cols]
+    if n % 2 == 0:
+        levels[:, -1] = np.exp(
+            np.sum(np.log(diag), axis=1) - np.sum(np.log(levels[:, :-1]), axis=1)
+        )
+    u = np.swapaxes(ut, 1, 2)
+    _validate_svd(bonds, levels, u, v)
+    return levels, u, v
+
+
+def _paired_levels(levels: np.ndarray, n: int) -> np.ndarray:
+    """Full descending spectrum (..., N) from the positive levels (..., N//2)."""
+    zero = np.zeros(levels.shape[:-1] + (n % 2,))
+    return np.concatenate([levels, zero, -levels[..., ::-1]], axis=-1)
+
+
+def eigensystem_numeric(matrix: CouplingMatrix) -> EigenSystem:
+    """Diagonalise a coupling matrix through the SVD of its bond bidiagonal.
+
+    The single-chain case of the engine: column j < N/2 is
+    (x_j, y_j)/sqrt(2) for level s_j, its partner -s_j is
+    (x_j, -y_j)/sqrt(2), and an odd chain's zero mode (x_0, 0) sits in
+    column N//2 at level exactly 0, each written back in site order.
+    Each column is normalised to a deterministic sign: its first
+    component of appreciable size is made positive.
+    """
+    n, half = matrix.size, matrix.size // 2
+    levels, u, v = (w[0] for w in _bond_svd(matrix.offdiagonal[None]))
+    x, y = u[:, :half] / np.sqrt(2.0), v / np.sqrt(2.0)
+    vectors = np.zeros((n, n))
+    vectors[0::2, :half], vectors[1::2, :half] = x, y
+    vectors[0::2, n - half:], vectors[1::2, n - half:] = x[:, ::-1], -y[:, ::-1]
+    if n % 2:
+        vectors[0::2, half] = u[:, half]
+    mag = np.abs(vectors)
+    lead = vectors[np.argmax(mag > 1e-12 * mag.max(axis=0), axis=0), np.arange(n)]
+    vectors *= np.where(lead < 0.0, -1.0, 1.0)
+    return EigenSystem(
+        eigenvalues=_paired_levels(levels, n), vectors=vectors, provenance=PROVENANCE_NUMERIC
+    )
 
 
 def eigensystem_for(spec: ChainSpec) -> EigenSystem:
-    """Eigensystem of any chain description, by LAPACK."""
+    """Eigensystem of any chain description, by the SVD engine."""
     return eigensystem_numeric(build_coupling_matrix(spec))
 
 
 def spectra(n_sites: int, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Spectra of a stack of zero-larmor chains (d1 = 1) that differ only in ratio.
+    """Spectra of a stack of chains (d1 = 1) that differ only in ratio.
 
-    Builds the (B, N, N) coupling matrices for the B ratios and
-    diagonalises them with one stacked np.linalg.eigh.  Returns the (B, N)
-    eigenvalues, descending per row, and the (B, N) end products
-    u_1j * u_Nj, which do not depend on the eigenvector signs.  Every
-    system passes the checks of the per-chain routes, at the same
-    tolerances, or the whole stack raises NumericError.
+    The stack case of the engine: one stacked SVD of the B ratios'
+    bond bidiagonals.  Returns the (B, N) eigenvalues, descending per
+    row, and the (B, N) end products u_1j * u_Nj, read off the singular
+    vectors: x_j[0] * y_j[-1] / 2 (sign flipped on the partner) for even
+    N, x_j[0] * x_j[-1] / 2 for odd N, and x_0[0] * x_0[-1] for the zero
+    mode.  They do not depend on the eigenvector signs.  Every system
+    passes the checks of the single-chain case, at the same tolerances,
+    or the whole stack raises NumericError.
     """
     n = ChainSpec(n_sites, 1.0).n_sites  # validates n_sites
     ratios = np.asarray(deltas, dtype=float)
@@ -378,13 +436,13 @@ def spectra(n_sites: int, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValidationError(f"deltas must be a non-empty 1-D array, got shape {ratios.shape}")
     if not (np.all(np.isfinite(ratios)) and np.all(ratios > 0.0)):
         raise ValidationError("deltas must be finite and positive")
-    bonds = alternating_couplings(n, 1.0, ratios)
-    dense = tridiagonal_dense(np.zeros((ratios.size, n)), bonds)
-    try:
-        values, vectors = np.linalg.eigh(dense)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"stacked diagonalisation failed: {exc}") from exc
-    values = values[:, ::-1]
-    vectors = vectors[:, :, ::-1]
-    _validate_stack(values, vectors, dense, np.max(bonds, axis=1), paired=True)
-    return values, vectors[:, 0, :] * vectors[:, -1, :]
+    half = n // 2
+    levels, u, v = _bond_svd(alternating_couplings(n, 1.0, ratios))
+    if n % 2 == 0:
+        ends = 0.5 * u[:, 0, :] * v[:, -1, :]
+        mirrored = -ends[:, ::-1]
+    else:
+        ends = u[:, 0, :] * u[:, -1, :]
+        ends[:, :half] *= 0.5
+        mirrored = ends[:, half - 1::-1]
+    return _paired_levels(levels, n), np.concatenate([ends, mirrored], axis=1)

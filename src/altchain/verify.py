@@ -1,7 +1,7 @@
 """End-to-end consistency suite.
 
 Runs every cross-check the library promises: analytic spectra against
-the tridiagonal solver, reduced probability forms against the spectral
+the SVD engine, reduced probability forms against the spectral
 sum, the subspace dynamics against the full Hilbert-space propagator,
 probability caps against sampled curves, and determinism of the ratio
 search.  Checks run in order and the first violation aborts with the
@@ -111,7 +111,7 @@ def check_spectral_negation() -> None:
 
 
 def check_form_equivalence() -> None:
-    """Closed-form reduced series against the LAPACK spectral sum."""
+    """Closed-form reduced series against the spectral sum of the SVD engine."""
     times = np.linspace(0.0, 80.0, 1000)
     for n, d in [(4, 2.38), (6, 2.373), (8, 2.557), (12, 2.38)]:
         spec = ChainSpec(n, d)
@@ -137,7 +137,6 @@ def check_unitarity() -> None:
         ChainSpec(5, 1.0),
         ChainSpec(8, 0.8),
         ChainSpec(11, 2.0),
-        ChainSpec(6, 1.7, larmor=(0.3, -0.2, 0.5, 0.0, 1.1, -0.7)),
     ]
     for spec in cases:
         eig = eigensystem_for(spec)
@@ -153,10 +152,8 @@ def check_unitarity() -> None:
 
 def check_full_space_oracle() -> None:
     times = np.linspace(0.0, 30.0, 50)
-    cases = [(n, 2.38, None) for n in range(2, 9)]
-    cases += [(5, 0.7, None), (6, 1.7, (0.3, -0.2, 0.5, 0.0, 1.1, -0.7))]
-    for n, d, larmor in cases:
-        spec = ChainSpec(n, d, larmor=larmor)
+    for n, d in [(n, 2.38) for n in range(2, 9)] + [(5, 0.7)]:
+        spec = ChainSpec(n, d)
         eig = eigensystem_for(spec)
         subspace = np.asarray(transfer_probability(eig, times))
         for t, expected in zip(times, subspace):

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from altchain import ChainSpec, ValidationError, build_coupling_matrix
-from altchain.chain import alternating_couplings, tridiagonal_dense
+from altchain.chain import CouplingMatrix, alternating_couplings
 
 
 def test_basic_fields():
     spec = ChainSpec(6, 2.5)
     assert spec.d1 == 1.0
     assert spec.d2 == 2.5
-    assert spec.larmor_is_zero()
     assert spec.even_regime_threshold() == pytest.approx(8.0 / 6.0)
 
 
@@ -29,11 +28,11 @@ def test_stacked_layout_matches_each_chain():
     deltas = np.array([0.5, 1.6, 2.38])
     for n in (2, 5, 8):
         bonds = alternating_couplings(n, 2.0, 2.0 * deltas)
-        dense = tridiagonal_dense(np.zeros((deltas.size, n)), bonds)
         for i, delta in enumerate(deltas):
             spec = ChainSpec(n, float(delta), d1=2.0)
             assert np.array_equal(bonds[i], spec.couplings())
-            assert np.array_equal(dense[i], build_coupling_matrix(spec).to_dense())
+            dense = CouplingMatrix(bonds[i]).to_dense()
+            assert np.array_equal(dense, build_coupling_matrix(spec).to_dense())
 
 
 @pytest.mark.parametrize(
@@ -43,8 +42,8 @@ def test_stacked_layout_matches_each_chain():
         dict(n_sites=4, delta=0.0),
         dict(n_sites=4, delta=-1.0),
         dict(n_sites=4, delta=2.0, d1=0.0),
-        dict(n_sites=4, delta=2.0, larmor=(1.0, 2.0)),
-        dict(n_sites=2, delta=2.0, larmor=(float("nan"), 0.0)),
+        dict(n_sites=4, delta=2.0, d1=-1.0),
+        dict(n_sites=True, delta=2.0),
         dict(n_sites=4, delta=float("inf")),
         dict(n_sites=4, delta=float("nan")),
         dict(n_sites=4, delta=2.0, d1=float("inf")),
@@ -62,15 +61,9 @@ def test_n_sites_must_be_integral():
 
 
 def test_matrix_is_exactly_symmetric():
-    spec = ChainSpec(9, 1.7, larmor=(0.1,) * 9)
+    spec = ChainSpec(9, 1.7)
     dense = build_coupling_matrix(spec).to_dense()
     assert np.array_equal(dense, dense.T)
-
-
-def test_matrix_diagonal_carries_larmor():
-    rates = (0.5, -1.5, 2.5, 0.0)
-    dense = build_coupling_matrix(ChainSpec(4, 2.0, larmor=rates)).to_dense()
-    assert list(np.diag(dense)) == list(rates)
 
 
 @given(st.integers(min_value=2, max_value=40), st.floats(0.1, 5.0))
@@ -92,7 +85,11 @@ def test_matrix_arrays_read_only():
         matrix.offdiagonal[0] = 99.0
 
 
-def test_require_zero_larmor_message_names_operation():
-    spec = ChainSpec(4, 2.0, larmor=(1.0, 0.0, 0.0, 0.0))
-    with pytest.raises(ValidationError, match="closed-form spectrum"):
-        spec.require_zero_larmor("closed-form spectrum")
+
+@pytest.mark.parametrize("n", [2, 3, 8, 9])
+def test_apply_matches_dense_product(n):
+    # the banded product sums two terms per row where the dense one sums N
+    matrix = build_coupling_matrix(ChainSpec(n, 2.38, d1=0.7))
+    x = np.random.default_rng(n).standard_normal((n, 5))
+    expected = matrix.to_dense() @ x
+    assert np.max(np.abs(matrix.apply(x) - expected)) <= 4e-16 * np.max(np.abs(expected))

@@ -194,3 +194,37 @@ def test_console_entry_installed():
     for command in ("eigs", "curve", "optimize", "fixed-time",
                     "table1", "ideal4", "bound", "verify"):
         assert command in proc.stdout
+
+
+README_COMMANDS = [
+    ["eigs", "--n", "6", "--delta", "2.373"],
+    ["curve", "--n", "4", "--delta", "2.272", "--tmax", "12", "--samples", "2000"],
+    ["optimize", "--n", "4", "--delta-min", "2.0", "--delta-max", "3.0"],
+    ["fixed-time", "--n", "8", "--time", "60", "--delta-min", "2.0", "--delta-max", "3.0"],
+    ["table1", "--delta", "2.380", "--n", "4,6,8,10,12,14,16"],
+    ["ideal4", "--max-product", "60"],
+    ["bound", "--n", "5", "--delta", "2.0", "--format", "json"],
+    ["verify"],
+]
+
+
+def test_readme_commands_run_without_scipy():
+    # scipy serves only the 2^N oracle above eight sites; a module-level
+    # import anywhere on the command path makes this interpreter fail
+    script = (
+        "import contextlib, io, json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from altchain.cli import main\n"
+        "codes = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(main(argv))\n"
+        "print(json.dumps(codes))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(README_COMMANDS)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0] * len(README_COMMANDS), proc.stderr

@@ -137,15 +137,6 @@ def test_full_space_oracle_series_branch():
         assert full == pytest.approx(float(transfer_probability(eig, t)), abs=1e-10)
 
 
-def test_full_space_oracle_with_larmor():
-    larmor = (0.3, -0.2, 0.5, 0.0, 1.1, -0.7)
-    spec = ChainSpec(6, 1.7, larmor=larmor)
-    eig = eigensystem_for(spec)
-    for t in (2.0, 11.0):
-        full = abs(full_space_amplitude(spec, t)) ** 2
-        assert full == pytest.approx(float(transfer_probability(eig, t)), abs=1e-10)
-
-
 def test_full_space_size_cap():
     with pytest.raises(ResourceError):
         full_space_amplitude(ChainSpec(13, 2.0), 1.0)

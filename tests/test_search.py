@@ -20,7 +20,7 @@ from altchain import (
 from altchain import search as search_mod
 
 # frozen search outputs, produced on the closed-form eigensystems and
-# reproduced by the LAPACK route within the tolerances asserted
+# reproduced by the SVD engine within the tolerances asserted
 FIRST_PEAK_N4 = (8.30319227754957, 0.9999853752983222)
 FIRST_PEAK_N6 = (21.428215279877328, 0.9969859762438591)
 FIRST_PEAK_N8 = (58.96618165786005, 0.9886551620968724)
@@ -47,11 +47,6 @@ def test_first_peak_frozen(n, delta, expected):
     assert triad.delta_h == delta
     assert triad.t_h == pytest.approx(expected[0], abs=1e-6)
     assert triad.p_h == pytest.approx(expected[1], abs=1e-9)
-
-
-def test_first_peak_refuses_dressed_chain():
-    with pytest.raises(ValidationError, match="first_peak"):
-        first_peak(ChainSpec(6, 1.7, larmor=(0.0, 0.1, 0.0, 0.0, 0.2, 0.0)))
 
 
 def test_first_peak_estimate_quality():

@@ -1,4 +1,4 @@
-"""Closed-form and numeric eigensystems.
+"""Closed-form eigensystems and the SVD engine.
 
 Frozen reference values were produced by the tridiagonal numeric
 solver and independent bisection runs, then cross-checked against the
@@ -154,7 +154,6 @@ def test_every_chain_goes_through_lapack():
         ChainSpec(6, 2.0),  # even, above the threshold (N+2)/N
         ChainSpec(6, 1.2),  # even, below it
         ChainSpec(40, 2.38),  # long
-        ChainSpec(5, 1.0, larmor=(0.4, 0.0, 0.0, 0.0, -0.4)),  # dressed
     ]
     assert {eigensystem_for(spec).provenance for spec in specs} == {PROVENANCE_NUMERIC}
 
@@ -204,13 +203,13 @@ def test_smallest_positive():
 @pytest.mark.parametrize("delta", [1.0, 2.38])
 @pytest.mark.parametrize("n", range(3, 16, 2))
 def test_smallest_positive_skips_the_zero_mode(n, delta):
-    # LAPACK returns an odd chain's zero mode as +-1e-17; lambda_min is
-    # the smallest of the positive half, as on the closed form
+    # lambda_min is the smallest of the positive half, not the zero mode
+    # below it, on the engine as on the closed form
     spec = ChainSpec(n, delta)
     closed = eigensystem_odd(spec).smallest_positive()
-    lapack = eigensystem_numeric(build_coupling_matrix(spec)).smallest_positive()
+    numeric = eigensystem_numeric(build_coupling_matrix(spec)).smallest_positive()
     assert closed > 0.1
-    assert abs(closed - lapack) <= 1e-12
+    assert abs(closed - numeric) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [4, 5, 8, 9, 14])
@@ -234,21 +233,71 @@ def test_spectra_rejects_bad_ratios(deltas):
         spectra(6, np.array(deltas, dtype=float))
 
 
+def _corrupt_svd(monkeypatch, corrupt, chain):
+    """Make np.linalg.svd damage one chain's triplets of every stack it returns."""
+    real = np.linalg.svd
+
+    def broken(stack, compute_uv=True):
+        if not compute_uv:
+            s = real(stack, compute_uv=False).copy()
+            if corrupt == "shift":
+                s[chain, 0] += 1e-6
+            return s
+        first, s, last = (w.copy() for w in real(stack))
+        if corrupt == "nan":
+            last[chain, 0, 0] = math.nan
+        elif corrupt == "scale":
+            first[chain] *= 1.0 + 1e-8
+        return first, s, last
+
+    monkeypatch.setattr(np.linalg, "svd", broken)
+
+
 @pytest.mark.parametrize("corrupt", ["nan", "scale", "shift"])
 def test_spectra_validates_every_system(monkeypatch, corrupt):
-    real = np.linalg.eigh
-
-    def broken(stack):
-        values, vectors = real(stack)
-        values, vectors = values.copy(), vectors.copy()
-        if corrupt == "nan":
-            vectors[1, 0, 0] = math.nan
-        elif corrupt == "scale":
-            vectors[1] *= 1.0 + 1e-8
-        else:
-            values[1, 0] += 1e-6
-        return values, vectors
-
-    monkeypatch.setattr(np.linalg, "eigh", broken)
+    _corrupt_svd(monkeypatch, corrupt, chain=1)
     with pytest.raises(NumericError):
         spectra(6, np.array([2.0, 2.1, 2.2]))
+
+
+@pytest.mark.parametrize("corrupt", ["nan", "scale", "shift"])
+@pytest.mark.parametrize("n", [6, 7])
+def test_single_chain_validates_the_svd(monkeypatch, corrupt, n):
+    _corrupt_svd(monkeypatch, corrupt, chain=0)
+    with pytest.raises(NumericError):
+        eigensystem_for(ChainSpec(n, 2.0))
+
+
+# lambda_min of even chains from a 40-digit mpmath eigensolve of B^T B
+# (80 working digits), agreeing with the closed-form hyperbolic root
+# wherever delta lies above (N+2)/N
+LAMBDA_MIN_REFERENCE = [
+    (24, 2.38, 5.933286899339601023554303583547630159385e-05),
+    (32, 2.38, 1.849215464721662412908331281046060236675e-06),
+    (48, 2.38, 1.796271007472749771227536458525208498139e-09),
+    (64, 2.38, 1.744842390667635607981179904724807573159e-12),
+    (16, 0.5, 0.5475617849710101770571375298540569811004),  # ratio below 1
+    (16, 1.13, 0.1229540870300310033006648553129183388794),  # just above 18/16
+    (16, 8.0, 4.693865776062142781382155973854796646196e-07),  # far above
+]
+
+
+@pytest.mark.parametrize("n,delta,reference", LAMBDA_MIN_REFERENCE)
+def test_lambda_min_to_full_relative_precision(n, delta, reference):
+    # LAPACK's absolute error leaves 4 correct digits at N=64; the
+    # determinant identity keeps all of them
+    eig = eigensystem_for(ChainSpec(n, delta))
+    assert abs(eig.smallest_positive() - reference) <= 1e-13 * reference
+    lam, _ = spectra(n, np.array([delta, 2.0]))
+    assert lam[0, n // 2 - 1] == eig.smallest_positive()
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 24, 64, 65])
+@pytest.mark.parametrize("delta", [0.5, 2.38, 8.0])
+def test_spectrum_pairs_exactly(n, delta):
+    eig = eigensystem_for(ChainSpec(n, delta))
+    lam, _ = spectra(n, np.array([delta]))
+    for levels in (eig.eigenvalues, lam[0]):
+        assert np.array_equal(levels, -levels[::-1])
+        if n % 2:
+            assert levels[n // 2] == 0.0
