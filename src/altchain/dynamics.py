@@ -14,8 +14,9 @@ Two reduced forms rewrite P_N without complex arithmetic: the paired
 sines (even N) or pure cosines plus a zero-mode constant (odd N).
 Both are checked against the spectral sum, and the spectral sum in
 turn against brute-force evolution of the full 2^N spin space.  The
-same folding applied to any eigensystem of the chain is
-paired_transfer_probability, the kernel of the first-peak scan.
+same folding applied to the spectrum of one chain or of a stack, as
+spectral.spectra returns it, is paired_transfer_probability, the P_N
+kernel of every search.
 
 The module needs numpy only: the 2^N oracle is dense up to N=8 and
 imports scipy.sparse for its matrix-exponential action at 9 <= N <= 12,
@@ -98,24 +99,13 @@ def node_amplitudes(eig: EigenSystem, times: np.ndarray) -> np.ndarray:
     return phases @ weights.T
 
 
-def spectral_probability(lam: np.ndarray, weights: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """|sum_j w_j exp(-i lambda_j t/2)|^2 at each time, shape (..., T).
-
-    lam and weights are (..., N): the eigenvalues and the products
-    u_kj * u_1j of one chain, or of a stack of chains along the leading
-    axes; times is (..., T) and broadcasts against those axes.
-    """
-    phases = np.exp(-0.5j * (times[..., :, None] * lam[..., None, :]))
-    return np.abs((phases @ weights[..., :, None])[..., 0]) ** 2
-
-
 def node_probability(eig: EigenSystem, node: int, t: float | np.ndarray) -> float | np.ndarray:
     """Occupation probability of one node; scalar in, scalar out."""
     if not 1 <= node <= eig.size:
         raise ValidationError(f"node must lie in 1..{eig.size}, got {node}")
     times, scalar = _as_times(t)
-    weights = eig.vectors[node - 1] * eig.vectors[0]
-    probs = spectral_probability(eig.eigenvalues, weights, times)
+    phases = np.exp(-0.5j * np.multiply.outer(times, eig.eigenvalues))
+    probs = np.abs(phases @ (eig.vectors[node - 1] * eig.vectors[0])) ** 2
     return float(probs[0]) if scalar else probs
 
 
@@ -125,29 +115,41 @@ def transfer_probability(eig: EigenSystem, t: float | np.ndarray) -> float | np.
 
 
 def paired_transfer_probability(
-    eig: EigenSystem, t: float | np.ndarray
+    lam: np.ndarray, ends: np.ndarray, t: float | np.ndarray
 ) -> float | np.ndarray:
     """P_N(t) from the positive half of the paired spectrum.
 
-    The +-lambda partners share the end product c_j = u_1j * u_Nj up to
-    the sign (-1)^(N+1), so the spectral sum folds into N/2 real terms:
+    lam and ends are (..., N): the descending eigenvalues and end
+    products c_j = u_1j * u_Nj of one chain or a stack, as from spectra.
+    The +-lambda partners share c_j up to the sign (-1)^(N+1), so
+    the spectral sum folds into N/2 real terms, P = s^2 with
 
-        even N:  P = (2 * sum_j c_j sin(lambda_j t/2))^2,
-        odd N:   P = (2 * sum_j c_j cos(lambda_j t/2) + c_0)^2,
+        even N:  s = 2 * sum_j c_j sin(lambda_j t/2),
+        odd N:   s = 2 * sum_j c_j cos(lambda_j t/2) + c_0,
 
-    with j over the positive eigenvalues and c_0 the end product of the
-    zero mode.
+    j over the positive eigenvalues and c_0 the end product of the zero
+    mode.  t is a scalar or (..., T); the result is (..., T), or (...).
     """
     times, scalar = _as_times(t)
-    half = eig.size // 2
-    ends = eig.vectors[0] * eig.vectors[-1]
-    phases = 0.5 * np.multiply.outer(times, eig.eigenvalues[:half])
-    if eig.size % 2 == 0:
-        series = 2.0 * (np.sin(phases) @ ends[:half])
+    half = lam.shape[-1] // 2
+    phases = 0.5 * times[..., :, None] * lam[..., None, :half]
+    if lam.shape[-1] % 2 == 0:
+        series = 2.0 * (np.sin(phases) @ ends[..., :half, None])
     else:
-        series = 2.0 * (np.cos(phases) @ ends[:half]) + ends[half]
-    probs = series**2
-    return float(probs[0]) if scalar else probs
+        series = 2.0 * (np.cos(phases) @ ends[..., :half, None]) + ends[..., half:half + 1, None]
+    probs = series[..., 0] ** 2
+    if not scalar:
+        return probs
+    return float(probs[0]) if probs.ndim == 1 else probs[..., 0]
+
+
+def paired_transfer_slope(lam: np.ndarray, ends: np.ndarray, t: float) -> float:
+    """dP_N/dt = 2 s s' of one chain at one time, s as in paired_transfer_probability."""
+    half = lam.size // 2
+    phases, c, rates = 0.5 * t * lam[:half], ends[:half], ends[:half] * lam[:half]
+    if lam.size % 2 == 0:
+        return float(4.0 * (np.sin(phases) @ c) * (np.cos(phases) @ rates))
+    return float(-2.0 * (2.0 * (np.cos(phases) @ c) + ends[half]) * (np.sin(phases) @ rates))
 
 
 def sample_curve(

@@ -8,15 +8,18 @@ enough to resolve the fastest beat and takes the highest sample of the
 whole window, not the earliest peak above some level.  An earlier, lower
 peak is passed over: 16 sites at ratio 2.380 peak at P = 0.901 near
 0.85*pi/lambda_min, but the search returns the P = 0.915 peak at
-1.14*pi/lambda_min.  The winner is then polished by golden-section.
-All searches are deterministic: grids are fixed by the parameters alone
-and tie-breaks take the earliest time (or smallest ratio).
+1.14*pi/lambda_min.  The peak time is then the root of dP/dt next to
+the winning sample.  Every search takes its spectra from spectra and P_N
+from the paired series (paired_transfer_probability).  All searches are
+deterministic: grids are fixed by the parameters alone and tie-breaks
+take the earliest time (or smallest ratio).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -26,16 +29,16 @@ from .dynamics import (
     TransferCurve,
     check_horizon,
     paired_transfer_probability,
-    spectral_probability,
-    transfer_probability,
+    paired_transfer_slope,
 )
 from .errors import HorizonError, ValidationError
-from .spectral import EigenSystem, eigensystem_for, spectra
+from .roots import bisect
+from .spectral import spectra
 
 _WINDOW_FACTOR = 1.3
 _GRID_STEP_CAP = 0.01
 _FAST_SAMPLES_PER_HALF_PERIOD = 50
-_TIME_TOL = 1e-8
+_TIME_CHUNK = 65536
 _DELTA_GRID = 0.002
 _DELTA_TOL = 1e-4
 _FIXED_TIME_GRID = 0.001
@@ -92,39 +95,50 @@ def _golden_max(
     return x, f(x)
 
 
-def _peak_window(eig: EigenSystem, d1: float) -> tuple[float, float, float]:
-    """(lambda_min, window length, grid step) from the spectral extremes."""
-    lam_min = eig.smallest_positive()
-    if lam_min < _DEGENERACY_FLOOR * d1:
-        raise HorizonError(
-            f"smallest positive eigenvalue {lam_min} is below the degeneracy "
-            f"floor {_DEGENERACY_FLOOR * d1:.3e}; the peak window is unbounded"
-        )
-    lam_max = float(eig.eigenvalues[0])
-    window = _WINDOW_FACTOR * math.pi / lam_min
-    step = min(_GRID_STEP_CAP, math.pi / (_FAST_SAMPLES_PER_HALF_PERIOD * lam_max))
-    return lam_min, window, step
+def _first_argmax(
+    values: Callable[[np.ndarray], np.ndarray], count: int, chunk: int
+) -> tuple[int, float]:
+    """(first index, value) of the largest values(idx), idx = 0..count-1, in chunks."""
+    best, best_p = 0, -1.0
+    for start in range(0, count, chunk):
+        probs = values(np.arange(start, min(start + chunk, count)))
+        k = int(np.argmax(probs))
+        if probs[k] > best_p:
+            best, best_p = start + k, float(probs[k])
+    return best, best_p
+
+
+def _ratio_grid(lo: float, hi: float, step: float) -> np.ndarray:
+    """lo, lo + step, ... up to hi, with hi appended when the steps miss it."""
+    count = int(math.floor((hi - lo) / step + 1e-9))
+    grid = lo + step * np.arange(count + 1)
+    if grid[-1] < hi - 1e-12:
+        grid = np.append(grid, hi)
+    return grid
 
 
 def first_peak(spec: ChainSpec) -> TransferTriad:
     """Locate the highest transfer peak in the first-peak window of one chain.
 
     Scans (0, 1.3*pi/lambda_min] on a grid no coarser than 0.01 and
-    than a fiftieth of the fastest half-period, takes the global
-    sampled maximum of the whole window (earliest on exact ties), and
-    polishes it by golden-section until the bracket is 1e-8 wide.  The
-    scan evaluates the real N/2-term series of the paired spectrum
-    (paired_transfer_probability), the polish the full spectral sum
-    (transfer_probability).
-
-    The bracket width is not the accuracy of t_h: near the flat top
-    of a peak the comparisons of P stop resolving t well before 1e-8,
-    and t_h can miss the root of dP/dt by more (1.1e-7 at N=16,
-    delta=2.380).  An earlier peak lower than the window maximum is
-    not returned, even when it is a high one.
+    than a fiftieth of the fastest half-period, takes the global sampled
+    maximum (earliest on exact ties), and bisects dP/dt = 2 s s' where
+    it turns from + to - between the neighbouring samples.  Without that
+    sign change (an odd chain whose P still rises at the window end) the
+    best sample is kept, and p_h is never below it.  An earlier peak
+    lower than the window maximum is not returned, even a high one.
     """
-    eig = eigensystem_for(spec)
-    lam_min, window, step = _peak_window(eig, spec.d1)
+    n = spec.n_sites
+    lam, ends = spectra(n, [spec.delta])
+    lam, ends = spec.d1 * lam[0], ends[0]
+    lam_min = float(lam[n // 2 - 1])
+    if lam_min < _DEGENERACY_FLOOR * spec.d1:
+        raise HorizonError(
+            f"smallest positive eigenvalue {lam_min} is below the degeneracy "
+            f"floor {_DEGENERACY_FLOOR * spec.d1:.3e}; the peak window is unbounded"
+        )
+    window = _WINDOW_FACTOR * math.pi / lam_min
+    step = min(_GRID_STEP_CAP, math.pi / (_FAST_SAMPLES_PER_HALF_PERIOD * float(lam[0])))
     count = int(math.ceil(window / step))
     if count > _MAX_GRID_POINTS:
         raise HorizonError(
@@ -132,25 +146,20 @@ def first_peak(spec: ChainSpec) -> TransferTriad:
             "the spectrum is too close to degenerate to scan"
         )
     actual = window / count
-    best_p = -1.0
-    best_t = actual
-    chunk = 65536
-    for start in range(1, count + 1, chunk):
-        idx = np.arange(start, min(start + chunk, count + 1))
-        times = idx * actual
-        probs = paired_transfer_probability(eig, times)
-        k = int(np.argmax(probs))
-        if probs[k] > best_p:
-            best_p = float(probs[k])
-            best_t = float(times[k])
-    lo = max(best_t - actual, actual * 1e-3)
-    hi = min(best_t + actual, window)
-    t_h, p_h = _golden_max(lambda t: float(transfer_probability(eig, t)), lo, hi, _TIME_TOL)
+    best, p_h = _first_argmax(
+        lambda idx: paired_transfer_probability(lam, ends, (idx + 1) * actual), count, _TIME_CHUNK
+    )
+    t_h = (best + 1) * actual
+    slope = partial(paired_transfer_slope, lam, ends)
+    lo = max(t_h - actual, actual * 1e-3)
+    hi = min(t_h + actual, window)
+    if slope(lo) > 0.0 > slope(hi):
+        root = bisect(slope, lo, hi)
+        p_root = paired_transfer_probability(lam, ends, root)
+        if p_root >= p_h:
+            t_h, p_h = root, p_root
     return TransferTriad(
-        delta_h=spec.delta,
-        t_h=t_h,
-        p_h=p_h,
-        lambda_min_estimate=math.pi / lam_min,
+        delta_h=spec.delta, t_h=t_h, p_h=p_h, lambda_min_estimate=math.pi / lam_min
     )
 
 
@@ -160,9 +169,7 @@ def _validate_delta_range(delta_lo: float, delta_hi: float) -> None:
     if not (delta_lo > 0.0 and delta_hi > 0.0):
         raise ValidationError("delta range must be positive")
     if not delta_lo < delta_hi:
-        raise ValidationError(
-            f"delta range is empty: [{delta_lo}, {delta_hi}]"
-        )
+        raise ValidationError(f"delta range is empty: [{delta_lo}, {delta_hi}]")
 
 
 def optimize_delta(n_sites: int, delta_lo: float, delta_hi: float) -> TransferTriad:
@@ -184,10 +191,7 @@ def optimize_delta(n_sites: int, delta_lo: float, delta_hi: float) -> TransferTr
             "no high-transfer regime inside"
         )
 
-    count = int(math.floor((delta_hi - delta_lo) / _DELTA_GRID + 1e-9))
-    grid = delta_lo + _DELTA_GRID * np.arange(count + 1)
-    if grid[-1] < delta_hi - 1e-12:
-        grid = np.append(grid, delta_hi)
+    grid = _ratio_grid(delta_lo, delta_hi, _DELTA_GRID)
 
     def peak_probability(delta: float) -> float:
         return first_peak(ChainSpec(n_sites, float(delta))).p_h
@@ -207,14 +211,11 @@ def _best_arrival_index(n_sites: int, t_fixed: float, grid: np.ndarray) -> int:
     _GRID_CHUNK_ENTRIES / N^2 ratios.
     """
     chunk = max(1, _GRID_CHUNK_ENTRIES // (n_sites * n_sites))
-    best, best_p = 0, -1.0
-    for start in range(0, grid.size, chunk):
-        lam, ends = spectra(n_sites, grid[start:start + chunk])
-        probs = spectral_probability(lam, ends, np.array([t_fixed]))[:, 0]
-        k = int(np.argmax(probs))
-        if probs[k] > best_p:
-            best, best_p = start + k, float(probs[k])
-    return best
+    return _first_argmax(
+        lambda idx: paired_transfer_probability(*spectra(n_sites, grid[idx]), t_fixed),
+        grid.size,
+        chunk,
+    )[0]
 
 
 def fixed_time_optimize(
@@ -224,30 +225,25 @@ def fixed_time_optimize(
 
     Grid (step 0.001) over the ratio range, evaluated from stacked
     spectra, plus golden-section refinement of P(delta, t_fixed) on
-    the per-chain eigensystems; the reported triad keeps the
+    the spectrum of one ratio at a time; the reported triad keeps the
     prescribed time.  A time too long for the phases to keep digits
     (check_horizon) raises HorizonError.
     """
     if not (math.isfinite(t_fixed) and t_fixed > 0.0):
         raise ValidationError(f"t_fixed must be positive and finite, got {t_fixed}")
     _validate_delta_range(delta_lo, delta_hi)
-    ChainSpec(n_sites, delta_lo)  # validates n_sites
+    n = ChainSpec(n_sites, delta_lo).n_sites  # validates n_sites
     check_horizon(t_fixed, 1.0 + delta_hi)  # lambda_max <= d1 + d2 on the whole range
 
-    count = int(math.floor((delta_hi - delta_lo) / _FIXED_TIME_GRID + 1e-9))
-    grid = delta_lo + _FIXED_TIME_GRID * np.arange(count + 1)
-    if grid[-1] < delta_hi - 1e-12:
-        grid = np.append(grid, delta_hi)
-
     def arrival_probability(delta: float) -> float:
-        eig = eigensystem_for(ChainSpec(n_sites, float(delta)))
-        return float(transfer_probability(eig, t_fixed))
+        return float(paired_transfer_probability(*spectra(n, [delta]), t_fixed)[0])
 
-    best = _best_arrival_index(n_sites, t_fixed, grid)
+    grid = _ratio_grid(delta_lo, delta_hi, _FIXED_TIME_GRID)
+    best = _best_arrival_index(n, t_fixed, grid)
     lo = max(delta_lo, float(grid[best]) - _FIXED_TIME_GRID)
     hi = min(delta_hi, float(grid[best]) + _FIXED_TIME_GRID)
     delta_h, p_h = _golden_max(arrival_probability, lo, hi, _FIXED_TIME_TOL)
-    estimate = math.pi / eigensystem_for(ChainSpec(n_sites, delta_h)).smallest_positive()
+    estimate = math.pi / float(spectra(n, [delta_h])[0][0, n // 2 - 1])
     return TransferTriad(
         delta_h=delta_h, t_h=t_fixed, p_h=p_h, lambda_min_estimate=estimate
     )

@@ -95,8 +95,8 @@ class EigenSystem:
         """Smallest eigenvalue of the positive half of a paired spectrum.
 
         That is index N//2 - 1 in descending order, the last of the
-        N//2 levels paired_transfer_probability sums over.  An odd
-        chain's zero mode sits just below it.
+        N//2 levels the paired series sums over (the searches read it off
+        spectra).  An odd chain's zero mode sits just below it.
         """
         return float(self.eigenvalues[self.size // 2 - 1])
 

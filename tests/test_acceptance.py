@@ -7,11 +7,11 @@ tolerances live next to each test.
 Criterion 4 checks the fixed-ratio sweep at ratio 2.380 twice over.  Every
 row must be the maximum of P_N over the search window (0, 1.3*pi/lambda_min]
 that an independent oracle finds: a finer scan and a root of dP/dt, on the
-eigen route the sweep does not take (LAPACK where the sweep uses the closed
-form, the closed form where it uses LAPACK).  Four of the seven published
-(t, P) pairs, N = 4, 6, 8 and 12, are that maximum and are asserted at
-0.5 % in t and 0.01 in P.  The other three are not, and each is pinned as
-the disagreement it is, at the same tolerances:
+eigen route the sweep does not take (the SVD engine where the sweep uses
+the closed form, the closed form where it uses the SVD engine).  Four of the
+seven published (t, P) pairs, N = 4, 6, 8 and 12, are that maximum and are
+asserted at 0.5 % in t and 0.01 in P.  The other three are not, and each is
+pinned as the disagreement it is, at the same tolerances:
 
 - N = 10, published (131.278, 0.939): off the curve.  The full 2^N
   propagator gives P(131.278) = 0.4471, between the local peaks at 128.655

@@ -28,7 +28,6 @@ from altchain import (
     transfer_probability_odd_form,
     z_projection_expectation,
 )
-from altchain.dynamics import spectral_probability
 
 P_8303 = 0.9999853660555051  # four sites, ratio 2.272
 P_N5_EARLY = 0.9423883339086744  # five sites, uniform, first high peak
@@ -77,12 +76,17 @@ def test_node_out_of_range(eig_n4_peak):
 
 def test_stacked_probability_matches_each_chain():
     # a stack of chains at one time gives each chain's own P_N(t)
-    eigs = [eigensystem_for(ChainSpec(6, d)) for d in (1.2, 2.0, 2.9)]
-    lam = np.array([e.eigenvalues for e in eigs])
-    ends = np.array([e.vectors[0] * e.vectors[-1] for e in eigs])
-    probs = spectral_probability(lam, ends, np.array([7.5]))[:, 0]
-    expected = [transfer_probability(e, 7.5) for e in eigs]
-    assert np.max(np.abs(probs - expected)) <= 1e-14
+    for n in (6, 7):
+        eigs = [eigensystem_for(ChainSpec(n, d)) for d in (1.2, 2.0, 2.9)]
+        lam = np.array([e.eigenvalues for e in eigs])
+        ends = np.array([e.vectors[0] * e.vectors[-1] for e in eigs])
+        probs = paired_transfer_probability(lam, ends, 7.5)
+        assert probs.shape == (3,)
+        assert paired_transfer_probability(lam, ends, np.array([[7.5]] * 3))[:, 0].tolist() == (
+            probs.tolist()
+        )
+        expected = [transfer_probability(e, 7.5) for e in eigs]
+        assert np.max(np.abs(probs - expected)) <= 1e-14
 
 
 def test_even_form_equals_spectral_sum():
@@ -208,8 +212,9 @@ def test_paired_series_matches_spectral_sum(n, delta, route):
         eig = eigensystem_numeric(build_coupling_matrix(spec))
     assert eig.provenance == route
     times = np.linspace(0.0, 300.0, 30001)
-    paired = paired_transfer_probability(eig, times)
+    lam, ends = eig.eigenvalues, eig.vectors[0] * eig.vectors[-1]
+    paired = paired_transfer_probability(lam, ends, times)
     assert np.max(np.abs(paired - transfer_probability(eig, times))) <= 1e-13
-    assert paired_transfer_probability(eig, 8.303) == pytest.approx(
+    assert paired_transfer_probability(lam, ends, 8.303) == pytest.approx(
         transfer_probability(eig, 8.303), abs=1e-13
     )

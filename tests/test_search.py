@@ -13,7 +13,9 @@ from altchain import (
     first_peak,
     fixed_time_optimize,
     optimize_delta,
+    paired_transfer_probability,
     sample_curve,
+    spectra,
     table1_sweep,
     transfer_probability,
 )
@@ -47,6 +49,63 @@ def test_first_peak_frozen(n, delta, expected):
     assert triad.delta_h == delta
     assert triad.t_h == pytest.approx(expected[0], abs=1e-6)
     assert triad.p_h == pytest.approx(expected[1], abs=1e-9)
+
+
+# 40-digit references (mpmath eigensystem of each chain at ratio 2.38):
+# the root of dP/dt at the first peak of an even chain, and the window
+# end 1.3*pi/lambda_min of an odd chain whose P still rises there
+SLOPE_ROOTS = {
+    4: 8.084485963697805253,
+    8: 57.65363980974370850,
+    12: 265.6304953460517005,
+    16: 1882.200950450927978,
+}
+WINDOW_ENDS = {5: 1.973096016057523056, 19: 2.793529555228875849, 23: 2.840964068606737887}
+
+
+@pytest.mark.parametrize("n", sorted(SLOPE_ROOTS))
+def test_first_peak_time_is_the_slope_root(n):
+    assert first_peak(ChainSpec(n, 2.38)).t_h == pytest.approx(SLOPE_ROOTS[n], rel=1e-12)
+
+
+@pytest.mark.parametrize("n", sorted(WINDOW_ENDS))
+def test_odd_first_peak_keeps_the_window_end(n):
+    triad = first_peak(ChainSpec(n, 2.38))
+    assert triad.t_h == pytest.approx(WINDOW_ENDS[n], rel=1e-12)
+    assert triad.t_h == pytest.approx(1.3 * triad.lambda_min_estimate, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "n,delta", [(4, 2.38), (5, 2.38), (16, 2.38), (19, 2.38), (23, 2.38), (14, 2.3245)]
+)
+def test_first_peak_never_below_best_sample(n, delta):
+    # the scan grid of first_peak, rebuilt from its documented rule
+    triad = first_peak(ChainSpec(n, delta))
+    lam, ends = (x[0] for x in spectra(n, np.array([delta])))
+    window = 1.3 * math.pi / lam[n // 2 - 1]
+    count = math.ceil(window / min(0.01, math.pi / (50 * lam[0])))
+    times = np.arange(1, count + 1) * (window / count)
+    assert triad.p_h >= paired_transfer_probability(lam, ends, times).max()
+
+
+def test_first_peak_scales_with_d1():
+    unit = first_peak(ChainSpec(8, 2.38))
+    fast = first_peak(ChainSpec(8, 2.38, d1=2.0))
+    assert fast.t_h == pytest.approx(unit.t_h / 2.0, rel=1e-12)
+    assert fast.p_h == pytest.approx(unit.p_h, abs=1e-12)
+    assert fast.lambda_min_estimate == pytest.approx(unit.lambda_min_estimate / 2.0, rel=1e-15)
+
+
+def test_searches_assemble_no_eigensystem(monkeypatch):
+    import altchain.spectral
+
+    def refuse(matrix):
+        raise AssertionError("a search assembled a site-ordered eigensystem")
+
+    monkeypatch.setattr(altchain.spectral, "eigensystem_numeric", refuse)
+    assert optimize_delta(4, 2.2, 2.3).p_h > 0.99
+    assert fixed_time_optimize(8, 60.0, 2.4, 2.6).p_h > 0.9
+    assert [row.n_sites for row in table1_sweep(2.38, [4, 5])] == [4, 5]
 
 
 def test_first_peak_estimate_quality():
