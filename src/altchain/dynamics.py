@@ -16,7 +16,11 @@ Both are checked against the spectral sum, and the spectral sum in
 turn against brute-force evolution of the full 2^N spin space.  The
 same folding applied to the spectrum of one chain or of a stack, as
 spectral.spectra returns it, is paired_transfer_probability, the P_N
-kernel of every search.
+kernel of every search.  On a uniform time grid t_k = k*step the
+series follows from angle addition, sin((K + r) a) from the sines and
+cosines at block starts K and offsets r, as two small matrix products
+per block of samples (paired_grid_probability); the peak scan uses it
+to pick its best sample.
 
 The module needs numpy only: the 2^N oracle is dense up to N=8 and
 imports scipy.sparse for its matrix-exponential action at 9 <= N <= 12,
@@ -38,6 +42,13 @@ _FULL_SPACE_MAX_SITES = 12
 _FULL_SPACE_DENSE_MAX_SITES = 8
 # largest rounding error of a phase lambda*t that a probability may carry
 _HORIZON_TOL = 1e-9
+# offsets per block of the angle-addition grid kernel
+_ANGLE_BLOCK = 256
+# multiply-adds per matrix product of that kernel at most: OpenBLAS keeps
+# a product this small on the calling thread, and its worker threads,
+# once woken for the scan's many small products, cost more than they
+# saved (an N=16 scan on a 2-vCPU host: 96 ms threaded, 4 ms not)
+_PRODUCT_SIZE = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -141,6 +152,45 @@ def paired_transfer_probability(
     if not scalar:
         return probs
     return float(probs[0]) if probs.ndim == 1 else probs[..., 0]
+
+
+def paired_grid_probability(
+    lam: np.ndarray, ends: np.ndarray, step: float, start: int, stop: int
+) -> np.ndarray:
+    """P_N(k * step) for k = start..stop-1 of one chain, by angle addition.
+
+    The series of paired_transfer_probability on a uniform grid.  With
+    k = K_q + r, block starts K_q = start + q*B and offsets 0 <= r < B,
+
+        sin(k a) = sin(K_q a) cos(r a) + cos(K_q a) sin(r a),
+        cos(k a) = cos(K_q a) cos(r a) - sin(K_q a) sin(r a),
+
+    so the series over the range is two (rows x N/2) @ (N/2 x B)
+    products of a block-start table and an offset table, taken in
+    groups of rows of at most _PRODUCT_SIZE multiply-adds, and only
+    (rows + B) * N/2 sines and cosines are taken instead of one per
+    sample and level.  The block-start phases carry the bits of the
+    direct evaluation; the other phases are rounded differently, so the
+    two differ by a few eps * t * lambda_max (1e-15 to 1e-12 over the
+    first-peak windows up to N=22).
+    """
+    half, count = lam.size // 2, stop - start
+    rate = 0.5 * lam[:half]
+    block = min(_ANGLE_BLOCK, count)
+    rows = -(-count // block)
+    starts = np.multiply.outer((start + block * np.arange(rows)) * step, rate)
+    offsets = np.multiply.outer(np.arange(block) * step, rate)
+    sin_q, cos_q = 2.0 * ends[:half] * np.sin(starts), 2.0 * ends[:half] * np.cos(starts)
+    sin_r, cos_r = np.sin(offsets).T, np.cos(offsets).T
+    series = np.empty((rows, block))
+    group = max(1, _PRODUCT_SIZE // (block * half))
+    for i in range(0, rows, group):
+        q = slice(i, i + group)
+        if lam.size % 2 == 0:
+            series[q] = sin_q[q] @ cos_r + cos_q[q] @ sin_r
+        else:
+            series[q] = cos_q[q] @ cos_r - sin_q[q] @ sin_r + ends[half]
+    return series.ravel()[:count] ** 2
 
 
 def paired_transfer_slope(lam: np.ndarray, ends: np.ndarray, t: float) -> float:

@@ -10,9 +10,13 @@ peak is passed over: 16 sites at ratio 2.380 peak at P = 0.901 near
 0.85*pi/lambda_min, but the search returns the P = 0.915 peak at
 1.14*pi/lambda_min.  The peak time is then the root of dP/dt next to
 the winning sample.  Every search takes its spectra from spectra and P_N
-from the paired series (paired_transfer_probability).  All searches are
-deterministic: grids are fixed by the parameters alone and tie-breaks
-take the earliest time (or smallest ratio).
+from the paired series: the uniform time grid by angle addition
+(paired_grid_probability), which only picks the winning sample, and
+every reported value directly (paired_transfer_probability); a kept
+sample is re-evaluated over its chunk of the grid.  The ratio grid of
+optimize_delta takes its spectra from one stacked solve.  All searches
+are deterministic: grids are fixed by the parameters alone and
+tie-breaks take the earliest time (or smallest ratio).
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .chain import ChainSpec
 from .dynamics import (
     TransferCurve,
     check_horizon,
+    paired_grid_probability,
     paired_transfer_probability,
     paired_transfer_slope,
 )
@@ -43,11 +48,11 @@ _DELTA_GRID = 0.002
 _DELTA_TOL = 1e-4
 _FIXED_TIME_GRID = 0.001
 _FIXED_TIME_TOL = 1e-6
-# the fixed-time grid takes at most this / N^2 ratios per stacked
-# solve, which bounds its memory on wide ratio ranges
+# the ratio grids take at most this / N^2 ratios per stacked solve,
+# which bounds their memory on wide ratio ranges
 _GRID_CHUNK_ENTRIES = 1 << 20
 _DEGENERACY_FLOOR = 1e-12
-_MAX_GRID_POINTS = 20_000_000
+_MAX_GRID_POINTS = 100_000_000
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -96,12 +101,15 @@ def _golden_max(
 
 
 def _first_argmax(
-    values: Callable[[np.ndarray], np.ndarray], count: int, chunk: int
+    values: Callable[[int, int], np.ndarray], count: int, chunk: int
 ) -> tuple[int, float]:
-    """(first index, value) of the largest values(idx), idx = 0..count-1, in chunks."""
+    """(first index, value) of the largest entry of values(start, stop) over 0..count-1.
+
+    values returns the entries start..stop-1; they are taken in chunks.
+    """
     best, best_p = 0, -1.0
     for start in range(0, count, chunk):
-        probs = values(np.arange(start, min(start + chunk, count)))
+        probs = values(start, min(start + chunk, count))
         k = int(np.argmax(probs))
         if probs[k] > best_p:
             best, best_p = start + k, float(probs[k])
@@ -127,17 +135,26 @@ def first_peak(spec: ChainSpec) -> TransferTriad:
     sign change (an odd chain whose P still rises at the window end) the
     best sample is kept, and p_h is never below it.  An earlier peak
     lower than the window maximum is not returned, even a high one.
+    The grid is evaluated by angle addition (paired_grid_probability),
+    which only chooses the sample; a kept sample's p_h comes from the
+    direct series over its chunk of the grid.  A window too long for the
+    phases to keep digits (check_horizon) raises HorizonError.
     """
-    n = spec.n_sites
-    lam, ends = spectra(n, [spec.delta])
-    lam, ends = spec.d1 * lam[0], ends[0]
+    lam, ends = spectra(spec.n_sites, [spec.delta])
+    return _spectrum_peak(spec.d1 * lam[0], ends[0], spec.d1, spec.delta)
+
+
+def _spectrum_peak(lam: np.ndarray, ends: np.ndarray, d1: float, delta: float) -> TransferTriad:
+    """first_peak of the chain whose levels (scaled by d1) and end products are given."""
+    n = lam.size
     lam_min = float(lam[n // 2 - 1])
-    if lam_min < _DEGENERACY_FLOOR * spec.d1:
+    if lam_min < _DEGENERACY_FLOOR * d1:
         raise HorizonError(
             f"smallest positive eigenvalue {lam_min} is below the degeneracy "
-            f"floor {_DEGENERACY_FLOOR * spec.d1:.3e}; the peak window is unbounded"
+            f"floor {_DEGENERACY_FLOOR * d1:.3e}; the peak window is unbounded"
         )
     window = _WINDOW_FACTOR * math.pi / lam_min
+    check_horizon(window, float(lam[0]))
     step = min(_GRID_STEP_CAP, math.pi / (_FAST_SAMPLES_PER_HALF_PERIOD * float(lam[0])))
     count = int(math.ceil(window / step))
     if count > _MAX_GRID_POINTS:
@@ -146,20 +163,36 @@ def first_peak(spec: ChainSpec) -> TransferTriad:
             "the spectrum is too close to degenerate to scan"
         )
     actual = window / count
-    best, p_h = _first_argmax(
-        lambda idx: paired_transfer_probability(lam, ends, (idx + 1) * actual), count, _TIME_CHUNK
-    )
-    t_h = (best + 1) * actual
+    estimate = math.pi / lam_min
+    best, p_best = _best_sample(lam, ends, actual, count)
+    t_best = (best + 1) * actual
     slope = partial(paired_transfer_slope, lam, ends)
-    lo = max(t_h - actual, actual * 1e-3)
-    hi = min(t_h + actual, window)
+    lo = max(t_best - actual, actual * 1e-3)
+    hi = min(t_best + actual, window)
     if slope(lo) > 0.0 > slope(hi):
         root = bisect(slope, lo, hi)
         p_root = paired_transfer_probability(lam, ends, root)
-        if p_root >= p_h:
-            t_h, p_h = root, p_root
+        if p_root >= p_best:
+            return TransferTriad(delta_h=delta, t_h=root, p_h=p_root, lambda_min_estimate=estimate)
+    # keep the best sample, with the digits of the direct series over its chunk
+    start = best - best % _TIME_CHUNK
+    times = (np.arange(start, min(start + _TIME_CHUNK, count)) + 1) * actual
+    probs = paired_transfer_probability(lam, ends, times)
+    k = int(np.argmax(probs))
     return TransferTriad(
-        delta_h=spec.delta, t_h=t_h, p_h=p_h, lambda_min_estimate=math.pi / lam_min
+        delta_h=delta, t_h=float(times[k]), p_h=float(probs[k]), lambda_min_estimate=estimate
+    )
+
+
+def _best_sample(lam: np.ndarray, ends: np.ndarray, step: float, count: int) -> tuple[int, float]:
+    """(index, P) of the highest of P((index + 1) * step), index < count, earliest on ties.
+
+    The grid is taken in chunks of _TIME_CHUNK samples by angle addition.
+    """
+    return _first_argmax(
+        lambda start, stop: paired_grid_probability(lam, ends, step, start + 1, stop + 1),
+        count,
+        _TIME_CHUNK,
     )
 
 
@@ -175,10 +208,11 @@ def _validate_delta_range(delta_lo: float, delta_hi: float) -> None:
 def optimize_delta(n_sites: int, delta_lo: float, delta_hi: float) -> TransferTriad:
     """Best first-peak probability over a ratio range, even chains.
 
-    Evaluates first_peak on a 0.002-spaced ratio grid, then refines
-    the best ratio by golden-section to 1e-4.  The range must reach
-    above the closed-form threshold (N+2)/N; below it the first-peak
-    mechanism this search targets does not operate.
+    Evaluates first_peak on a 0.002-spaced ratio grid, whose spectra
+    come from one stacked solve (in chunks of _GRID_CHUNK_ENTRIES / N^2
+    ratios), then refines the best ratio by golden-section to 1e-4.
+    The range must reach above the closed-form threshold (N+2)/N; below
+    it the first-peak mechanism this search targets does not operate.
     """
     probe = ChainSpec(n_sites, 1.0)
     if probe.n_sites % 2 != 0:
@@ -193,14 +227,20 @@ def optimize_delta(n_sites: int, delta_lo: float, delta_hi: float) -> TransferTr
 
     grid = _ratio_grid(delta_lo, delta_hi, _DELTA_GRID)
 
-    def peak_probability(delta: float) -> float:
-        return first_peak(ChainSpec(n_sites, float(delta))).p_h
+    def grid_peaks(start: int, stop: int) -> np.ndarray:
+        ratios = grid[start:stop]
+        return np.array([
+            _spectrum_peak(lam, ends, 1.0, float(delta)).p_h
+            for lam, ends, delta in zip(*spectra(n_sites, ratios), ratios)
+        ])
 
-    values = [peak_probability(delta) for delta in grid]
-    best = int(np.argmax(values))
+    chunk = max(1, _GRID_CHUNK_ENTRIES // (n_sites * n_sites))
+    best = _first_argmax(grid_peaks, grid.size, chunk)[0]
     lo = max(delta_lo, float(grid[best]) - _DELTA_GRID)
     hi = min(delta_hi, float(grid[best]) + _DELTA_GRID)
-    delta_h, _ = _golden_max(peak_probability, lo, hi, _DELTA_TOL)
+    delta_h, _ = _golden_max(
+        lambda delta: first_peak(ChainSpec(n_sites, delta)).p_h, lo, hi, _DELTA_TOL
+    )
     return first_peak(ChainSpec(n_sites, delta_h))
 
 
@@ -212,7 +252,9 @@ def _best_arrival_index(n_sites: int, t_fixed: float, grid: np.ndarray) -> int:
     """
     chunk = max(1, _GRID_CHUNK_ENTRIES // (n_sites * n_sites))
     return _first_argmax(
-        lambda idx: paired_transfer_probability(*spectra(n_sites, grid[idx]), t_fixed),
+        lambda start, stop: paired_transfer_probability(
+            *spectra(n_sites, grid[start:stop]), t_fixed
+        ),
         grid.size,
         chunk,
     )[0]

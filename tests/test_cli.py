@@ -1,6 +1,7 @@
 """Command-line surface: schemas, determinism, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -181,6 +182,30 @@ def test_byte_identical_reruns(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(target.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["table1", "--delta", "2.38", "--n", "14,16,18,20"], id="table1"),
+        pytest.param(["optimize", "--n", "8"], id="optimize"),
+    ],
+)
+def test_stdout_does_not_depend_on_blas_threads(argv):
+    # the peak scan runs through matrix products; fresh processes with
+    # one BLAS thread and with the library's default print the same bytes
+    default = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    single = dict(default, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    outputs = []
+    for env in (single, default):
+        proc = subprocess.run(
+            [sys.executable, "-m", "altchain.cli", *argv],
+            capture_output=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
 
 

@@ -23,11 +23,13 @@ from altchain import (
     paired_transfer_probability,
     sample_curve,
     solve_even_roots,
+    spectra,
     transfer_probability,
     transfer_probability_even_form,
     transfer_probability_odd_form,
     z_projection_expectation,
 )
+from altchain.dynamics import paired_grid_probability
 
 P_8303 = 0.9999853660555051  # four sites, ratio 2.272
 P_N5_EARLY = 0.9423883339086744  # five sites, uniform, first high peak
@@ -218,3 +220,36 @@ def test_paired_series_matches_spectral_sum(n, delta, route):
     assert paired_transfer_probability(lam, ends, 8.303) == pytest.approx(
         transfer_probability(eig, 8.303), abs=1e-13
     )
+
+
+GRID_SHAPES = [
+    pytest.param(1, 101, id="count-below-block"),
+    pytest.param(1, 1001, id="count-not-a-block-multiple"),
+    pytest.param(5000, 5000 + 3 * 256 + 17, id="offset-start-several-blocks"),
+]
+
+
+@pytest.mark.parametrize("start,stop", GRID_SHAPES)
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 9, 14, 20])
+@pytest.mark.parametrize("delta", [1.2, 2.38, 2.5])
+def test_grid_kernel_matches_paired_series(n, delta, start, stop):
+    # the first-peak scan grid of the chain: step min(0.01, pi/(50 lambda_max))
+    lam, ends = (x[0] for x in spectra(n, np.array([delta])))
+    step = min(0.01, math.pi / (50.0 * lam[0]))
+    direct = paired_transfer_probability(lam, ends, np.arange(start, stop) * step)
+    blocked = paired_grid_probability(lam, ends, step, start, stop)
+    assert blocked.shape == direct.shape
+    assert np.max(np.abs(blocked - direct)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 9, 14, 20])
+def test_grid_kernel_over_several_chunks(n):
+    # 3.2 chunks of the scan; the two evaluations round each phase
+    # lambda t / 2 differently, so they may part by a few eps * t * lambda_max
+    lam, ends = (x[0] for x in spectra(n, np.array([2.38])))
+    step = min(0.01, math.pi / (50.0 * lam[0]))
+    stop = 1 + 3 * 65536 + 77
+    direct = paired_transfer_probability(lam, ends, np.arange(1, stop) * step)
+    blocked = paired_grid_probability(lam, ends, step, 1, stop)
+    rounding = np.finfo(float).eps * (stop * step) * lam[0]
+    assert np.max(np.abs(blocked - direct)) <= 8.0 * rounding

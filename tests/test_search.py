@@ -7,6 +7,7 @@ import pytest
 
 from altchain import (
     ChainSpec,
+    HorizonError,
     ValidationError,
     dwell_window,
     eigensystem_for,
@@ -53,12 +54,15 @@ def test_first_peak_frozen(n, delta, expected):
 
 # 40-digit references (mpmath eigensystem of each chain at ratio 2.38):
 # the root of dP/dt at the first peak of an even chain, and the window
-# end 1.3*pi/lambda_min of an odd chain whose P still rises there
+# end 1.3*pi/lambda_min of an odd chain whose P still rises there;
+# N = 28 and 30 scan 3.9e7 and 8.7e7 samples
 SLOPE_ROOTS = {
     4: 8.084485963697805253,
     8: 57.65363980974370850,
     12: 265.6304953460517005,
     16: 1882.200950450927978,
+    28: 298238.0670597304338,
+    30: 672835.9414809142796,
 }
 WINDOW_ENDS = {5: 1.973096016057523056, 19: 2.793529555228875849, 23: 2.840964068606737887}
 
@@ -86,6 +90,56 @@ def test_first_peak_never_below_best_sample(n, delta):
     count = math.ceil(window / min(0.01, math.pi / (50 * lam[0])))
     times = np.arange(1, count + 1) * (window / count)
     assert triad.p_h >= paired_transfer_probability(lam, ends, times).max()
+
+
+def test_first_peak_refuses_windows_beyond_the_horizon():
+    # N=32 at ratio 2.38: t * lambda_max * eps = 1.65e-9 at the window end
+    with pytest.raises(HorizonError, match="phase error"):
+        first_peak(ChainSpec(32, 2.38))
+    rows = table1_sweep(2.38, [4, 32])
+    assert rows[0].note == "" and rows[0].p_h1 > 0.99
+    assert "phase error" in rows[1].note
+    assert all(math.isnan(v) for v in (rows[1].t_h1, rows[1].p_h1, rows[1].estimate))
+
+
+@pytest.mark.parametrize(
+    "tied,expected",
+    [((3, 4), 3), ((6, 7), 6), ((7, 8), 7), ((20, 5), 5), ((13, 14), 13)],
+)
+def test_time_scan_ties_take_earliest(monkeypatch, tied, expected):
+    # blocks of 4 samples and chunks of 7: the pairs straddle a block
+    # boundary (3, 4), a chunk boundary (6, 7), both (7, 8), or lie apart
+    import altchain.dynamics
+
+    real = search_mod.paired_grid_probability
+
+    def tied_grid(lam, ends, step, start, stop):
+        probs = real(lam, ends, step, start, stop)
+        return np.where(np.isin(np.arange(start - 1, stop - 1), tied), 2.0, probs)
+
+    monkeypatch.setattr(altchain.dynamics, "_ANGLE_BLOCK", 4)
+    monkeypatch.setattr(search_mod, "_TIME_CHUNK", 7)
+    monkeypatch.setattr(search_mod, "paired_grid_probability", tied_grid)
+    lam, ends = (x[0] for x in spectra(6, np.array([2.38])))
+    assert search_mod._best_sample(lam, ends, 0.01, 30) == (expected, 2.0)
+
+
+def test_ratio_grid_takes_one_stacked_solve(monkeypatch):
+    calls = []
+
+    def recording(n_sites, deltas):
+        calls.append(len(deltas))
+        return spectra(n_sites, deltas)
+
+    monkeypatch.setattr(search_mod, "spectra", recording)
+    optimize_delta(8, 2.3, 2.4)
+    assert calls[0] == 51 and set(calls[1:]) == {1}  # the grid, then the polish
+    grid = 2.3 + 0.002 * np.arange(51)
+    stacked = [
+        search_mod._spectrum_peak(lam, ends, 1.0, float(delta))
+        for lam, ends, delta in zip(*spectra(8, grid), grid)
+    ]
+    assert stacked == [first_peak(ChainSpec(8, float(delta))) for delta in grid]
 
 
 def test_first_peak_scales_with_d1():
