@@ -13,9 +13,10 @@ the winning sample.  Every search takes its spectra from spectra and P_N
 from the paired series: the uniform time grid by angle addition
 (paired_grid_probability), which only picks the winning sample, and
 every reported value directly (paired_transfer_probability); a kept
-sample is re-evaluated over its chunk of the grid.  The ratio grid of
-optimize_delta takes its spectra from one stacked solve.  All searches
-are deterministic: grids are fixed by the parameters alone and
+sample is re-evaluated over its chunk of the grid.  optimize_delta and
+fixed_time_optimize are one ratio search (_ratio_search) under two
+scores.  Every search returns at least its own grid winner.  All
+searches are deterministic: grids are fixed by the parameters alone and
 tie-breaks take the earliest time (or smallest ratio).
 """
 
@@ -205,19 +206,46 @@ def _validate_delta_range(delta_lo: float, delta_hi: float) -> None:
         raise ValidationError(f"delta range is empty: [{delta_lo}, {delta_hi}]")
 
 
+def _ratio_search(
+    n_sites: int, lo: float, hi: float, step: float, tol: float,
+    score: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+) -> tuple[float, float]:
+    """(ratio, P) of the best ratio in [lo, hi], never below the grid winner.
+
+    score(lam, ends, ratios) maps a stack of spectra to one P per ratio.
+    The grid takes its spectra in stacks of _GRID_CHUNK_ENTRIES / N^2
+    ratios; golden section refines within one step of its first best
+    ratio, one ratio at a time, and the grid winner stands where that
+    does not beat it (as at a range end, which golden section never
+    evaluates).
+    """
+    _validate_delta_range(lo, hi)
+    grid = _ratio_grid(lo, hi, step)
+    best, p_best = _first_argmax(
+        lambda a, b: score(*spectra(n_sites, grid[a:b]), grid[a:b]),
+        grid.size,
+        max(1, _GRID_CHUNK_ENTRIES // (n_sites * n_sites)),
+    )
+    winner = float(grid[best])
+    delta, p = _golden_max(
+        lambda d: float(score(*spectra(n_sites, [d]), [d])[0]),
+        max(lo, winner - step), min(hi, winner + step), tol,
+    )
+    return (delta, p) if p > p_best else (winner, p_best)
+
+
 def optimize_delta(n_sites: int, delta_lo: float, delta_hi: float) -> TransferTriad:
     """Best first-peak probability over a ratio range, even chains.
 
-    Evaluates first_peak on a 0.002-spaced ratio grid, whose spectra
-    come from one stacked solve (in chunks of _GRID_CHUNK_ENTRIES / N^2
-    ratios), then refines the best ratio by golden-section to 1e-4.
-    The range must reach above the closed-form threshold (N+2)/N; below
-    it the first-peak mechanism this search targets does not operate.
+    The ratio search (_ratio_search) scores each ratio by its
+    first_peak p_h, on a 0.002-spaced grid refined to 1e-4, and returns
+    first_peak of the winner.  The range must reach above the
+    closed-form threshold (N+2)/N; below it the first-peak mechanism
+    this search targets does not operate.
     """
     probe = ChainSpec(n_sites, 1.0)
     if probe.n_sites % 2 != 0:
         raise ValidationError(f"optimize_delta needs an even chain, got N={n_sites}")
-    _validate_delta_range(delta_lo, delta_hi)
     if delta_hi <= probe.even_regime_threshold():
         raise ValidationError(
             f"ratio range [{delta_lo}, {delta_hi}] lies entirely at or below the "
@@ -225,39 +253,13 @@ def optimize_delta(n_sites: int, delta_lo: float, delta_hi: float) -> TransferTr
             "no high-transfer regime inside"
         )
 
-    grid = _ratio_grid(delta_lo, delta_hi, _DELTA_GRID)
-
-    def grid_peaks(start: int, stop: int) -> np.ndarray:
-        ratios = grid[start:stop]
+    def peaks(*stack: np.ndarray) -> np.ndarray:
         return np.array([
-            _spectrum_peak(lam, ends, 1.0, float(delta)).p_h
-            for lam, ends, delta in zip(*spectra(n_sites, ratios), ratios)
+            _spectrum_peak(lam, ends, 1.0, float(delta)).p_h for lam, ends, delta in zip(*stack)
         ])
 
-    chunk = max(1, _GRID_CHUNK_ENTRIES // (n_sites * n_sites))
-    best = _first_argmax(grid_peaks, grid.size, chunk)[0]
-    lo = max(delta_lo, float(grid[best]) - _DELTA_GRID)
-    hi = min(delta_hi, float(grid[best]) + _DELTA_GRID)
-    delta_h, _ = _golden_max(
-        lambda delta: first_peak(ChainSpec(n_sites, delta)).p_h, lo, hi, _DELTA_TOL
-    )
+    delta_h, _ = _ratio_search(n_sites, delta_lo, delta_hi, _DELTA_GRID, _DELTA_TOL, peaks)
     return first_peak(ChainSpec(n_sites, delta_h))
-
-
-def _best_arrival_index(n_sites: int, t_fixed: float, grid: np.ndarray) -> int:
-    """Index of the grid ratio with the highest P(delta, t_fixed), earliest on ties.
-
-    P comes from stacked spectra, taken in chunks of at most
-    _GRID_CHUNK_ENTRIES / N^2 ratios.
-    """
-    chunk = max(1, _GRID_CHUNK_ENTRIES // (n_sites * n_sites))
-    return _first_argmax(
-        lambda start, stop: paired_transfer_probability(
-            *spectra(n_sites, grid[start:stop]), t_fixed
-        ),
-        grid.size,
-        chunk,
-    )[0]
 
 
 def fixed_time_optimize(
@@ -265,26 +267,20 @@ def fixed_time_optimize(
 ) -> TransferTriad:
     """Best ratio for arrival at one prescribed time.
 
-    Grid (step 0.001) over the ratio range, evaluated from stacked
-    spectra, plus golden-section refinement of P(delta, t_fixed) on
-    the spectrum of one ratio at a time; the reported triad keeps the
-    prescribed time.  A time too long for the phases to keep digits
-    (check_horizon) raises HorizonError.
+    The ratio search (_ratio_search) scores each ratio by
+    P(delta, t_fixed), on a 0.001-spaced grid refined to 1e-6; the
+    reported triad keeps the prescribed time.  A time too long for the
+    phases to keep digits (check_horizon) raises HorizonError.
     """
     if not (math.isfinite(t_fixed) and t_fixed > 0.0):
         raise ValidationError(f"t_fixed must be positive and finite, got {t_fixed}")
-    _validate_delta_range(delta_lo, delta_hi)
+    _validate_delta_range(delta_lo, delta_hi)  # before the horizon check reads delta_hi
     n = ChainSpec(n_sites, delta_lo).n_sites  # validates n_sites
     check_horizon(t_fixed, 1.0 + delta_hi)  # lambda_max <= d1 + d2 on the whole range
-
-    def arrival_probability(delta: float) -> float:
-        return float(paired_transfer_probability(*spectra(n, [delta]), t_fixed)[0])
-
-    grid = _ratio_grid(delta_lo, delta_hi, _FIXED_TIME_GRID)
-    best = _best_arrival_index(n, t_fixed, grid)
-    lo = max(delta_lo, float(grid[best]) - _FIXED_TIME_GRID)
-    hi = min(delta_hi, float(grid[best]) + _FIXED_TIME_GRID)
-    delta_h, p_h = _golden_max(arrival_probability, lo, hi, _FIXED_TIME_TOL)
+    delta_h, p_h = _ratio_search(
+        n, delta_lo, delta_hi, _FIXED_TIME_GRID, _FIXED_TIME_TOL,
+        lambda lam, ends, ratios: paired_transfer_probability(lam, ends, t_fixed),
+    )
     estimate = math.pi / float(spectra(n, [delta_h])[0][0, n // 2 - 1])
     return TransferTriad(
         delta_h=delta_h, t_h=t_fixed, p_h=p_h, lambda_min_estimate=estimate

@@ -25,9 +25,8 @@ from .dynamics import (
     transfer_probability_even_form,
     transfer_probability_odd_form,
 )
-from .errors import VerificationError
+from .errors import NumericError, VerificationError
 from .ideal4 import ideal_solutions, n4_frequencies, n4_probability
-from .roots import bracket_sign_changes
 from .search import first_peak, optimize_delta
 from .spectral import (
     eigensystem_even,
@@ -35,7 +34,6 @@ from .spectral import (
     eigensystem_numeric,
     eigensystem_odd,
     solve_even_roots,
-    _x_residual,
 )
 
 _EVEN_GRID = [(n, d) for n in range(4, 17, 2) for d in (2.0, 2.38, 3.0)]
@@ -76,16 +74,10 @@ def check_odd_agreement() -> None:
 
 def check_even_root_count() -> None:
     for n, d in _EVEN_GRID:
-        spec = ChainSpec(n, d)
-        cells = bracket_sign_changes(
-            lambda x: _x_residual(x, n, d), 0.0, math.pi, 10 * n
-        )
-        if len(cells) != n // 2 - 1:
-            _fail(
-                "even-root-count",
-                f"N={n} delta={d}: {len(cells)} sign changes, want {n // 2 - 1}",
-            )
-        solve_even_roots(spec)
+        try:
+            solve_even_roots(ChainSpec(n, d))
+        except NumericError as exc:
+            _fail("even-root-count", f"N={n} delta={d}: {exc}")
 
 
 def check_lambda_min_decreasing() -> None:

@@ -276,9 +276,51 @@ def test_fixed_time_grid_ties_take_earliest(monkeypatch, tied, expected):
         ends = np.where(np.isin(deltas, high), 0.9, 0.5)[:, None]
         return np.zeros_like(ends), ends
 
+    def arrival(lam, ends, ratios):
+        return paired_transfer_probability(lam, ends, 1.0)
+
     monkeypatch.setattr(search_mod, "spectra", fake_spectra)
     monkeypatch.setattr(search_mod, "_GRID_CHUNK_ENTRIES", 7 * 2 * 2)  # 7 ratios per chunk
-    assert search_mod._best_arrival_index(2, 1.0, grid) == expected
+    # the polish evaluates only off-grid ratios (P = 0.25), so the grid winner stands
+    delta, p = search_mod._ratio_search(2, grid[0], grid[-1], 0.001, 1e-6, arrival)
+    assert (delta, p) == (grid[expected], pytest.approx(0.81))
+
+
+# a winner at an end of the range, which the golden-section polish never
+# evaluates: the search returns that grid end exactly
+@pytest.mark.parametrize("n,lo,hi,end", [(8, 2.3, 2.4, 2.4), (4, 2.0, 2.2, 2.2), (6, 2.5, 2.6, 2.5)])
+def test_optimize_keeps_range_end_winner(n, lo, hi, end):
+    triad = optimize_delta(n, lo, hi)
+    assert triad == first_peak(ChainSpec(n, end))
+    if n == 8:
+        assert triad.p_h == 0.9638224684806402
+
+
+@pytest.mark.parametrize(
+    "lo,hi,end,p_h",
+    [(2.40, 2.45, 2.45, 0.6756179163499779), (2.56, 2.60, 2.56, 0.7699166500418397)],
+)
+def test_fixed_time_keeps_range_end_winner(lo, hi, end, p_h):
+    triad = fixed_time_optimize(8, 60.0, lo, hi)
+    assert triad.delta_h == pytest.approx(end, abs=1e-12)
+    assert triad.p_h == p_h
+
+
+@pytest.mark.parametrize("n,lo,hi", [(4, 2.0, 3.0), (6, 2.3, 2.45), (8, 2.3, 2.4), (8, 2.5, 2.6)])
+def test_optimize_never_below_its_grid(n, lo, hi):
+    grid = search_mod._ratio_grid(lo, hi, 0.002)
+    best = max(first_peak(ChainSpec(n, float(delta))).p_h for delta in grid)
+    assert optimize_delta(n, lo, hi).p_h >= best
+
+
+@pytest.mark.parametrize(
+    "n,t,lo,hi",
+    [(8, 60.0, 2.0, 3.0), (8, 60.0, 2.40, 2.45), (7, 23.5, 1.6, 2.2), (6, 25.0, 2.0, 2.4)],
+)
+def test_fixed_time_never_below_its_grid(n, t, lo, hi):
+    grid = search_mod._ratio_grid(lo, hi, 0.001)
+    best = float(paired_transfer_probability(*spectra(n, grid), t).max())
+    assert fixed_time_optimize(n, t, lo, hi).p_h >= best
 
 
 def test_sweep_rows_sorted_and_complete():

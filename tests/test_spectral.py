@@ -56,6 +56,20 @@ def test_root_count_grows_with_n():
         assert roots.y_root > 0.0
 
 
+def test_verify_root_count_reports_solver_failure(monkeypatch):
+    from altchain import VerificationError
+    from altchain import verify as verify_mod
+
+    verify_mod.check_even_root_count()
+
+    def miscounting(spec):
+        raise NumericError(f"x-root scan found 0 sign changes (N={spec.n_sites})")
+
+    monkeypatch.setattr(verify_mod, "solve_even_roots", miscounting)
+    with pytest.raises(VerificationError, match=r"^even-root-count: N=4 delta=2.0: x-root scan"):
+        verify_mod.check_even_root_count()
+
+
 def test_y_root_below_log_delta():
     for n in range(4, 13, 2):
         for delta in (1.8, 2.38, 4.0):
