@@ -30,6 +30,8 @@ from .chain import ChainSpec
 from .errors import ValidationError
 
 _EXTREME_TOL = 1e-9
+# equality_feasible looks for a common extreme at times 0 < t0 <= this
+_T_SEARCH = 1e4
 
 
 @dataclass(frozen=True)
@@ -85,10 +87,10 @@ def bound_report(spec: ChainSpec) -> BoundReport:
     )
 
 
-def equality_feasible(spec: ChainSpec, t_search: float = 1e4) -> bool:
+def equality_feasible(spec: ChainSpec) -> bool:
     """Can every cosine in the series hit an extreme at one moment?
 
-    Checks for a time 0 < t0 <= t_search/d1 at which
+    Checks for a time 0 < t0 <= 1e4 at which
     |cos(lambda_j t0 / 2)| >= 1 - 1e-9 for every positive frequency of
     a uniform odd chain (delta = 1).  Candidate times are anchored on
     the half-periods of the fastest frequency, because any solution
@@ -107,17 +109,14 @@ def equality_feasible(spec: ChainSpec, t_search: float = 1e4) -> bool:
         raise ValidationError(f"equality_feasible needs an odd chain, got N={n}")
     if abs(delta - 1.0) > 1e-12:
         raise ValidationError(f"equality_feasible is defined at delta=1, got {delta}")
-    if not t_search > 0.0:
-        raise ValidationError(f"t_search must be positive, got {t_search}")
 
     m = (n - 1) // 2
     j = np.arange(1, m + 1)
-    lam = spec.d1 * np.sqrt(2.0 + 2.0 * np.cos(2.0 * math.pi * j / (n + 1)))
-    horizon = t_search / spec.d1
+    lam = np.sqrt(2.0 + 2.0 * np.cos(2.0 * math.pi * j / (n + 1)))
     # |cos(lam t/2)| >= 1 - tol within this distance of an extreme time
     widths = 2.0 * math.acos(1.0 - _EXTREME_TOL) / lam
     lam_fast = lam[0]
-    periods = int(math.floor(horizon * lam_fast / (2.0 * math.pi)))
+    periods = int(math.floor(_T_SEARCH * lam_fast / (2.0 * math.pi)))
     if periods < 1:
         return False
     anchors = 2.0 * math.pi * np.arange(1, periods + 1) / lam_fast
@@ -127,9 +126,9 @@ def equality_feasible(spec: ChainSpec, t_search: float = 1e4) -> bool:
         nearest = (2.0 * math.pi / freq) * np.round(anchors * freq / (2.0 * math.pi))
         lows = np.maximum(lows, nearest - width)
         highs = np.minimum(highs, nearest + width)
-    hits = np.nonzero((lows <= highs) & (highs > 0.0) & (lows <= horizon))[0]
+    hits = np.nonzero((lows <= highs) & (highs > 0.0) & (lows <= _T_SEARCH))[0]
     for idx in hits:
-        t0 = 0.5 * (max(lows[idx], 0.0) + min(highs[idx], horizon))
+        t0 = 0.5 * (max(lows[idx], 0.0) + min(highs[idx], _T_SEARCH))
         if np.min(np.abs(np.cos(0.5 * lam * t0))) >= 1.0 - _EXTREME_TOL:
             return True
     return False

@@ -1,16 +1,19 @@
 """Chain geometry: parameter bundle and one-excitation coupling matrix.
 
 An open chain of N spins interacts through nearest-neighbour XY
-couplings that alternate bond by bond between two strengths.  Writing
-d1 for the odd bonds (1-2, 3-4, ...) and d2 = delta * d1 for the even
-bonds (2-3, 4-5, ...), the one-excitation block of the Hamiltonian is
-the symmetric tridiagonal matrix
+couplings that alternate bond by bond between two strengths, D1 on the
+odd bonds (1-2, 3-4, ...) and D2 = delta * D1 on the even bonds (2-3,
+4-5, ...).  The model is written in units of D1, so delta is its only
+coupling parameter: the one-excitation block of the Hamiltonian is the
+symmetric tridiagonal matrix
 
-    D = tridiag(b, 0, b),   b = (d1, d2, d1, d2, ...),
+    D = tridiag(b, 0, b),   b = (1, delta, 1, delta, ...),
 
-with no on-site terms, so the chain is bipartite: every level has a
-partner of opposite sign.  Every other module consumes ChainSpec or the
-bands built here, so validation happens once, up front.
+its levels are in units of D1 and its times in units of 1/D1 (the d1_t
+columns of the CLI).  There are no on-site terms, so the chain is
+bipartite: every level has a partner of opposite sign.  Every other
+module consumes ChainSpec or the bands built here, so validation
+happens once, up front.
 """
 
 from __future__ import annotations
@@ -23,18 +26,15 @@ import numpy as np
 from .errors import ValidationError
 
 
-def alternating_couplings(
-    n_sites: int, d1: float | np.ndarray, d2: float | np.ndarray
-) -> np.ndarray:
-    """Bond strengths (d1, d2, d1, ...) along a last axis of length N-1.
+def alternating_couplings(n_sites: int, delta: float | np.ndarray) -> np.ndarray:
+    """Bond strengths (1, delta, 1, ...) along a last axis of length N-1.
 
-    d1 and d2 broadcast against each other: arrays of shape (B,) give
-    the (B, N-1) bonds of a stack of chains.
+    An array of ratios of shape (B,) gives the (B, N-1) bonds of a stack
+    of chains.
     """
-    d1, d2 = np.asarray(d1, dtype=float), np.asarray(d2, dtype=float)
-    bonds = np.empty(np.broadcast_shapes(d1.shape, d2.shape) + (n_sites - 1,))
-    bonds[..., 0::2] = d1[..., None]
-    bonds[..., 1::2] = d2[..., None]
+    delta = np.asarray(delta, dtype=float)
+    bonds = np.ones(delta.shape + (n_sites - 1,))
+    bonds[..., 1::2] = delta[..., None]
     return bonds
 
 
@@ -43,38 +43,30 @@ class ChainSpec:
     """Immutable description of one alternating chain.
 
     n_sites: number of spins, at least 2.
-    delta:   bond-strength ratio d2 / d1, finite and strictly positive.
-    d1:      odd-bond coupling, finite and strictly positive; the default 1.0
-             makes every reported time the dimensionless product d1*t.
+    delta:   bond-strength ratio D2 / D1, finite and strictly positive.
 
-    The sites carry no on-site precession, as in the paper's model.
+    Couplings are in units of D1, so every reported time is the
+    dimensionless product D1*t.  The sites carry no on-site precession,
+    as in the paper's model.
     """
 
     n_sites: int
     delta: float
-    d1: float = 1.0
 
     def __post_init__(self) -> None:
         if not isinstance(self.n_sites, (int, np.integer)) or isinstance(self.n_sites, bool):
             raise ValidationError(f"n_sites must be an integer, got {self.n_sites!r}")
         if self.n_sites < 2:
             raise ValidationError(f"n_sites must be at least 2, got {self.n_sites}")
-        d1, delta = float(self.d1), float(self.delta)
-        if not (math.isfinite(d1) and d1 > 0.0):
-            raise ValidationError(f"d1 must be positive and finite, got {self.d1}")
+        delta = float(self.delta)
         if not (math.isfinite(delta) and delta > 0.0):
             raise ValidationError(f"delta must be positive and finite, got {self.delta}")
         object.__setattr__(self, "n_sites", int(self.n_sites))
         object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "d1", d1)
-
-    @property
-    def d2(self) -> float:
-        return self.delta * self.d1
 
     def couplings(self) -> np.ndarray:
-        """Bond strengths (d1, d2, d1, ...) as a length N-1 array."""
-        return alternating_couplings(self.n_sites, self.d1, self.d2)
+        """Bond strengths (1, delta, 1, ...) as a length N-1 array."""
+        return alternating_couplings(self.n_sites, self.delta)
 
     def even_regime_threshold(self) -> float:
         """Lower delta limit (N+2)/N for the even-N closed forms."""
@@ -118,8 +110,8 @@ class CouplingMatrix:
 def build_coupling_matrix(spec: ChainSpec) -> CouplingMatrix:
     """Assemble the tridiagonal matrix for a chain description.
 
-    Bond counting: bond n joins sites n and n+1 and carries d1 for odd
-    n, d2 for even n.  Consequently the final bond is d1 when N is even
-    and d2 when N is odd, and floor((N-1)/2) bonds carry d2.
+    Bond counting: bond n joins sites n and n+1 and carries 1 for odd
+    n, delta for even n.  Consequently the final bond is 1 when N is
+    even and delta when N is odd, and floor((N-1)/2) bonds carry delta.
     """
     return CouplingMatrix(offdiagonal=spec.couplings())

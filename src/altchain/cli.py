@@ -69,8 +69,6 @@ def _int_list(text: str) -> list[int]:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
@@ -83,8 +81,6 @@ def _json_scalar(value) -> str:
         if math.isnan(value) or math.isinf(value):
             return "null"
         return format(value, ".12g")
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
     return json.dumps(str(value))

@@ -234,7 +234,7 @@ def transfer_probability_even_form(
     The coefficients are the products u_Nj * u_1j of the closed-form
     eigenvectors, so this must agree with the spectral sum to 1e-10.
     """
-    n, d1, d2 = spec.n_sites, spec.d1, spec.d2
+    n, delta = spec.n_sites, spec.delta
     if n % 2 != 0:
         raise ValidationError(f"even-chain form needs even N, got {n}")
     times, scalar = _as_times(t)
@@ -244,11 +244,11 @@ def transfer_probability_even_form(
     lam = np.empty(n // 2)
     coeff = np.empty(n // 2)
     if xs.size:
-        lam[:-1] = np.sqrt(d1 * d1 + d2 * d2 + 2.0 * d1 * d2 * np.cos(xs))
+        lam[:-1] = np.sqrt(1.0 + delta * delta + 2.0 * delta * np.cos(xs))
         norm_sq = 2.0 / ((n + 1) - np.sin((n + 1) * xs) / np.sin(xs))
         signs = np.where(np.arange(1, xs.size + 1) % 2 == 1, 1.0, -1.0)
         coeff[:-1] = norm_sq * signs * np.sin(0.5 * n * xs) ** 2
-    lam[-1] = math.sqrt(d1 * d1 + d2 * d2 - 2.0 * d1 * d2 * math.cosh(y))
+    lam[-1] = math.sqrt(1.0 + delta * delta - 2.0 * delta * math.cosh(y))
     norm_sq_h = 2.0 / (math.sinh((n + 1) * y) / math.sinh(y) - (n + 1))
     sign_h = 1.0 if (n // 2 + 1) % 2 == 0 else -1.0
     coeff[-1] = sign_h * norm_sq_h * math.sinh(0.5 * n * y) ** 2
@@ -261,14 +261,14 @@ def transfer_probability_even_form(
 def transfer_probability_odd_form(spec: ChainSpec, t: float | np.ndarray) -> float | np.ndarray:
     """P_N(t) of an odd chain as a cosine series plus a constant.
 
-    P = |2 * sum_j A^2 (d1^2 delta / lambda_j^2)
+    P = |2 * sum_j A^2 (delta / lambda_j^2)
              * sin(2 pi j/(N+1)) sin(pi j (N-1)/(N+1)) cos(lambda_j t/2)
          + B^2 (-delta)^((N-1)/2)|^2,
 
     with A^2 = 2/(N+1) and B the zero-mode end weight.  The constant
     is the permanent imprint of the zero mode on both chain ends.
     """
-    n, d1, delta = spec.n_sites, spec.d1, spec.delta
+    n, delta = spec.n_sites, spec.delta
     if n % 2 != 1:
         raise ValidationError(f"odd-chain form needs odd N, got {n}")
     times, scalar = _as_times(t)
@@ -276,10 +276,10 @@ def transfer_probability_odd_form(spec: ChainSpec, t: float | np.ndarray) -> flo
     m = (n - 1) // 2
     j = np.arange(1, m + 1)
     theta = 2.0 * math.pi * j / (n + 1)
-    lam_sq = d1 * d1 * (1.0 + 2.0 * delta * np.cos(theta) + delta * delta)
+    lam_sq = 1.0 + 2.0 * delta * np.cos(theta) + delta * delta
     lam = np.sqrt(lam_sq)
     amp_sq = 2.0 / (n + 1)
-    coeff = amp_sq * (d1 * d1 * delta / lam_sq) * np.sin(theta) * np.sin(
+    coeff = amp_sq * (delta / lam_sq) * np.sin(theta) * np.sin(
         math.pi * j * (n - 1) / (n + 1)
     )
     if abs(delta - 1.0) < 1e-8:

@@ -14,10 +14,6 @@ import numpy as np
 
 from .errors import NumericError
 
-# Default 0.0 runs the loop until the interval can no longer be split,
-# i.e. to 1-2 ulp; residuals then sit orders of magnitude under 1e-12.
-_BISECT_XTOL = 0.0
-
 
 def bracket_sign_changes(
     f: Callable[[np.ndarray], np.ndarray],
@@ -45,13 +41,11 @@ def bracket_sign_changes(
     return [(float(xs[i]), float(xs[i + 1])) for i in flips]
 
 
-def bisect(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    xtol: float = _BISECT_XTOL,
-) -> float:
-    """Bisect a sign-changing interval down to xtol (or machine) width."""
+def bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Bisect a sign-changing interval until it can no longer be split.
+
+    That is 1-2 ulp; residuals then sit orders of magnitude under 1e-12.
+    """
     flo = f(lo)
     fhi = f(hi)
     if flo == 0.0:
@@ -60,7 +54,7 @@ def bisect(
         return hi
     if np.sign(flo) == np.sign(fhi):
         raise NumericError(f"no sign change on [{lo}, {hi}]")
-    while hi - lo > xtol:
+    while hi - lo > 0.0:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break  # interval no longer splittable in float64

@@ -118,11 +118,16 @@ def _first_argmax(
 
 
 def _ratio_grid(lo: float, hi: float, step: float) -> np.ndarray:
-    """lo, lo + step, ... up to hi, with hi appended when the steps miss it."""
+    """lo, lo + step, ... up to hi, ending on hi exactly.
+
+    hi replaces a last step within 1e-12 of it and is appended when the
+    steps miss it by more.
+    """
     count = int(math.floor((hi - lo) / step + 1e-9))
     grid = lo + step * np.arange(count + 1)
     if grid[-1] < hi - 1e-12:
-        grid = np.append(grid, hi)
+        return np.append(grid, hi)
+    grid[-1] = hi
     return grid
 
 
@@ -142,17 +147,17 @@ def first_peak(spec: ChainSpec) -> TransferTriad:
     phases to keep digits (check_horizon) raises HorizonError.
     """
     lam, ends = spectra(spec.n_sites, [spec.delta])
-    return _spectrum_peak(spec.d1 * lam[0], ends[0], spec.d1, spec.delta)
+    return _spectrum_peak(lam[0], ends[0], spec.delta)
 
 
-def _spectrum_peak(lam: np.ndarray, ends: np.ndarray, d1: float, delta: float) -> TransferTriad:
-    """first_peak of the chain whose levels (scaled by d1) and end products are given."""
+def _spectrum_peak(lam: np.ndarray, ends: np.ndarray, delta: float) -> TransferTriad:
+    """first_peak of the chain whose levels and end products are given."""
     n = lam.size
     lam_min = float(lam[n // 2 - 1])
-    if lam_min < _DEGENERACY_FLOOR * d1:
+    if lam_min < _DEGENERACY_FLOOR:
         raise HorizonError(
             f"smallest positive eigenvalue {lam_min} is below the degeneracy "
-            f"floor {_DEGENERACY_FLOOR * d1:.3e}; the peak window is unbounded"
+            f"floor {_DEGENERACY_FLOOR:.3e}; the peak window is unbounded"
         )
     window = _WINDOW_FACTOR * math.pi / lam_min
     check_horizon(window, float(lam[0]))
@@ -255,7 +260,7 @@ def optimize_delta(n_sites: int, delta_lo: float, delta_hi: float) -> TransferTr
 
     def peaks(*stack: np.ndarray) -> np.ndarray:
         return np.array([
-            _spectrum_peak(lam, ends, 1.0, float(delta)).p_h for lam, ends, delta in zip(*stack)
+            _spectrum_peak(lam, ends, float(delta)).p_h for lam, ends, delta in zip(*stack)
         ])
 
     delta_h, _ = _ratio_search(n_sites, delta_lo, delta_hi, _DELTA_GRID, _DELTA_TOL, peaks)
@@ -276,7 +281,7 @@ def fixed_time_optimize(
         raise ValidationError(f"t_fixed must be positive and finite, got {t_fixed}")
     _validate_delta_range(delta_lo, delta_hi)  # before the horizon check reads delta_hi
     n = ChainSpec(n_sites, delta_lo).n_sites  # validates n_sites
-    check_horizon(t_fixed, 1.0 + delta_hi)  # lambda_max <= d1 + d2 on the whole range
+    check_horizon(t_fixed, 1.0 + delta_hi)  # lambda_max <= 1 + delta on the whole range
     delta_h, p_h = _ratio_search(
         n, delta_lo, delta_hi, _FIXED_TIME_GRID, _FIXED_TIME_TOL,
         lambda lam, ends, ratios: paired_transfer_probability(lam, ends, t_fixed),

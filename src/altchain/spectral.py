@@ -3,7 +3,7 @@
 The chain has no on-site terms, so it is bipartite.  With the sites
 ordered odd-then-even the coupling matrix is D = [[0, B], [B^T, 0]],
 with B the ceil(N/2) x floor(N/2) lower bidiagonal of the bonds (the
-d1 bonds on its diagonal).  The positive levels are the singular values
+odd bonds on its diagonal).  The positive levels are the singular values
 of B, the eigenvectors (x, +-y)/sqrt(2) from its singular vectors, and
 an odd chain's zero mode is the extra left singular vector (Golub and
 Kahan 1965).  Every computation of the library takes its spectrum from
@@ -23,9 +23,12 @@ same checks:
 * odd N, any positive delta: a fully explicit trigonometric family
   with a single zero mode localised on odd sites.
 
-Eigenvalues are sorted descending and pair exactly under negation:
-paired columns share their even-site components while odd-site
-components flip sign.
+The engine and both closed forms compute only the positive half of the
+spectrum and hand it to one assembler (_assemble), which lays out every
+site-ordered EigenSystem the same way: eigenvalues sorted descending
+and paired exactly under negation, partner columns sharing their
+odd-site components while even-site components flip sign, and each
+column's sign fixed by its first appreciable component.
 """
 
 from __future__ import annotations
@@ -209,26 +212,6 @@ def _validate_svd(
         raise NumericError("levels are not sorted in descending order")
 
 
-def _validate_eigensystem(lam: np.ndarray, vectors: np.ndarray, spec: ChainSpec) -> None:
-    """The checks of the SVD engine on a site-ordered paired eigensystem.
-
-    Columns j < N/2 are (x, y)/sqrt(2) with level lam[j] = s_j, and an
-    odd chain's zero mode is column N//2; their partners are copies.
-    """
-    n, half = spec.n_sites, spec.n_sites // 2
-    u = vectors[0::2, : (n + 1) // 2].copy()
-    u[:, :half] *= np.sqrt(2.0)
-    v = vectors[1::2, :half] * np.sqrt(2.0)
-    _validate_svd(spec.couplings()[None], lam[None, :half], u[None], v[None])
-
-
-def _flip_odd_sites(column: np.ndarray) -> np.ndarray:
-    """Partner column for the negated eigenvalue: odd sites change sign."""
-    partner = column.copy()
-    partner[0::2] = -partner[0::2]
-    return partner
-
-
 def eigensystem_even(spec: ChainSpec) -> EigenSystem:
     """Closed-form eigensystem of an even chain (delta above (N+2)/N).
 
@@ -239,92 +222,66 @@ def eigensystem_even(spec: ChainSpec) -> EigenSystem:
     site signs and carries the smallest |eigenvalue| of the spectrum.
     """
     roots = solve_even_roots(spec)
-    n, d1, d2 = spec.n_sites, spec.d1, spec.d2
+    n, delta = spec.n_sites, spec.delta
     half = n // 2
     y = roots.y_root
     if (n + 1) * y > 300.0:
         raise NumericError(
-            f"hyperbolic normalisation would overflow for N={n}, delta={spec.delta}; "
+            f"hyperbolic normalisation would overflow for N={n}, delta={delta}; "
             "use the numeric eigensolver"
         )
 
-    k = np.arange(1, n + 1)
-    even_mask = k % 2 == 0
-    k_even = k[even_mask]
-    k_odd = k[~even_mask]
-
-    lam = np.empty(n)
-    vectors = np.empty((n, n))
-
+    k_odd, k_even = np.arange(1, n + 1, 2), np.arange(2, n + 1, 2)
+    levels, odd, even = np.empty(half), np.empty((half, half)), np.empty((half, half))
     for i, x in enumerate(roots.x_roots):
-        nu = i + 1
-        value = math.sqrt(d1 * d1 + d2 * d2 + 2.0 * d1 * d2 * math.cos(x))
         norm = math.sqrt(2.0) / math.sqrt((n + 1) - math.sin((n + 1) * x) / math.sin(x))
-        sign_b = 1.0 if nu % 2 == 1 else -1.0
-        column = np.empty(n)
-        column[even_mask] = norm * np.sin(0.5 * k_even * x)
-        column[~even_mask] = sign_b * norm * np.sin(0.5 * (n - k_odd + 1) * x)
-        lam[nu - 1] = value
-        vectors[:, nu - 1] = column
-        lam[n - nu] = -value
-        vectors[:, n - nu] = _flip_odd_sites(column)
+        sign_b = 1.0 if i % 2 == 0 else -1.0
+        levels[i] = math.sqrt(1.0 + delta * delta + 2.0 * delta * math.cos(x))
+        odd[:, i] = sign_b * norm * np.sin(0.5 * (n - k_odd + 1) * x)
+        even[:, i] = norm * np.sin(0.5 * k_even * x)
 
-    value = d1 * d1 + d2 * d2 - 2.0 * d1 * d2 * math.cosh(y)
+    value = 1.0 + delta * delta - 2.0 * delta * math.cosh(y)
     if value <= 0.0:
         raise NumericError(f"hyperbolic eigenvalue collapsed (lambda^2={value:.3e})")
-    value = math.sqrt(value)
     norm = math.sqrt(2.0) / math.sqrt(math.sinh((n + 1) * y) / math.sinh(y) - (n + 1))
     sign_b = 1.0 if half % 2 == 1 else -1.0
-    column = np.empty(n)
-    column[even_mask] = norm * np.power(-1.0, k_even // 2) * np.sinh(0.5 * k_even * y)
-    column[~even_mask] = (
+    levels[-1] = math.sqrt(value)
+    odd[:, -1] = (
         sign_b * norm * np.power(-1.0, (n - k_odd + 1) // 2) * np.sinh(0.5 * (n - k_odd + 1) * y)
     )
-    lam[half - 1] = value
-    vectors[:, half - 1] = column
-    lam[half] = -value
-    vectors[:, half] = _flip_odd_sites(column)
+    even[:, -1] = norm * np.power(-1.0, k_even // 2) * np.sinh(0.5 * k_even * y)
 
-    _validate_eigensystem(lam, vectors, spec)
-    return EigenSystem(eigenvalues=lam, vectors=vectors, provenance=PROVENANCE_ANALYTIC_EVEN)
+    root2 = math.sqrt(2.0)
+    _validate_svd(spec.couplings()[None], levels[None], root2 * odd[None], root2 * even[None])
+    return _assemble(levels, odd, even, PROVENANCE_ANALYTIC_EVEN)
 
 
 def eigensystem_odd(spec: ChainSpec) -> EigenSystem:
     """Closed-form eigensystem of an odd chain, any positive delta.
 
     Writing theta_nu = 2 pi nu / (N+1), the nonzero levels are
-    +-d1*sqrt(1 + 2 delta cos(theta_nu) + delta^2); even sites hold
+    +-sqrt(1 + 2 delta cos(theta_nu) + delta^2); even sites hold
     A*sin(pi nu j/(N+1)) and odd sites the delta-weighted combination
     of the two neighbouring even-site sines.  The zero mode lives on
     odd sites only, with geometrically decaying weight (-delta)^((N-j)/2).
     """
-    n, d1, delta = spec.n_sites, spec.d1, spec.delta
+    n, delta = spec.n_sites, spec.delta
     if n % 2 != 1:
         raise ValidationError(f"eigensystem_odd needs an odd chain, got N={n}")
     m = (n - 1) // 2
 
-    j = np.arange(1, n + 1)
-    odd_mask = j % 2 == 1
-    j_even = j[~odd_mask]
-    j_odd = j[odd_mask]
-
-    lam = np.empty(n)
-    vectors = np.empty((n, n))
+    j_odd, j_even = np.arange(1, n + 1, 2), np.arange(2, n + 1, 2)
+    levels, odd, even = np.empty(m), np.empty((m + 1, m + 1)), np.empty((m, m))
     amp = math.sqrt(2.0 / (n + 1))
-
     for nu in range(1, m + 1):
         theta = 2.0 * math.pi * nu / (n + 1)
-        value = d1 * math.sqrt(1.0 + 2.0 * delta * math.cos(theta) + delta * delta)
+        value = math.sqrt(1.0 + 2.0 * delta * math.cos(theta) + delta * delta)
         phase = math.pi * nu / (n + 1)
-        column = np.empty(n)
-        column[~odd_mask] = amp * np.sin(phase * j_even)
-        column[odd_mask] = (amp * d1 / value) * (
+        levels[nu - 1] = value
+        odd[:, nu - 1] = (amp / value) * (
             delta * np.sin(phase * (j_odd - 1)) + np.sin(phase * (j_odd + 1))
         )
-        lam[nu - 1] = value
-        vectors[:, nu - 1] = column
-        lam[n - nu] = -value
-        vectors[:, n - nu] = _flip_odd_sites(column)
+        even[:, nu - 1] = amp * np.sin(phase * j_even)
 
     if abs(delta - 1.0) < 1e-8:
         weight = math.sqrt(2.0 / (n + 1))
@@ -333,13 +290,13 @@ def eigensystem_odd(spec: ChainSpec) -> EigenSystem:
             weight = math.sqrt((delta * delta - 1.0) / (delta ** (n + 1) - 1.0))
         except OverflowError:
             weight = 0.0  # validation below reports the breakdown
-    column = np.zeros(n)
-    column[odd_mask] = weight * np.power(-delta, (n - j_odd) // 2)
-    lam[m] = 0.0
-    vectors[:, m] = column
+    odd[:, m] = weight * np.power(-delta, (n - j_odd) // 2)
 
-    _validate_eigensystem(lam, vectors, spec)
-    return EigenSystem(eigenvalues=lam, vectors=vectors, provenance=PROVENANCE_ANALYTIC_ODD)
+    root2 = math.sqrt(2.0)
+    u = root2 * odd
+    u[:, m] = odd[:, m]  # the zero mode is a unit singular vector as it stands
+    _validate_svd(spec.couplings()[None], levels[None], u[None], root2 * even[None])
+    return _assemble(levels, odd, even, PROVENANCE_ANALYTIC_ODD)
 
 
 def _bond_svd(bonds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -349,10 +306,11 @@ def _bond_svd(bonds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     (S, ceil(N/2), ceil(N/2)) and V (S, N//2, N//2), singular vectors
     in columns.  For even N the smallest level, the edge-mode splitting
     that shrinks exponentially with N above (N+2)/N, is set from
-    det B = d1^(N/2): s_min = d1 * prod_j (d1 / s_j) over the other
-    levels, summed in logarithms so that no chain length overflows.
-    LAPACK bounds its error only by eps*s_max; the other levels stay
-    away from 0, so the identity keeps s_min to full relative precision.
+    det B, the product of its diagonal bonds: s_min = det B / prod_j s_j
+    over the other levels, summed in logarithms so that no chain length
+    overflows.  LAPACK bounds its error only by eps*s_max; the other
+    levels stay away from 0, so the identity keeps s_min to full
+    relative precision.
     """
     n = bonds.shape[1] + 1
     diag, sub = bonds[:, 0::2], bonds[:, 1::2]
@@ -387,30 +345,42 @@ def _paired_levels(levels: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate([levels, zero, -levels[..., ::-1]], axis=-1)
 
 
-def eigensystem_numeric(matrix: CouplingMatrix) -> EigenSystem:
-    """Diagonalise a coupling matrix through the SVD of its bond bidiagonal.
+def _assemble(levels: np.ndarray, x: np.ndarray, y: np.ndarray, provenance: str) -> EigenSystem:
+    """Site-ordered EigenSystem from the positive half of a paired spectrum.
 
-    The single-chain case of the engine: column j < N/2 is
-    (x_j, y_j)/sqrt(2) for level s_j, its partner -s_j is
-    (x_j, -y_j)/sqrt(2), and an odd chain's zero mode (x_0, 0) sits in
-    column N//2 at level exactly 0, each written back in site order.
-    Each column is normalised to a deterministic sign: its first
-    component of appreciable size is made positive.
+    levels holds the N//2 positive levels, descending; x (ceil(N/2)
+    columns) and y (N//2 columns) hold the odd- and even-site components
+    of their eigenvectors, and the last column of x is an odd chain's
+    zero mode.  This is the one place partners are laid out: column
+    j < N//2 is (x_j, y_j) at level s_j, its partner, column N-1-j, is
+    (x_j, -y_j) at -s_j, and the zero mode (x_0, 0) sits in column N//2
+    at level exactly 0.  Each column is normalised to a deterministic
+    sign: its first component of appreciable size is made positive.
     """
-    n, half = matrix.size, matrix.size // 2
-    levels, u, v = (w[0] for w in _bond_svd(matrix.offdiagonal[None]))
-    x, y = u[:, :half] / np.sqrt(2.0), v / np.sqrt(2.0)
+    half = levels.size
+    n = x.shape[0] + half
     vectors = np.zeros((n, n))
-    vectors[0::2, :half], vectors[1::2, :half] = x, y
-    vectors[0::2, n - half:], vectors[1::2, n - half:] = x[:, ::-1], -y[:, ::-1]
-    if n % 2:
-        vectors[0::2, half] = u[:, half]
+    vectors[0::2, :half], vectors[1::2, :half] = x[:, :half], y
+    vectors[0::2, n - half:], vectors[1::2, n - half:] = x[:, :half][:, ::-1], -y[:, ::-1]
+    vectors[0::2, half:n - half] = x[:, half:]
     mag = np.abs(vectors)
     lead = vectors[np.argmax(mag > 1e-12 * mag.max(axis=0), axis=0), np.arange(n)]
     vectors *= np.where(lead < 0.0, -1.0, 1.0)
-    return EigenSystem(
-        eigenvalues=_paired_levels(levels, n), vectors=vectors, provenance=PROVENANCE_NUMERIC
-    )
+    return EigenSystem(eigenvalues=_paired_levels(levels, n), vectors=vectors, provenance=provenance)
+
+
+def eigensystem_numeric(matrix: CouplingMatrix) -> EigenSystem:
+    """Diagonalise a coupling matrix through the SVD of its bond bidiagonal.
+
+    The single-chain case of the engine: the eigenvectors of level s_j
+    are (u_j, +-v_j)/sqrt(2) from the singular vectors of B, and an odd
+    chain's zero mode is the extra column of u as it stands.
+    """
+    half = matrix.size // 2
+    levels, u, v = (w[0] for w in _bond_svd(matrix.offdiagonal[None]))
+    x = u / np.sqrt(2.0)
+    x[:, half:] = u[:, half:]
+    return _assemble(levels, x, v / np.sqrt(2.0), PROVENANCE_NUMERIC)
 
 
 def eigensystem_for(spec: ChainSpec) -> EigenSystem:
@@ -419,7 +389,7 @@ def eigensystem_for(spec: ChainSpec) -> EigenSystem:
 
 
 def spectra(n_sites: int, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Spectra of a stack of chains (d1 = 1) that differ only in ratio.
+    """Spectra of a stack of chains that differ only in ratio.
 
     The stack case of the engine: one stacked SVD of the B ratios'
     bond bidiagonals.  Returns the (B, N) eigenvalues, descending per
@@ -437,7 +407,7 @@ def spectra(n_sites: int, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not (np.all(np.isfinite(ratios)) and np.all(ratios > 0.0)):
         raise ValidationError("deltas must be finite and positive")
     half = n // 2
-    levels, u, v = _bond_svd(alternating_couplings(n, 1.0, ratios))
+    levels, u, v = _bond_svd(alternating_couplings(n, ratios))
     if n % 2 == 0:
         ends = 0.5 * u[:, 0, :] * v[:, -1, :]
         mirrored = -ends[:, ::-1]

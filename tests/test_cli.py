@@ -1,6 +1,7 @@
 """Command-line surface: schemas, determinism, exit codes."""
 
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -71,6 +72,29 @@ def test_table1_schema(capsys):
     first = lines[1].split(",")
     assert first[0] == "4"
     assert float(first[2]) == pytest.approx(8.084, abs=0.01)
+
+
+def test_table1_json_refused_row_is_null(capsys, caplog):
+    # N=32 at ratio 2.38 lies beyond the phase horizon: its row stays, as nulls
+    with caplog.at_level(logging.WARNING):
+        code, out, _ = run_cli(
+            "table1", "--delta", "2.38", "--n", "4,32", "--format", "json", capsys=capsys
+        )
+    assert code == 0
+    rows = json.loads(out)
+    assert [row["n"] for row in rows] == [4, 32]
+    assert rows[0]["p_h1"] == pytest.approx(0.990450029154, abs=1e-12)
+    assert [rows[1][key] for key in ("d1_t_h1", "p_h1", "pi_over_lambda_min")] == [None] * 3
+    assert any("N=32 skipped" in record.getMessage() for record in caplog.records)
+
+
+def test_eigs_json_quotes_provenance(capsys):
+    code, out, _ = run_cli("eigs", "--n", "5", "--delta", "2", "--format", "json", capsys=capsys)
+    assert code == 0
+    assert '"provenance": "numeric"' in out
+    rows = json.loads(out)
+    assert [row["nu"] for row in rows] == [1, 2, 3, 4, 5]
+    assert rows[2]["lambda"] == 0
 
 
 def test_ideal4_first_row(capsys):

@@ -136,18 +136,10 @@ def test_ratio_grid_takes_one_stacked_solve(monkeypatch):
     assert calls[0] == 51 and set(calls[1:]) == {1}  # the grid, then the polish
     grid = 2.3 + 0.002 * np.arange(51)
     stacked = [
-        search_mod._spectrum_peak(lam, ends, 1.0, float(delta))
+        search_mod._spectrum_peak(lam, ends, float(delta))
         for lam, ends, delta in zip(*spectra(8, grid), grid)
     ]
     assert stacked == [first_peak(ChainSpec(8, float(delta))) for delta in grid]
-
-
-def test_first_peak_scales_with_d1():
-    unit = first_peak(ChainSpec(8, 2.38))
-    fast = first_peak(ChainSpec(8, 2.38, d1=2.0))
-    assert fast.t_h == pytest.approx(unit.t_h / 2.0, rel=1e-12)
-    assert fast.p_h == pytest.approx(unit.p_h, abs=1e-12)
-    assert fast.lambda_min_estimate == pytest.approx(unit.lambda_min_estimate / 2.0, rel=1e-15)
 
 
 def test_searches_assemble_no_eigensystem(monkeypatch):
@@ -231,6 +223,8 @@ def _per_ratio_fixed_time(n, t, lo, hi):
     grid = lo + 0.001 * np.arange(count + 1)
     if grid[-1] < hi - 1e-12:
         grid = np.append(grid, hi)
+    else:
+        grid[-1] = hi
 
     def arrival(delta):
         return float(transfer_probability(eigensystem_for(ChainSpec(n, float(delta))), t))
@@ -298,12 +292,27 @@ def test_optimize_keeps_range_end_winner(n, lo, hi, end):
 
 @pytest.mark.parametrize(
     "lo,hi,end,p_h",
-    [(2.40, 2.45, 2.45, 0.6756179163499779), (2.56, 2.60, 2.56, 0.7699166500418397)],
+    [(2.40, 2.45, 2.45, 0.6756179163499813), (2.56, 2.60, 2.56, 0.7699166500418397)],
 )
 def test_fixed_time_keeps_range_end_winner(lo, hi, end, p_h):
     triad = fixed_time_optimize(8, 60.0, lo, hi)
-    assert triad.delta_h == pytest.approx(end, abs=1e-12)
+    assert triad.delta_h == end
     assert triad.p_h == p_h
+
+
+@pytest.mark.parametrize(
+    "lo,hi,step,expected",
+    [
+        (2.0, 2.0005, 0.001, [2.0, 2.0005]),  # shorter than one step: hi appended
+        (2.40, 2.45, 0.001, 2.40 + 0.001 * np.arange(51)),  # last step a few ulp short
+        (2.3, 2.4, 0.002, 2.3 + 0.002 * np.arange(51)),
+    ],
+)
+def test_ratio_grid_ends_on_hi(lo, hi, step, expected):
+    grid = search_mod._ratio_grid(lo, hi, step)
+    assert grid[0] == lo and grid[-1] == hi
+    assert np.allclose(grid, expected, rtol=0.0, atol=1e-12)
+    assert np.all(np.diff(grid) > 0.0)
 
 
 @pytest.mark.parametrize("n,lo,hi", [(4, 2.0, 3.0), (6, 2.3, 2.45), (8, 2.3, 2.4), (8, 2.5, 2.6)])
@@ -315,7 +324,13 @@ def test_optimize_never_below_its_grid(n, lo, hi):
 
 @pytest.mark.parametrize(
     "n,t,lo,hi",
-    [(8, 60.0, 2.0, 3.0), (8, 60.0, 2.40, 2.45), (7, 23.5, 1.6, 2.2), (6, 25.0, 2.0, 2.4)],
+    [
+        (8, 60.0, 2.0, 3.0),
+        (8, 60.0, 2.40, 2.45),
+        (7, 23.5, 1.6, 2.2),
+        (6, 25.0, 2.0, 2.4),
+        (8, 20.0, 2.0, 2.0005),  # shorter than one step: the grid is the two ends
+    ],
 )
 def test_fixed_time_never_below_its_grid(n, t, lo, hi):
     grid = search_mod._ratio_grid(lo, hi, 0.001)
