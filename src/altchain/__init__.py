@@ -11,20 +11,17 @@ parameters.
 
 from __future__ import annotations
 
-from .bounds import BoundReport, bound_report, equality_feasible
+from .bounds import BoundReport, bound_report
 from .chain import ChainSpec, CouplingMatrix, build_coupling_matrix
 from .dynamics import (
     TransferCurve,
     full_space_amplitude,
-    full_space_state,
-    node_amplitudes,
     node_probability,
     paired_transfer_probability,
     sample_curve,
     transfer_probability,
     transfer_probability_even_form,
     transfer_probability_odd_form,
-    z_projection_expectation,
 )
 from .errors import (
     HorizonError,
@@ -38,7 +35,6 @@ from .ideal4 import IdealSolution, ideal_solutions, n4_frequencies, n4_probabili
 from .search import (
     SweepRow,
     TransferTriad,
-    dwell_window,
     first_peak,
     fixed_time_optimize,
     optimize_delta,
@@ -82,8 +78,6 @@ __all__ = [
     "VerificationError",
     "bound_report",
     "build_coupling_matrix",
-    "dwell_window",
-    "equality_feasible",
     "eigensystem_even",
     "eigensystem_for",
     "eigensystem_numeric",
@@ -91,11 +85,9 @@ __all__ = [
     "first_peak",
     "fixed_time_optimize",
     "full_space_amplitude",
-    "full_space_state",
     "ideal_solutions",
     "n4_frequencies",
     "n4_probability",
-    "node_amplitudes",
     "node_probability",
     "optimize_delta",
     "paired_transfer_probability",
@@ -107,6 +99,5 @@ __all__ = [
     "transfer_probability",
     "transfer_probability_even_form",
     "transfer_probability_odd_form",
-    "z_projection_expectation",
     "__version__",
 ]

@@ -15,8 +15,8 @@ are normalised to delta >= 1: inverting delta mirrors the chain, so
 a ratio below 1 is a caller mix-up rather than a new regime.
 
 Saturating the cap needs every cosine at an extreme simultaneously
-and delta = 1; a three-site chain manages that exactly, longer odd
-chains never do, which equality_feasible confirms empirically.
+and delta = 1; a three-site chain, with its single frequency, manages
+that exactly.
 """
 
 from __future__ import annotations
@@ -28,10 +28,6 @@ import numpy as np
 
 from .chain import ChainSpec
 from .errors import ValidationError
-
-_EXTREME_TOL = 1e-9
-# equality_feasible looks for a common extreme at times 0 < t0 <= this
-_T_SEARCH = 1e4
 
 
 @dataclass(frozen=True)
@@ -86,49 +82,3 @@ def bound_report(spec: ChainSpec) -> BoundReport:
         p_bound=((delta_max * (n - 1) + 2.0) / (n + 1)) ** 2,
     )
 
-
-def equality_feasible(spec: ChainSpec) -> bool:
-    """Can every cosine in the series hit an extreme at one moment?
-
-    Checks for a time 0 < t0 <= 1e4 at which
-    |cos(lambda_j t0 / 2)| >= 1 - 1e-9 for every positive frequency of
-    a uniform odd chain (delta = 1).  Candidate times are anchored on
-    the half-periods of the fastest frequency, because any solution
-    must sit within its extreme window; the trivial window around
-    t = 0, where every cosine is still near 1, does not count as a
-    recurrence and is excluded.  Each remaining frequency contributes
-    an interval around its own nearest extreme, and a solution exists
-    exactly when the intervals intersect.
-
-    A three-site chain has a single frequency, so every half-period
-    works; numerical sweeps confirm the answer is negative for five
-    and seven sites.
-    """
-    n, delta = spec.n_sites, spec.delta
-    if n % 2 != 1:
-        raise ValidationError(f"equality_feasible needs an odd chain, got N={n}")
-    if abs(delta - 1.0) > 1e-12:
-        raise ValidationError(f"equality_feasible is defined at delta=1, got {delta}")
-
-    m = (n - 1) // 2
-    j = np.arange(1, m + 1)
-    lam = np.sqrt(2.0 + 2.0 * np.cos(2.0 * math.pi * j / (n + 1)))
-    # |cos(lam t/2)| >= 1 - tol within this distance of an extreme time
-    widths = 2.0 * math.acos(1.0 - _EXTREME_TOL) / lam
-    lam_fast = lam[0]
-    periods = int(math.floor(_T_SEARCH * lam_fast / (2.0 * math.pi)))
-    if periods < 1:
-        return False
-    anchors = 2.0 * math.pi * np.arange(1, periods + 1) / lam_fast
-    lows = np.full(anchors.size, -np.inf)
-    highs = np.full(anchors.size, np.inf)
-    for freq, width in zip(lam, widths):
-        nearest = (2.0 * math.pi / freq) * np.round(anchors * freq / (2.0 * math.pi))
-        lows = np.maximum(lows, nearest - width)
-        highs = np.minimum(highs, nearest + width)
-    hits = np.nonzero((lows <= highs) & (highs > 0.0) & (lows <= _T_SEARCH))[0]
-    for idx in hits:
-        t0 = 0.5 * (max(lows[idx], 0.0) + min(highs[idx], _T_SEARCH))
-        if np.min(np.abs(np.cos(0.5 * lam * t0))) >= 1.0 - _EXTREME_TOL:
-            return True
-    return False

@@ -96,9 +96,6 @@ class CouplingMatrix:
     def size(self) -> int:
         return self.offdiagonal.shape[0] + 1
 
-    def to_dense(self) -> np.ndarray:
-        return np.diag(self.offdiagonal, 1) + np.diag(self.offdiagonal, -1)
-
     def apply(self, x: np.ndarray) -> np.ndarray:
         """D @ x from the band, for x of shape (N, K)."""
         out = np.zeros_like(x, dtype=float)

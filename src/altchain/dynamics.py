@@ -9,18 +9,23 @@ and P_k(t) = |a_k(t)|^2; the end-to-end transfer probability is P_N.
 The factor 1/2 reflects that the spin Hamiltonian restricted to one
 excitation equals D/2.
 
-Two reduced forms rewrite P_N without complex arithmetic: the paired
-+-lambda structure of the bipartite chain collapses the sum to pure
-sines (even N) or pure cosines plus a zero-mode constant (odd N).
-Both are checked against the spectral sum, and the spectral sum in
-turn against brute-force evolution of the full 2^N spin space.  The
-same folding applied to the spectrum of one chain or of a stack, as
-spectral.spectra returns it, is paired_transfer_probability, the P_N
-kernel of every search.  On a uniform time grid t_k = k*step the
-series follows from angle addition, sin((K + r) a) from the sines and
-cosines at block starts K and offsets r, as two small matrix products
-per block of samples (paired_grid_probability); the peak scan uses it
-to pick its best sample.
+The bipartite chain pairs its levels as +-lambda, with partner columns
+(x, +-y) when the sites are ordered odd-then-even, so the sum folds
+into N/2 real terms at every node: pure cosines plus a zero-mode
+constant on odd nodes, pure sines on even nodes.  That series,
+applied to one chain or to a stack as spectral.spectra returns it, is
+paired_transfer_probability, the one probability kernel: every search,
+every sampled curve (node_probability, sample_curve) and the verify
+checks on sampled curves run on it.  On a uniform time grid t_k =
+k*step the series follows from angle addition, sin((K + r) a) from the
+sines and cosines at block starts K and offsets r, as two small matrix
+products per block of samples (paired_grid_probability); the peak scan
+uses it to pick its best sample.
+
+transfer_probability keeps the complex spectral sum at node N as the
+reference route: the closed-form reduced series, the paired kernel and
+the brute-force evolution of the full 2^N spin space are checked
+against it.
 
 The module needs numpy only: the 2^N oracle is dense up to N=8 and
 imports scipy.sparse for its matrix-exponential action at 9 <= N <= 12,
@@ -35,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainSpec
-from .errors import HorizonError, ResourceError, ValidationError
+from .errors import HorizonError, NumericError, ResourceError, ValidationError
 from .spectral import EigenSystem, EvenRootSet
 
 _FULL_SPACE_MAX_SITES = 12
@@ -74,11 +79,6 @@ class TransferCurve:
         object.__setattr__(self, "probabilities", probs)
         object.__setattr__(self, "node", int(self.node))
 
-    def peak(self) -> tuple[float, float]:
-        """(time, probability) of the sampled maximum, earliest on ties."""
-        idx = int(np.argmax(self.probabilities))
-        return float(self.times[idx]), float(self.probabilities[idx])
-
 
 def _as_times(t: float | np.ndarray) -> tuple[np.ndarray, bool]:
     times = np.asarray(t, dtype=float)
@@ -103,51 +103,63 @@ def check_horizon(t_max: float, lam_max: float) -> None:
         )
 
 
-def node_amplitudes(eig: EigenSystem, times: np.ndarray) -> np.ndarray:
-    """Amplitudes on every site, shape (len(times), N); start is site 1."""
-    weights = eig.vectors * eig.vectors[0]
-    phases = np.exp(-0.5j * np.multiply.outer(times, eig.eigenvalues))
-    return phases @ weights.T
+def _node_weights(eig: EigenSystem, node: int) -> np.ndarray:
+    """The products u_1j * u_kj of node k = node, which must lie in 1..N."""
+    if not 1 <= node <= eig.size:
+        raise ValidationError(f"node must lie in 1..{eig.size}, got {node}")
+    return eig.vectors[0] * eig.vectors[node - 1]
 
 
 def node_probability(eig: EigenSystem, node: int, t: float | np.ndarray) -> float | np.ndarray:
-    """Occupation probability of one node; scalar in, scalar out."""
-    if not 1 <= node <= eig.size:
-        raise ValidationError(f"node must lie in 1..{eig.size}, got {node}")
-    times, scalar = _as_times(t)
-    phases = np.exp(-0.5j * np.multiply.outer(times, eig.eigenvalues))
-    probs = np.abs(phases @ (eig.vectors[node - 1] * eig.vectors[0])) ** 2
-    return float(probs[0]) if scalar else probs
+    """Occupation probability of one node by the paired series; scalar in, scalar out.
+
+    eig must pair its columns as every eigensystem of spectral does:
+    column j and column N-1-j are the partners at +-lambda_j.
+    """
+    return paired_transfer_probability(eig.eigenvalues, _node_weights(eig, node), t, node)
 
 
 def transfer_probability(eig: EigenSystem, t: float | np.ndarray) -> float | np.ndarray:
-    """End-to-end probability P_N(t) from a precomputed eigensystem."""
-    return node_probability(eig, eig.size, t)
+    """End-to-end probability P_N(t) as the complex spectral sum.
+
+    The reference route: the sum over all N eigenpairs as written in
+    the module docstring, with no use of the +-lambda pairing.
+    """
+    times, scalar = _as_times(t)
+    phases = np.exp(-0.5j * np.multiply.outer(times, eig.eigenvalues))
+    probs = np.abs(phases @ (eig.vectors[-1] * eig.vectors[0])) ** 2
+    return float(probs[0]) if scalar else probs
 
 
 def paired_transfer_probability(
-    lam: np.ndarray, ends: np.ndarray, t: float | np.ndarray
+    lam: np.ndarray, ends: np.ndarray, t: float | np.ndarray, node: int | None = None
 ) -> float | np.ndarray:
-    """P_N(t) from the positive half of the paired spectrum.
+    """P_k(t) of node k (default N) from the positive half of the paired spectrum.
 
-    lam and ends are (..., N): the descending eigenvalues and end
-    products c_j = u_1j * u_Nj of one chain or a stack, as from spectra.
-    The +-lambda partners share c_j up to the sign (-1)^(N+1), so
-    the spectral sum folds into N/2 real terms, P = s^2 with
+    lam and ends are (..., N): the descending eigenvalues and products
+    c_j = u_1j * u_kj of one chain or a stack; spectra returns them for
+    k = N.  Partner columns are (x, +-y) with x on the odd sites, so the
+    +-lambda partners share c_j on an odd node and flip its sign on an
+    even one, and the spectral sum folds into N/2 real terms, P = s^2
+    with
 
-        even N:  s = 2 * sum_j c_j sin(lambda_j t/2),
-        odd N:   s = 2 * sum_j c_j cos(lambda_j t/2) + c_0,
+        even k:  s = 2 * sum_j c_j sin(lambda_j t/2),
+        odd k:   s = 2 * sum_j c_j cos(lambda_j t/2) + c_0,
 
-    j over the positive eigenvalues and c_0 the end product of the zero
-    mode.  t is a scalar or (..., T); the result is (..., T), or (...).
+    j over the positive eigenvalues and c_0 the product of the zero
+    mode, which only an odd chain has.  t is a scalar or (..., T); the
+    result is (..., T), or (...).
     """
     times, scalar = _as_times(t)
-    half = lam.shape[-1] // 2
+    n = lam.shape[-1]
+    half = n // 2
     phases = 0.5 * times[..., :, None] * lam[..., None, :half]
-    if lam.shape[-1] % 2 == 0:
+    if (n if node is None else node) % 2 == 0:
         series = 2.0 * (np.sin(phases) @ ends[..., :half, None])
     else:
-        series = 2.0 * (np.cos(phases) @ ends[..., :half, None]) + ends[..., half:half + 1, None]
+        series = 2.0 * (np.cos(phases) @ ends[..., :half, None])
+        if n % 2 == 1:
+            series += ends[..., half:half + 1, None]
     probs = series[..., 0] ** 2
     if not scalar:
         return probs
@@ -208,18 +220,20 @@ def sample_curve(
     n_samples: int,
     node: int | None = None,
 ) -> TransferCurve:
-    """Uniform probability samples on [0, t_max], endpoints included.
+    """Uniform probability samples of one node (default N) on [0, t_max].
 
-    A t_max beyond check_horizon raises HorizonError.
+    The endpoints are included.  A node outside 1..N raises
+    ValidationError, and a t_max beyond check_horizon HorizonError.
     """
     if not (math.isfinite(t_max) and t_max > 0.0):
         raise ValidationError(f"t_max must be positive and finite, got {t_max}")
     if n_samples < 2:
         raise ValidationError(f"need at least 2 samples, got {n_samples}")
-    check_horizon(t_max, float(np.max(np.abs(eig.eigenvalues))))
     node = eig.size if node is None else node
+    weights = _node_weights(eig, node)
+    check_horizon(t_max, float(np.max(np.abs(eig.eigenvalues))))
     times = np.linspace(0.0, float(t_max), int(n_samples))
-    probs = node_probability(eig, node, times)
+    probs = paired_transfer_probability(eig.eigenvalues, weights, times, node)
     return TransferCurve(times=times, probabilities=probs, node=node)
 
 
@@ -233,6 +247,8 @@ def transfer_probability_even_form(
 
     The coefficients are the products u_Nj * u_1j of the closed-form
     eigenvectors, so this must agree with the spectral sum to 1e-10.
+    A hyperbolic level whose square rounds to <= 0 raises NumericError,
+    as in eigensystem_even.
     """
     n, delta = spec.n_sites, spec.delta
     if n % 2 != 0:
@@ -248,7 +264,10 @@ def transfer_probability_even_form(
         norm_sq = 2.0 / ((n + 1) - np.sin((n + 1) * xs) / np.sin(xs))
         signs = np.where(np.arange(1, xs.size + 1) % 2 == 1, 1.0, -1.0)
         coeff[:-1] = norm_sq * signs * np.sin(0.5 * n * xs) ** 2
-    lam[-1] = math.sqrt(1.0 + delta * delta - 2.0 * delta * math.cosh(y))
+    value = 1.0 + delta * delta - 2.0 * delta * math.cosh(y)
+    if value <= 0.0:
+        raise NumericError(f"hyperbolic eigenvalue collapsed (lambda^2={value:.3e})")
+    lam[-1] = math.sqrt(value)
     norm_sq_h = 2.0 / (math.sinh((n + 1) * y) / math.sinh(y) - (n + 1))
     sign_h = 1.0 if (n // 2 + 1) % 2 == 0 else -1.0
     coeff[-1] = sign_h * norm_sq_h * math.sinh(0.5 * n * y) ** 2
@@ -363,23 +382,3 @@ def full_space_amplitude(spec: ChainSpec, t: float | np.ndarray) -> complex | np
     times, scalar = _as_times(t)
     amps = _full_space_states(spec, times)[:, 1 << (spec.n_sites - 1)]
     return complex(amps[0]) if scalar else amps
-
-
-def full_space_state(spec: ChainSpec, t: float) -> np.ndarray:
-    """Full 2^N state at one time, for conservation-law checks."""
-    times, _ = _as_times(t)
-    return _full_space_states(spec, times[:1])[0]
-
-
-def z_projection_expectation(state: np.ndarray) -> float:
-    """Expectation of the total spin-z projection in a 2^N state."""
-    dim = state.size
-    n = dim.bit_length() - 1
-    if 1 << n != dim:
-        raise ValidationError(f"state length {dim} is not a power of two")
-    states = np.arange(dim, dtype=np.int64)
-    popcount = np.zeros(dim)
-    for i in range(n):
-        popcount += (states >> i) & 1
-    weights = popcount - 0.5 * n
-    return float(np.real(np.sum(np.abs(state) ** 2 * weights)))

@@ -31,13 +31,12 @@ import numpy as np
 
 from .chain import ChainSpec
 from .dynamics import (
-    TransferCurve,
     check_horizon,
     paired_grid_probability,
     paired_transfer_probability,
     paired_transfer_slope,
 )
-from .errors import HorizonError, ValidationError
+from .errors import HorizonError, ResourceError, ValidationError
 from .roots import bisect
 from .spectral import spectra
 
@@ -54,6 +53,8 @@ _FIXED_TIME_TOL = 1e-6
 _GRID_CHUNK_ENTRIES = 1 << 20
 _DEGENERACY_FLOOR = 1e-12
 _MAX_GRID_POINTS = 100_000_000
+# ratio grid steps at most; the default ranges take 500 or 1000
+_MAX_RATIO_STEPS = 1_000_000
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -121,9 +122,16 @@ def _ratio_grid(lo: float, hi: float, step: float) -> np.ndarray:
     """lo, lo + step, ... up to hi, ending on hi exactly.
 
     hi replaces a last step within 1e-12 of it and is appended when the
-    steps miss it by more.
+    steps miss it by more.  A range of more than _MAX_RATIO_STEPS steps
+    raises ResourceError before anything is allocated.
     """
-    count = int(math.floor((hi - lo) / step + 1e-9))
+    steps = (hi - lo) / step + 1e-9
+    if steps > _MAX_RATIO_STEPS:
+        raise ResourceError(
+            f"ratio range [{lo:.6g}, {hi:.6g}] needs {steps:.3g} steps of {step:g} "
+            f"(cap {_MAX_RATIO_STEPS})"
+        )
+    count = int(math.floor(steps))
     grid = lo + step * np.arange(count + 1)
     if grid[-1] < hi - 1e-12:
         return np.append(grid, hi)
@@ -324,24 +332,3 @@ def table1_sweep(delta: float, n_list: list[int]) -> list[SweepRow]:
 
     return [one_row(n) for n in lengths]
 
-
-def dwell_window(curve: TransferCurve, threshold: float) -> tuple[float, float] | None:
-    """Contiguous time interval around the sampled peak with P >= threshold.
-
-    Returns the (earliest, latest) sample times of the run of
-    consecutive samples containing the global maximum, or None when
-    even the peak stays below the threshold.
-    """
-    if not 0.0 < threshold <= 1.0:
-        raise ValidationError(f"threshold must lie in (0, 1], got {threshold}")
-    probs = curve.probabilities
-    peak = int(np.argmax(probs))
-    if probs[peak] < threshold:
-        return None
-    left = peak
-    while left > 0 and probs[left - 1] >= threshold:
-        left -= 1
-    right = peak
-    while right < probs.size - 1 and probs[right + 1] >= threshold:
-        right += 1
-    return float(curve.times[left]), float(curve.times[right])

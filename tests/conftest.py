@@ -4,6 +4,11 @@ import pytest
 from altchain import ChainSpec, eigensystem_for
 
 
+def dense_matrix(matrix):
+    """The N x N array of a CouplingMatrix, from its one band."""
+    return np.diag(matrix.offdiagonal, 1) + np.diag(matrix.offdiagonal, -1)
+
+
 @pytest.fixture(scope="session")
 def eig_n4_peak():
     # the four-site chain used throughout: ratio 2.272

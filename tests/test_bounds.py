@@ -10,7 +10,6 @@ from altchain import (
     ChainSpec,
     ValidationError,
     bound_report,
-    equality_feasible,
     eigensystem_for,
     transfer_probability,
 )
@@ -82,16 +81,3 @@ def test_cap_structure(half, delta):
     recomputed = ((report.delta_max * (n - 1) + 2.0) / (n + 1)) ** 2
     assert report.p_bound == pytest.approx(recomputed, abs=1e-12)
 
-
-def test_equality_feasible_three_sites():
-    assert equality_feasible(ChainSpec(3, 1.0)) is True
-
-
-def test_equality_infeasible_larger_chains():
-    assert equality_feasible(ChainSpec(5, 1.0)) is False
-    assert equality_feasible(ChainSpec(7, 1.0)) is False
-
-
-def test_equality_feasible_needs_uniform_ratio():
-    with pytest.raises(ValidationError):
-        equality_feasible(ChainSpec(5, 2.0))

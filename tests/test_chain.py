@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from altchain import ChainSpec, ValidationError, build_coupling_matrix
 from altchain.chain import CouplingMatrix, alternating_couplings
+from conftest import dense_matrix
 
 
 def test_basic_fields():
@@ -33,8 +34,8 @@ def test_stacked_layout_matches_each_chain():
         for i, delta in enumerate(deltas):
             spec = ChainSpec(n, float(delta))
             assert np.array_equal(bonds[i], spec.couplings())
-            dense = CouplingMatrix(bonds[i]).to_dense()
-            assert np.array_equal(dense, build_coupling_matrix(spec).to_dense())
+            dense = dense_matrix(CouplingMatrix(bonds[i]))
+            assert np.array_equal(dense, dense_matrix(build_coupling_matrix(spec)))
 
 
 @pytest.mark.parametrize(
@@ -60,7 +61,7 @@ def test_n_sites_must_be_integral():
 
 def test_matrix_is_exactly_symmetric():
     spec = ChainSpec(9, 1.7)
-    dense = build_coupling_matrix(spec).to_dense()
+    dense = dense_matrix(build_coupling_matrix(spec))
     assert np.array_equal(dense, dense.T)
 
 
@@ -89,5 +90,5 @@ def test_apply_matches_dense_product(n):
     # a non-unit band, as the engine accepts any positive bonds
     matrix = CouplingMatrix(0.7 * ChainSpec(n, 2.38).couplings())
     x = np.random.default_rng(n).standard_normal((n, 5))
-    expected = matrix.to_dense() @ x
+    expected = dense_matrix(matrix) @ x
     assert np.max(np.abs(matrix.apply(x) - expected)) <= 4e-16 * np.max(np.abs(expected))

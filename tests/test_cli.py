@@ -165,6 +165,24 @@ def test_beyond_horizon_exit_code(capsys, argv):
     assert err.startswith("numeric failure:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["optimize", "--n", "4", "--delta-min", "2", "--delta-max", "1e12"],
+                     id="optimize-1e12"),
+        pytest.param(["fixed-time", "--n", "8", "--time", "0.001", "--delta-min", "2",
+                      "--delta-max", "1e9"], id="fixed-time-1e9"),
+        pytest.param(["optimize", "--n", "4", "--delta-max", "1e300"], id="optimize-1e300"),
+    ],
+)
+def test_oversized_ratio_grid_exit_code(capsys, argv):
+    # refused before the grid is allocated: 5e14 points would need 3.55 PiB
+    code, out, err = run_cli(*argv, capsys=capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numeric failure:") and "cap 1000000" in err
+
+
 def test_long_time_within_horizon(capsys):
     code, out, _ = run_cli("fixed-time", "--n", "8", "--time", "1e5", capsys=capsys)
     assert code == 0

@@ -1,4 +1,4 @@
-"""Property tests over the numeric flags of `eigs` and `curve`.
+"""Property tests over the numeric flags of `eigs`, `curve` and `fixed-time`.
 
 Every input either exits 0 with finite values (probabilities in
 [0, 1]) or exits 1 or 3 with a message on stderr and nothing on stdout.
@@ -57,14 +57,42 @@ def test_eigs_outcomes(n, delta):
     delta=numbers(1e-3, 50.0),
     tmax=numbers(1e-3, 1e4),
     samples=counts(1, 400),
+    node=counts(1, 70),
 )
-def test_curve_outcomes(n, delta, tmax, samples):
+def test_curve_outcomes(n, delta, tmax, samples, node):
     code, rows = run(
-        ["curve", "--n", n, "--delta", delta, "--tmax", tmax, "--samples", samples]
+        ["curve", "--n", n, "--delta", delta, "--tmax", tmax, "--samples", samples,
+         "--node", node]
     )
     if code != 0:
+        # a node beyond the chain is invalid input, never a numeric failure
+        if node.isdigit() and n.isdigit() and int(node) > int(n) >= 2:
+            assert code == 1
         return
     assert len(rows) == int(samples)
     for t, p in rows:
         assert math.isfinite(float(t))
         assert 0.0 <= float(p) <= 1.0
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    n=st.integers(2, 12).map(str),
+    time=numbers(1e-3, 1e4),
+    delta_min=numbers(1e-3, 20.0),
+    delta_max=numbers(1e-3, 20.0),
+)
+def test_fixed_time_outcomes(n, time, delta_min, delta_max):
+    code, rows = run(
+        ["fixed-time", "--n", n, "--time", time, "--delta-min", delta_min,
+         "--delta-max", delta_max]
+    )
+    if code != 0:
+        return
+    [(n_out, t, delta_h, p_h)] = rows
+    assert n_out == n
+    # the ratio is printed to 12 digits, and so are the range ends here
+    lo, hi = (float(format(float(v), ".12g")) for v in (delta_min, delta_max))
+    assert lo <= float(delta_h) <= hi
+    assert math.isfinite(float(t))
+    assert 0.0 <= float(p_h) <= 1.0

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from altchain import (
     ChainSpec,
     HorizonError,
+    NumericError,
     ResourceError,
     ValidationError,
     build_coupling_matrix,
@@ -17,8 +18,6 @@ from altchain import (
     eigensystem_numeric,
     eigensystem_odd,
     full_space_amplitude,
-    full_space_state,
-    node_amplitudes,
     node_probability,
     paired_transfer_probability,
     sample_curve,
@@ -27,13 +26,30 @@ from altchain import (
     transfer_probability,
     transfer_probability_even_form,
     transfer_probability_odd_form,
-    z_projection_expectation,
 )
-from altchain.dynamics import paired_grid_probability
+from altchain.dynamics import _full_space_states, paired_grid_probability
 
 P_8303 = 0.9999853660555051  # four sites, ratio 2.272
 P_N5_EARLY = 0.9423883339086744  # five sites, uniform, first high peak
 P_N5_LATE = 0.9873483492828586  # five sites, uniform, revival near 43.757
+
+
+def complex_node_probability(eig, node, times):
+    """P_node as the complex sum over all N eigenpairs, without the pairing."""
+    phases = np.exp(-0.5j * np.multiply.outer(times, eig.eigenvalues))
+    return np.abs(phases @ (eig.vectors[node - 1] * eig.vectors[0])) ** 2
+
+
+def full_space_state(spec, t):
+    """The 2^N state at one time, from one excitation on site 1."""
+    return _full_space_states(spec, np.array([t]))[0]
+
+
+def z_projection_expectation(state):
+    """Expectation of the total spin-z projection in a 2^N state."""
+    n = state.size.bit_length() - 1
+    excited = sum((np.arange(state.size) >> i) & 1 for i in range(n))
+    return float(np.abs(state) ** 2 @ (excited - 0.5 * n))
 
 
 def test_four_site_peak(eig_n4_peak):
@@ -117,21 +133,38 @@ def test_odd_form_equals_spectral_sum():
 )
 def test_probabilities_stay_physical(n, delta, t):
     eig = eigensystem_for(ChainSpec(n, delta))
-    amps = node_amplitudes(eig, np.array([t]))
-    probs = np.abs(amps[0]) ** 2
-    assert np.all(probs >= -1e-12)
+    probs = np.array([node_probability(eig, node, t) for node in range(1, n + 1)])
+    assert np.all(probs >= 0.0)
     assert np.all(probs <= 1.0 + 1e-12)
     assert np.sum(probs) == pytest.approx(1.0, abs=1e-10)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    n=st.integers(min_value=2, max_value=14),
+    delta=st.floats(min_value=0.1, max_value=10.0),
+    t=st.floats(min_value=0.0, max_value=200.0),
+)
+def test_node_kernel_matches_complex_sum(n, delta, t):
+    # the paired series at every node: the complex sum to 1e-13, a
+    # conserved total, and exactly nothing on the even sites at t = 0
+    eig = eigensystem_for(ChainSpec(n, delta))
+    times = np.array([0.0, t])
+    nodes = range(1, n + 1)
+    probs = np.array([node_probability(eig, node, times) for node in nodes])
+    reference = np.array([complex_node_probability(eig, node, times) for node in nodes])
+    assert np.max(np.abs(probs - reference)) <= 1e-13
+    assert np.max(np.abs(probs.sum(axis=0) - 1.0)) <= 1e-12
+    assert np.all(probs[1::2, 0] == 0.0)
 
 
 def test_full_space_oracle_small_chains():
     times = np.linspace(0.0, 30.0, 50)
     for n in range(2, 9):
         spec = ChainSpec(n, 2.38)
-        subspace = np.asarray(transfer_probability(eigensystem_for(spec), times))
-        for t, expected in zip(times, subspace):
-            full = abs(full_space_amplitude(spec, float(t))) ** 2
-            assert abs(full - expected) < 1e-8
+        subspace = transfer_probability(eigensystem_for(spec), times)
+        full = np.abs(full_space_amplitude(spec, times)) ** 2
+        assert np.max(np.abs(full - subspace)) < 1e-8
 
 
 def test_full_space_oracle_series_branch():
@@ -141,6 +174,14 @@ def test_full_space_oracle_series_branch():
     for t in (3.0, 17.5):
         full = abs(full_space_amplitude(spec, t)) ** 2
         assert full == pytest.approx(float(transfer_probability(eig, t)), abs=1e-10)
+
+
+@pytest.mark.parametrize("n", [18, 20])
+def test_even_form_refuses_collapsed_hyperbolic_level(n):
+    # at delta = 8, 1 + delta^2 - 2 delta cosh(y) rounds below zero
+    spec = ChainSpec(n, 8.0)
+    with pytest.raises(NumericError):
+        transfer_probability_even_form(spec, solve_even_roots(spec), 1.0)
 
 
 def test_full_space_size_cap():
@@ -162,9 +203,10 @@ def test_sample_curve_shape_and_peak(eig_n4_peak):
     curve = sample_curve(eig_n4_peak, 30.0, 3000)
     assert curve.times[0] == 0.0
     assert curve.times[-1] == 30.0
-    t_peak, p_peak = curve.peak()
-    assert t_peak == pytest.approx(8.303, abs=0.02)
-    assert p_peak == pytest.approx(0.999, abs=0.002)
+    assert curve.node == 4
+    peak = int(np.argmax(curve.probabilities))
+    assert curve.times[peak] == pytest.approx(8.303, abs=0.02)
+    assert curve.probabilities[peak] == pytest.approx(0.999, abs=0.002)
 
 
 def test_sample_curve_node_selects_intermediate(eig_n4_peak):

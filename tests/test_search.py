@@ -9,7 +9,6 @@ from altchain import (
     ChainSpec,
     HorizonError,
     ValidationError,
-    dwell_window,
     eigensystem_for,
     first_peak,
     fixed_time_optimize,
@@ -380,34 +379,10 @@ def test_optimize_rerun_identical():
     assert repr(first) == repr(rerun)
 
 
-def test_dwell_window_brackets_peak(eig_n4_peak):
-    curve = sample_curve(eig_n4_peak, 16.0, 4001)
-    window = dwell_window(curve, 0.8)
-    assert window is not None
-    lo, hi = window
-    assert lo < 8.303 < hi
-    # tighter threshold narrows the window
-    tight = dwell_window(curve, 0.99)
-    assert tight is not None and tight[0] > lo and tight[1] < hi
-
-
-def test_dwell_window_none_when_unreachable(eig_n4_peak):
-    curve = sample_curve(eig_n4_peak, 16.0, 4001)
-    assert dwell_window(curve, 1.0) is None
-
-
-def test_dwell_window_threshold_validated(eig_n4_peak):
-    curve = sample_curve(eig_n4_peak, 16.0, 101)
-    with pytest.raises(ValidationError):
-        dwell_window(curve, 0.0)
-    with pytest.raises(ValidationError):
-        dwell_window(curve, 1.5)
-
-
 def test_ideal_ratio_dwell_contains_arrival():
     # below the even closed-form threshold (N+2)/N
     spec = ChainSpec(4, 2.0 / math.sqrt(3.0))
     curve = sample_curve(eigensystem_for(spec), 12.0, 6001)
-    window = dwell_window(curve, 0.999)
-    assert window is not None
-    assert window[0] <= math.pi * math.sqrt(3.0) <= window[1]
+    dwell = curve.times[curve.probabilities >= 0.999]
+    assert dwell.size > 0
+    assert dwell[0] <= math.pi * math.sqrt(3.0) <= dwell[-1]

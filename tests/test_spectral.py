@@ -27,6 +27,7 @@ from altchain import (
     solve_even_roots,
     spectra,
 )
+from conftest import dense_matrix
 
 # four sites, ratio 2.272: trig root, hyperbolic root, spectrum
 X1_4 = 1.3809385445889233
@@ -182,7 +183,7 @@ def test_even_eigensystem_properties(n_half, delta):
     n = 2 * n_half
     spec = ChainSpec(n, delta)
     eig = eigensystem_even(spec)
-    dense = build_coupling_matrix(spec).to_dense()
+    dense = dense_matrix(build_coupling_matrix(spec))
     gram = eig.vectors.T @ eig.vectors
     assert np.max(np.abs(gram - np.eye(n))) < 1e-10
     residual = np.max(np.abs(dense @ eig.vectors - eig.vectors * eig.eigenvalues))
@@ -202,7 +203,7 @@ def test_odd_eigensystem_properties(n_half, delta):
     eig = eigensystem_odd(spec)
     gram = eig.vectors.T @ eig.vectors
     assert np.max(np.abs(gram - np.eye(n))) < 1e-10
-    dense = build_coupling_matrix(spec).to_dense()
+    dense = dense_matrix(build_coupling_matrix(spec))
     residual = np.max(np.abs(dense @ eig.vectors - eig.vectors * eig.eigenvalues))
     assert residual < 1e-9 * np.max(np.abs(dense))
     # descending order
