@@ -125,15 +125,14 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="altchain", description=__doc__.splitlines()[0])
-    parser.add_argument("--verbose", action="store_true", help="log progress to stderr")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("eigs", help="eigenvalues, provenance, residuals")
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument(
-        "--method", choices=("auto", "even", "odd", "numeric"), default="auto",
-        help="auto and numeric: the SVD engine every other command uses; "
+        "--method", choices=("numeric", "even", "odd"), default="numeric",
+        help="numeric: the SVD engine every other command uses; "
         "even, odd: the closed-form oracle of that parity",
     )
     _add_common(p)
@@ -277,9 +276,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         logging.basicConfig(
-            stream=sys.stderr,
-            level=logging.INFO if args.verbose else logging.WARNING,
-            format="%(levelname)s %(message)s",
+            stream=sys.stderr, level=logging.WARNING, format="%(levelname)s %(message)s"
         )
         if args.command == "verify":
             verify_module.run_all(stream=sys.stdout)

@@ -27,9 +27,8 @@ reference route: the closed-form reduced series, the paired kernel and
 the brute-force evolution of the full 2^N spin space are checked
 against it.
 
-The module needs numpy only: the 2^N oracle is dense up to N=8 and
-imports scipy.sparse for its matrix-exponential action at 9 <= N <= 12,
-inside that branch.
+The module needs numpy only: the 2^N oracle is one dense eigensolve,
+for N up to 10.
 """
 
 from __future__ import annotations
@@ -43,8 +42,9 @@ from .chain import ChainSpec
 from .errors import HorizonError, NumericError, ResourceError, ValidationError
 from .spectral import EigenSystem, EvenRootSet
 
-_FULL_SPACE_MAX_SITES = 12
-_FULL_SPACE_DENSE_MAX_SITES = 8
+# largest N of the 2^N oracle, and the largest any caller uses: its dense
+# eigensolve grows as 8^N (0.23 s at N=10, 1.3 s at N=11 on 2 vCPUs)
+_FULL_SPACE_MAX_SITES = 10
 # largest rounding error of a phase lambda*t that a probability may carry
 _HORIZON_TOL = 1e-9
 # offsets per block of the angle-addition grid kernel
@@ -247,8 +247,9 @@ def transfer_probability_even_form(
 
     The coefficients are the products u_Nj * u_1j of the closed-form
     eigenvectors, so this must agree with the spectral sum to 1e-10.
-    A hyperbolic level whose square rounds to <= 0 raises NumericError,
-    as in eigensystem_even.
+    A hyperbolic level whose square rounds to <= 0, or whose
+    normalisation would overflow, raises NumericError, as in
+    eigensystem_even.
     """
     n, delta = spec.n_sites, spec.delta
     if n % 2 != 0:
@@ -257,6 +258,8 @@ def transfer_probability_even_form(
 
     xs = roots.x_roots
     y = roots.y_root
+    if (n + 1) * y > 300.0:
+        raise NumericError(f"hyperbolic normalisation would overflow for N={n}, delta={delta}")
     lam = np.empty(n // 2)
     coeff = np.empty(n // 2)
     if xs.size:
@@ -318,66 +321,40 @@ def transfer_probability_odd_form(spec: ChainSpec, t: float | np.ndarray) -> flo
     return float(probs[0]) if scalar else probs
 
 
-def _full_space_hamiltonian(spec: ChainSpec):
-    """2^N spin Hamiltonian whose one-excitation block is D/2.
+def _full_space_hamiltonian(spec: ChainSpec) -> np.ndarray:
+    """Dense 2^N spin Hamiltonian whose one-excitation block is D/2.
 
     Site n maps to bit n-1, and an excited site carries spin projection
     +1/2.  Each bond contributes hopping D_n/2 between basis states
-    whose two bond bits differ.  A dense numpy array up to N=8, the
-    sizes the dense eigensolve takes; scipy.sparse CSR above, imported
-    here only.
+    whose two bond bits differ.
     """
-    n = spec.n_sites
-    dim = 1 << n
+    dim = 1 << spec.n_sites
     states = np.arange(dim, dtype=np.int64)
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
+    ham = np.zeros((dim, dim))
     for i, strength in enumerate(spec.couplings()):
-        mask = (1 << i) | (1 << (i + 1))
-        differ = ((states >> i) & 1) != ((states >> (i + 1)) & 1)
-        src = states[differ]
-        rows.append(src)
-        cols.append(src ^ mask)
-        vals.append(np.full(src.size, 0.5 * strength))
-    index = (np.concatenate(rows), np.concatenate(cols))
-    if n <= _FULL_SPACE_DENSE_MAX_SITES:
-        ham = np.zeros((dim, dim))
-        ham[index] = np.concatenate(vals)
-        return ham
-    import scipy.sparse
-
-    return scipy.sparse.csr_matrix((np.concatenate(vals), index), shape=(dim, dim))
-
-
-def _check_full_space_size(n: int) -> None:
-    if n > _FULL_SPACE_MAX_SITES:
-        raise ResourceError(
-            f"full-space evolution is guarded at N <= {_FULL_SPACE_MAX_SITES}, got N={n}"
-        )
+        src = states[((states >> i) & 1) != ((states >> (i + 1)) & 1)]
+        ham[src, src ^ ((1 << i) | (1 << (i + 1)))] = 0.5 * strength
+    return ham
 
 
 def _full_space_states(spec: ChainSpec, times: np.ndarray) -> np.ndarray:
     """2^N states at each time, shape (T, 2^N), from one excitation on site 1."""
-    _check_full_space_size(spec.n_sites)
-    ham = _full_space_hamiltonian(spec)
-    if spec.n_sites <= _FULL_SPACE_DENSE_MAX_SITES:
-        energy, modes = np.linalg.eigh(ham)
-        return (np.exp(-1j * np.multiply.outer(times, energy)) * modes[1]) @ modes.T
-    import scipy.sparse.linalg
-
-    psi0 = np.zeros(ham.shape[0], dtype=complex)
-    psi0[1] = 1.0
-    return np.array([scipy.sparse.linalg.expm_multiply(-1j * t * ham, psi0) for t in times])
+    if spec.n_sites > _FULL_SPACE_MAX_SITES:
+        raise ResourceError(
+            f"full-space evolution is guarded at N <= {_FULL_SPACE_MAX_SITES}, "
+            f"got N={spec.n_sites}"
+        )
+    energy, modes = np.linalg.eigh(_full_space_hamiltonian(spec))
+    return (np.exp(-1j * np.multiply.outer(times, energy)) * modes[1]) @ modes.T
 
 
 def full_space_amplitude(spec: ChainSpec, t: float | np.ndarray) -> complex | np.ndarray:
     """Brute-force end-to-end amplitude in the full 2^N spin space.
 
-    Dense eigen-decomposition up to N=8; a norm-controlled series
-    (scaled sparse exponential action) for 9 <= N <= 12; larger sizes
-    are refused.  |result|^2 must match transfer_probability, which
-    validates the one-excitation reduction end to end.
+    A dense eigen-decomposition of the 2^N Hamiltonian, for N up to 10;
+    larger sizes raise ResourceError.  |result|^2 must match
+    transfer_probability, which validates the one-excitation reduction
+    end to end.
     """
     times, scalar = _as_times(t)
     amps = _full_space_states(spec, times)[:, 1 << (spec.n_sites - 1)]

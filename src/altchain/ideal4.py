@@ -76,10 +76,11 @@ def ideal_solutions(max_product: int) -> list[IdealSolution]:
     Enumerates odd a = 3 (mod 4), b = 1 (mod 4); each candidate gets
     delta = |a-b|/sqrt(ab), t = pi*sqrt(ab) and is accepted only if
     the closed form confirms P >= 1 - 1e-9.  Failing candidates are
-    logged and excluded, never silently dropped.  Duplicate (delta, t)
-    pairs collapse to one entry; results are sorted by transfer time,
-    so the head of the list is the fastest exact transfer, (a, b) =
-    (3, 1) with delta = 2/sqrt(3) and t = pi*sqrt(3).
+    logged and excluded, never silently dropped.  No two candidates
+    share (delta, t): t fixes ab, |a-b| then fixes delta, and the
+    residues mod 4 rule out the swapped pair.  Results are sorted by
+    transfer time, so the head of the list is the fastest exact
+    transfer, (a, b) = (3, 1) with delta = 2/sqrt(3) and t = pi*sqrt(3).
     """
     if max_product < 3:
         raise ValidationError(f"max_product must be at least 3, got {max_product}")
@@ -93,12 +94,6 @@ def ideal_solutions(max_product: int) -> list[IdealSolution]:
                 _LOG.warning(
                     "candidate (a=%d, b=%d) failed validation: P=%.12f", a, b, probability
                 )
-                continue
-            duplicate = any(
-                abs(sol.delta_bar - delta_bar) <= 1e-12 and abs(sol.t_bar - t_bar) <= 1e-12
-                for sol in seen
-            )
-            if duplicate:
                 continue
             seen.append(
                 IdealSolution(

@@ -37,6 +37,11 @@ def test_eigs_method_selection(capsys):
     )
     assert code == 0
     assert "analytic" not in out
+    assert run_cli("eigs", "--n", "4", "--delta", "2.272", capsys=capsys)[1] == out
+    assert run_cli(
+        "eigs", "--n", "4", "--delta", "2.272", "--method", "auto", capsys=capsys
+    )[0] == 1
+    assert run_cli("--verbose", "eigs", "--n", "4", "--delta", "2.272", capsys=capsys)[0] == 1
 
 
 def test_curve_max_row_matches_peak(capsys):
@@ -276,12 +281,14 @@ README_COMMANDS = [
 
 
 def test_readme_commands_run_without_scipy():
-    # scipy serves only the 2^N oracle above eight sites; a module-level
-    # import anywhere on the command path makes this interpreter fail
+    # the package needs numpy only; an import of scipy anywhere on the
+    # command path or in the 2^N oracle makes this interpreter fail
     script = (
         "import contextlib, io, json, sys\n"
         "sys.modules['scipy'] = None\n"
+        "from altchain import ChainSpec, full_space_amplitude\n"
         "from altchain.cli import main\n"
+        "full_space_amplitude(ChainSpec(10, 2.38), 1.0)\n"
         "codes = []\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"

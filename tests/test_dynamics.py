@@ -167,8 +167,8 @@ def test_full_space_oracle_small_chains():
         assert np.max(np.abs(full - subspace)) < 1e-8
 
 
-def test_full_space_oracle_series_branch():
-    # ten sites exercises the matrix-exponential route
+def test_full_space_oracle_ten_sites():
+    # ten sites, the largest chain the 2^N oracle takes
     spec = ChainSpec(10, 2.38)
     eig = eigensystem_for(spec)
     for t in (3.0, 17.5):
@@ -176,17 +176,19 @@ def test_full_space_oracle_series_branch():
         assert full == pytest.approx(float(transfer_probability(eig, t)), abs=1e-10)
 
 
-@pytest.mark.parametrize("n", [18, 20])
-def test_even_form_refuses_collapsed_hyperbolic_level(n):
-    # at delta = 8, 1 + delta^2 - 2 delta cosh(y) rounds below zero
-    spec = ChainSpec(n, 8.0)
+@pytest.mark.parametrize("n, delta", [(18, 8.0), (20, 8.0), (464, 5.0)])
+def test_even_form_refuses_unrepresentable_hyperbolic_level(n, delta):
+    # at delta = 8, 1 + delta^2 - 2 delta cosh(y) rounds below zero; at
+    # (464, 5), sinh((N+1) y) overflows
+    spec = ChainSpec(n, delta)
     with pytest.raises(NumericError):
         transfer_probability_even_form(spec, solve_even_roots(spec), 1.0)
 
 
 def test_full_space_size_cap():
-    with pytest.raises(ResourceError):
-        full_space_amplitude(ChainSpec(13, 2.0), 1.0)
+    for n in (11, 13):
+        with pytest.raises(ResourceError):
+            full_space_amplitude(ChainSpec(n, 2.0), 1.0)
 
 
 def test_z_projection_is_conserved():
