@@ -36,7 +36,7 @@ from .dynamics import (
     paired_transfer_probability,
     paired_transfer_slope,
 )
-from .errors import HorizonError, ResourceError, ValidationError
+from .errors import HorizonError, NumericError, ResourceError, ValidationError
 from .roots import bisect
 from .spectral import spectra
 
@@ -219,6 +219,29 @@ def _validate_delta_range(delta_lo: float, delta_hi: float) -> None:
         raise ValidationError(f"delta range is empty: [{delta_lo}, {delta_hi}]")
 
 
+def _ratio_scores(
+    n_sites: int, ratios: np.ndarray,
+    score: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """score of each ratio of a stack; a ratio whose spectrum spectra refuses scores -inf.
+
+    A refused stack is scored again in halves, so one refused ratio
+    leaves the others their scores at a cost of about log2 of the stack
+    size in extra stacks.
+    """
+    try:
+        stack = spectra(n_sites, ratios)
+    except NumericError:
+        if ratios.size == 1:
+            return np.array([-math.inf])
+        half = ratios.size // 2
+        return np.concatenate([
+            _ratio_scores(n_sites, ratios[:half], score),
+            _ratio_scores(n_sites, ratios[half:], score),
+        ])
+    return score(*stack, ratios)
+
+
 def _ratio_search(
     n_sites: int, lo: float, hi: float, step: float, tol: float,
     score: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
@@ -230,18 +253,23 @@ def _ratio_search(
     ratios; golden section refines within one step of its first best
     ratio, one ratio at a time, and the grid winner stands where that
     does not beat it (as at a range end, which golden section never
-    evaluates).
+    evaluates).  A ratio whose spectrum spectra refuses is no candidate
+    (_ratio_scores); a range without one raises NumericError.
     """
     _validate_delta_range(lo, hi)
     grid = _ratio_grid(lo, hi, step)
     best, p_best = _first_argmax(
-        lambda a, b: score(*spectra(n_sites, grid[a:b]), grid[a:b]),
+        lambda a, b: _ratio_scores(n_sites, grid[a:b], score),
         grid.size,
         max(1, _GRID_CHUNK_ENTRIES // (n_sites * n_sites)),
     )
+    if not p_best >= 0.0:
+        raise NumericError(
+            f"spectra refused every ratio of [{lo:.6g}, {hi:.6g}] at N={n_sites}"
+        )
     winner = float(grid[best])
     delta, p = _golden_max(
-        lambda d: float(score(*spectra(n_sites, [d]), [d])[0]),
+        lambda d: float(_ratio_scores(n_sites, np.array([d]), score)[0]),
         max(lo, winner - step), min(hi, winner + step), tol,
     )
     return (delta, p) if p > p_best else (winner, p_best)
@@ -310,8 +338,9 @@ def table1_sweep(delta: float, n_list: list[int]) -> list[SweepRow]:
     transfer the chain reaches later: at ratio 2.38, N = 5, 7, 9 give
     P = 0.0204, 5.6e-4, 6.0e-6, while the same curves reach 0.31,
     0.23, 0.19 by t <= 500.  Rows come back sorted by length.  A
-    length whose peak window is numerically out of reach is flagged in
-    its note and filled with NaN; the sweep continues.
+    length whose peak window is numerically out of reach, or whose
+    spectrum spectra refuses, is flagged in its note and filled with
+    NaN; the sweep continues.
     """
     if not n_list:
         raise ValidationError("n_list must not be empty")
@@ -320,7 +349,7 @@ def table1_sweep(delta: float, n_list: list[int]) -> list[SweepRow]:
     def one_row(n: int) -> SweepRow:
         try:
             triad = first_peak(ChainSpec(n, delta))
-        except HorizonError as exc:
+        except NumericError as exc:  # HorizonError among them
             return SweepRow(
                 n_sites=n, delta=delta, t_h1=math.nan, p_h1=math.nan,
                 estimate=math.nan, note=str(exc),

@@ -6,15 +6,22 @@ with B the ceil(N/2) x floor(N/2) lower bidiagonal of the bonds (the
 odd bonds on its diagonal).  The positive levels are the singular values
 of B, the eigenvectors (x, +-y)/sqrt(2) from its singular vectors, and
 an odd chain's zero mode is the extra left singular vector (Golub and
-Kahan 1965).  Every computation of the library takes its spectrum from
-the SVD of B (np.linalg.svd): for one chain (eigensystem_numeric,
-reached through eigensystem_for) or for a stack of ratios (spectra).  Each
-result is checked on B: orthonormal singular vectors and small
-residuals |Bv - s u|, |B^T u - s v|.
+Kahan 1965).  Every computation of the library takes its levels from
+one values-only SVD of B (np.linalg.svd, in _levels), checked by the
+trace rule sum_j s_j^2 = sum_i b_i^2.  One chain's eigensystem
+(eigensystem_numeric, reached through eigensystem_for) adds the
+singular vectors of a second SVD, checked on B: orthonormal, with
+small residuals |Bv - s u|, |B^T u - s v|.  The searches read only
+the levels and the end products u_1j * u_Nj, and a stack of ratios
+(spectra) gets those without eigenvectors: the Jacobi end-product
+identity c_j = prod_i b_i / prod_{k != j} (lambda_j - lambda_k)
+(Parlett 1998, ch. 7; de Boor and Golub 1978), checked by the sum
+rules 2 sum_j |c_j| = 1 (even N, a mirror-symmetric chain) and
+2 sum_j c_j + c_0 = 0 (odd N).
 
 The closed forms of the paper are kept as independent oracles for
 verify, the tests and `altchain eigs --method even|odd`, and pass the
-same checks:
+vector checks of the single-chain eigensystem:
 
 * even N, delta above (N+2)/N: a trigonometric family built from the
   N/2-1 roots of  delta*sin(N x/2) + sin((N/2+1) x) = 0  on (0, pi),
@@ -50,6 +57,22 @@ _ORTHONORMALITY_TOL = 1e-10
 _RESIDUAL_REL_TOL = 1e-9
 _ORDER_TOL = 1e-10
 _ROOT_RESIDUAL_TOL = 1e-12
+# The trace rule of the levels, relative: about 100 times the largest
+# defect measured over N = 2..2048 and delta = 1e-15..1e15 (1.2e-15).
+_TRACE_REL_TOL = 1e-13
+# The sum rules of the end products, relative to the sum of their
+# magnitudes.  The identity's rounding grows as eps / g, g the smallest
+# relative gap between two levels, so a chain passes where its defect
+# is at most _SUM_RULE_GAIN * eps / g (the defect measured over
+# N = 2..2048 and delta = 1e-15..1e15 reaches 2.0 eps / g for even N,
+# 0.23 eps / g for odd N) and at most _SUM_RULE_CAP: beyond it the end
+# products keep no digit.  Coinciding float levels give no finite end
+# products and are refused too.
+_SUM_RULE_GAIN = 100.0
+_SUM_RULE_CAP = 0.1
+# mantissas in [1/2, 1) multiplied per run by _product: their product
+# stays above 2**-_PRODUCT_RUN, inside the normal range
+_PRODUCT_RUN = 512
 # Within this relative margin of the threshold the hyperbolic root is
 # so small that the normalisation forms cancel; the even closed form
 # refuses instead of returning digits the formulas cannot back.
@@ -183,7 +206,6 @@ def _validate_svd(
     the null space of B^T.  Residuals are scaled by each chain's
     largest bond.  B[i, i] is bond 2i+1 and B[i+1, i] bond 2i+2.
     """
-    # ndarray methods: this runs once per chain of the first-peak search
     if not (np.isfinite(levels).all() and np.isfinite(u).all() and np.isfinite(v).all()):
         raise NumericError("eigensystem contains non-finite entries")
     orth = max(
@@ -299,42 +321,82 @@ def eigensystem_odd(spec: ChainSpec) -> EigenSystem:
     return _assemble(levels, odd, even, PROVENANCE_ANALYTIC_ODD)
 
 
-def _bond_svd(bonds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Validated SVD of the bond bidiagonals B of a (S, N-1) stack of chains.
+def _bidiagonal_t(bonds: np.ndarray) -> np.ndarray:
+    """B^T of each chain of a (S, N-1) stack: (S, ceil(N/2), ceil(N/2)), upper bidiagonal.
 
-    Returns the (S, N//2) positive levels, descending, with U
-    (S, ceil(N/2), ceil(N/2)) and V (S, N//2, N//2), singular vectors
-    in columns.  For even N the smallest level, the edge-mode splitting
-    that shrinks exponentially with N above (N+2)/N, is set from
-    det B, the product of its diagonal bonds: s_min = det B / prod_j s_j
-    over the other levels, summed in logarithms so that no chain length
-    overflows.  LAPACK bounds its error only by eps*s_max; the other
-    levels stay away from 0, so the identity keeps s_min to full
-    relative precision.
+    An odd chain's has a zero last row, so LAPACK gets a square upper
+    bidiagonal for both parities and its reduction to bidiagonal form is
+    exact.  B[i, i] is bond 2i+1 and B[i+1, i] bond 2i+2.
     """
-    n = bonds.shape[1] + 1
     diag, sub = bonds[:, 0::2], bonds[:, 1::2]
-    rows, cols, k = (n + 1) // 2, diag.shape[1], sub.shape[1]
-    # LAPACK gets B^T, square and upper bidiagonal (an odd chain's gets a
-    # zero last row), so its reduction to bidiagonal form is exact.  The
-    # levels come from the values-only SVD (qd iterations, high relative
-    # accuracy): those of the divide-and-conquer SVD that supplies the
-    # vectors carry about three times the error at N=16, and a phase
-    # lambda*t/2 multiplies it by t.
+    rows, cols, k = (bonds.shape[1] + 2) // 2, diag.shape[1], sub.shape[1]
     bt = np.zeros((bonds.shape[0], rows, rows))
     bt[:, np.arange(cols), np.arange(cols)] = diag
     bt[:, np.arange(k), np.arange(1, k + 1)] = sub
+    return bt
+
+
+def _svd(bt: np.ndarray, compute_uv: bool):
     try:
-        v, _, ut = np.linalg.svd(bt)
-        levels = np.linalg.svd(bt, compute_uv=False)[:, :cols]
+        return np.linalg.svd(bt, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"bidiagonal SVD failed: {exc}") from exc
-    v = v[:, :cols, :cols]
-    if n % 2 == 0:
-        levels[:, -1] = np.exp(
-            np.sum(np.log(diag), axis=1) - np.sum(np.log(levels[:, :-1]), axis=1)
+
+
+def _levels(bonds: np.ndarray, bt: np.ndarray) -> np.ndarray:
+    """Checked (S, N//2) positive levels, descending, of a (S, N-1) stack of chains.
+
+    bt is the stack's _bidiagonal_t.  The one source of levels for both
+    routes: the values-only SVD of B^T (qd iterations, high relative
+    accuracy).  For even N the smallest level, the edge-mode splitting
+    that shrinks exponentially with N above (N+2)/N, is set from det B,
+    the product of its diagonal bonds: s_min = det B / prod_j s_j over
+    the other levels, summed in logarithms so that no chain length
+    overflows (at N=1024, delta=8 s_min underflows to 0).  LAPACK bounds
+    its error only by eps*s_max; the other levels stay away from 0, so
+    the identity keeps s_min to full relative precision.
+
+    The levels must be finite, descending and nonnegative, and obey
+    the trace rule sum_j s_j^2 = sum_i b_i^2 (the Frobenius norm of B)
+    to _TRACE_REL_TOL, or NumericError is raised.
+    """
+    levels = _svd(bt, compute_uv=False)[:, : (bonds.shape[1] + 1) // 2]
+    if bonds.shape[1] % 2 == 1:
+        log_det = np.log(bonds[:, 0::2]).sum(axis=1)
+        levels[:, -1] = np.exp(log_det - np.log(levels[:, :-1]).sum(axis=1))
+    if not (
+        np.isfinite(levels).all()
+        and (levels[:, 1:] - levels[:, :-1] <= _ORDER_TOL).all()
+        and (levels[:, -1] >= 0.0).all()
+    ):
+        raise NumericError("levels are not finite, descending and nonnegative")
+    scale = bonds.max(axis=1)[:, None]
+    norm = np.square(bonds / scale).sum(axis=1)
+    trace = np.abs(np.square(levels / scale).sum(axis=1) - norm)
+    if not (trace <= _TRACE_REL_TOL * norm).all():
+        i = int(np.argmax(~(trace <= _TRACE_REL_TOL * norm)))
+        raise NumericError(
+            f"levels break the trace rule by {trace[i] / norm[i]:.3e} "
+            f"(tolerance {_TRACE_REL_TOL:.0e})"
         )
-    u = np.swapaxes(ut, 1, 2)
+    return levels
+
+
+def _bond_svd(bonds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validated SVD of the bond bidiagonals B of a (S, N-1) stack of chains.
+
+    Returns the (S, N//2) positive levels of _levels, with U
+    (S, ceil(N/2), ceil(N/2)) and V (S, N//2, N//2), singular vectors
+    in columns.  Two SVDs: the levels come from the values-only one,
+    because those of the divide-and-conquer SVD that supplies the
+    vectors carry about three times the error at N=16, and a phase
+    lambda*t/2 multiplies it by t.
+    """
+    bt = _bidiagonal_t(bonds)
+    levels = _levels(bonds, bt)
+    v, _, ut = _svd(bt, compute_uv=True)
+    cols = levels.shape[1]
+    u, v = np.swapaxes(ut, 1, 2), v[:, :cols, :cols]
     _validate_svd(bonds, levels, u, v)
     return levels, u, v
 
@@ -388,17 +450,104 @@ def eigensystem_for(spec: ChainSpec) -> EigenSystem:
     return eigensystem_numeric(build_coupling_matrix(spec))
 
 
+def _product(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Product over the last axis as mantissa and exponent, mantissa * 2**exponent.
+
+    frexp splits every factor exactly into a mantissa of magnitude in
+    [1/2, 1) and an integer exponent.  The mantissas multiply in runs of
+    _PRODUCT_RUN, whose products stay normal, and the running product
+    is split again after each run, so no length overflows or underflows
+    and the result carries the roundings of the plain product only.
+    """
+    mant, expo = np.frexp(factors)
+    prod, total = np.frexp(mant[..., :_PRODUCT_RUN].prod(axis=-1))
+    total += expo.sum(axis=-1)
+    for start in range(_PRODUCT_RUN, factors.shape[-1], _PRODUCT_RUN):
+        prod, e = np.frexp(prod * mant[..., start:start + _PRODUCT_RUN].prod(axis=-1))
+        total += e
+    return prod, total
+
+
+def _end_products(bonds: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """End products u_1j * u_Nj of a (S, N-1) stack, (S, N) as spectra lays them out.
+
+    The residue of the (1, N) entry of the resolvent of a Jacobi matrix
+    (Parlett 1998, ch. 7; de Boor and Golub 1978) gives them from the
+    levels alone: c_j = prod_i b_i / prod_{k != j} (lambda_j - lambda_k).
+    On the paired spectrum the level s_j has
+
+        c_j = prod b / (2 s_j prod_{i != j} (s_j - s_i)(s_j + s_i)),
+
+    with one more factor s_j for odd N; its partner -s_j has -c_j for
+    even N and c_j for odd N, and the zero mode c_0 = (-1)^(N//2)
+    prod b / prod_i s_i^2.  For even N, det B = prod_i s_i turns
+    prod b / s_min into the product of the even bonds and the other
+    levels, so the edge mode never divides by s_min, which underflows
+    to 0 on the longest chains.  Numerators and denominators are taken
+    by _product, so prod b overflows nowhere (8^511 at N=1023, delta=8).
+
+    Also returns an (S,) mask of the chains that obey their sum rule:
+    for even N the chain is mirror-symmetric, so |c_j| = u_1j^2 and
+    2 sum_j |c_j| = 1; for odd N rows 1 and N of the eigenvector matrix
+    are orthogonal, so 2 sum_j c_j + c_0 = 0, relative to
+    2 sum_j |c_j| + |c_0|.  The tolerance follows the levels' smallest
+    relative gap (_SUM_RULE_GAIN, _SUM_RULE_CAP).  Non-finite end
+    products (coinciding levels) fail too.
+    """
+    n, half = bonds.shape[1] + 1, levels.shape[1]
+    # c_j is homogeneous of degree 0 in the bonds and levels: dividing both
+    # by the power of 2 at the largest bond keeps every factor below 4 and
+    # changes no bit of a normal number
+    scale = -np.frexp(bonds.max(axis=1))[1][:, None]
+    b, s = np.ldexp(bonds, scale), np.ldexp(levels, scale)
+    # one product per row, padded with ones: row j < N//2 the denominator
+    # of c_j (an even chain's edge mode without its factor s_min), row N//2
+    # prod b, and the last row the numerator of that edge mode or the
+    # denominator prod_i s_i^2 of an odd chain's zero mode
+    factors = np.ones((b.shape[0], half + 2, n - 1))
+    diag = np.arange(half)
+    factors[:, :half, :half] = (s[:, :, None] - s[:, None]) * (s[:, :, None] + s[:, None])
+    factors[:, diag, diag] = 2.0 * s
+    factors[:, half] = b
+    if n % 2 == 0:
+        factors[:, half - 1, half - 1] = 2.0
+        factors[:, -1, : half - 1], factors[:, -1, half - 1 : n - 2] = b[:, 1::2], s[:, :-1]
+    else:
+        factors[:, diag, half] = s
+        factors[:, -1, :half], factors[:, -1, half:] = s, s
+    mant, expo = _product(factors)
+
+    def quotient(top, bottom):  # the product of row(s) top over that of row(s) bottom
+        return np.ldexp(mant[:, top] / mant[:, bottom], expo[:, top] - expo[:, bottom])
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ends = quotient(slice(half, half + 1), slice(0, half))
+        if n % 2 == 0:
+            ends[:, -1] = quotient(-1, half - 1)
+            defect, total = np.abs(2.0 * np.abs(ends).sum(axis=1) - 1.0), 1.0
+            ends = np.concatenate([ends, -ends[:, ::-1]], axis=1)
+        else:
+            zero = (-1.0) ** half * quotient(half, -1)
+            defect = np.abs(2.0 * ends.sum(axis=1) + zero)
+            total = 2.0 * np.abs(ends).sum(axis=1) + np.abs(zero)
+            ends = np.concatenate([ends, zero[:, None], ends[:, ::-1]], axis=1)
+        gap = np.min((levels[:, :-1] - levels[:, 1:]) / levels[:, :-1], axis=1, initial=1.0)
+        tol = np.minimum(_SUM_RULE_GAIN * np.finfo(float).eps / np.maximum(gap, 0.0), _SUM_RULE_CAP)
+    return ends, np.isfinite(ends).all(axis=1) & (defect <= tol * total)
+
+
 def spectra(n_sites: int, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Spectra of a stack of chains that differ only in ratio.
 
-    The stack case of the engine: one stacked SVD of the B ratios'
-    bond bidiagonals.  Returns the (B, N) eigenvalues, descending per
-    row, and the (B, N) end products u_1j * u_Nj, read off the singular
-    vectors: x_j[0] * y_j[-1] / 2 (sign flipped on the partner) for even
-    N, x_j[0] * x_j[-1] / 2 for odd N, and x_0[0] * x_0[-1] for the zero
-    mode.  They do not depend on the eigenvector signs.  Every system
-    passes the checks of the single-chain case, at the same tolerances,
-    or the whole stack raises NumericError.
+    Returns the (B, N) eigenvalues, descending per row, and the (B, N)
+    end products u_1j * u_Nj, the only spectral data the transfer
+    probability P_N reads, without eigenvectors: the levels from one
+    values-only SVD of the stack (_levels), the end products from the
+    Jacobi end-product identity (_end_products).  Every system passes
+    the trace rule and its sum rule, or the whole stack raises
+    NumericError naming N and delta: chains whose levels are too close
+    for the identity to keep a digit, or coincide in floating point
+    (delta below about 1e-13 or above about 1e13), are refused.
     """
     n = ChainSpec(n_sites, 1.0).n_sites  # validates n_sites
     ratios = np.asarray(deltas, dtype=float)
@@ -406,13 +555,11 @@ def spectra(n_sites: int, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValidationError(f"deltas must be a non-empty 1-D array, got shape {ratios.shape}")
     if not (np.all(np.isfinite(ratios)) and np.all(ratios > 0.0)):
         raise ValidationError("deltas must be finite and positive")
-    half = n // 2
-    levels, u, v = _bond_svd(alternating_couplings(n, ratios))
-    if n % 2 == 0:
-        ends = 0.5 * u[:, 0, :] * v[:, -1, :]
-        mirrored = -ends[:, ::-1]
-    else:
-        ends = u[:, 0, :] * u[:, -1, :]
-        ends[:, :half] *= 0.5
-        mirrored = ends[:, half - 1::-1]
-    return _paired_levels(levels, n), np.concatenate([ends, mirrored], axis=1)
+    bonds = alternating_couplings(n, ratios)
+    levels = _levels(bonds, _bidiagonal_t(bonds))
+    ends, ok = _end_products(bonds, levels)
+    if not ok.all():
+        raise NumericError(
+            f"end products break their sum rule at N={n}, delta={ratios[~ok][0]:.6g}"
+        )
+    return _paired_levels(levels, n), ends

@@ -188,6 +188,37 @@ def test_oversized_ratio_grid_exit_code(capsys, argv):
     assert err.startswith("numeric failure:") and "cap 1000000" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["table1", "--delta", "1e-9", "--n", "4,6,8"], id="table1-1e-9"),
+        pytest.param(["fixed-time", "--n", "8", "--time", "60", "--delta-min", "5e-324",
+                      "--delta-max", "0.001"], id="fixed-time-5e-324"),
+    ],
+)
+def test_tiny_ratios_print_rows(capsys, argv):
+    # at 1e-9 the levels lie within about 1e-9 of each other, relative, and
+    # the end products keep about seven digits; at 5e-324 the levels
+    # coincide, and that ratio is no candidate
+    code, out, _ = run_cli(*argv, capsys=capsys)
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert len(rows) == (3 if argv[0] == "table1" else 1)
+    assert all(0.0 <= float(row[3]) <= 1.0 for row in rows)
+    if argv[0] == "fixed-time":
+        assert rows[0][2] == "0.001"
+
+
+def test_every_ratio_refused_exit_code(capsys):
+    code, out, err = run_cli(
+        "fixed-time", "--n", "8", "--time", "60", "--delta-min", "5e-324",
+        "--delta-max", "1e-300", capsys=capsys,
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numeric failure:") and "refused every ratio" in err
+
+
 def test_long_time_within_horizon(capsys):
     code, out, _ = run_cli("fixed-time", "--n", "8", "--time", "1e5", capsys=capsys)
     assert code == 0

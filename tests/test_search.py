@@ -289,9 +289,13 @@ def test_optimize_keeps_range_end_winner(n, lo, hi, end):
         assert triad.p_h == 0.9638224684806402
 
 
+# p_h pinned to the bit; the ids leave it out, so a re-pin keeps the test's name
 @pytest.mark.parametrize(
     "lo,hi,end,p_h",
-    [(2.40, 2.45, 2.45, 0.6756179163499813), (2.56, 2.60, 2.56, 0.7699166500418397)],
+    [
+        pytest.param(2.40, 2.45, 2.45, 0.6756179163499816, id="2.4-2.45-2.45"),
+        pytest.param(2.56, 2.60, 2.56, 0.7699166500418393, id="2.56-2.6-2.56"),
+    ],
 )
 def test_fixed_time_keeps_range_end_winner(lo, hi, end, p_h):
     triad = fixed_time_optimize(8, 60.0, lo, hi)
@@ -355,6 +359,17 @@ def test_sweep_deduplicates_lengths():
     assert [row.n_sites for row in rows] == [4, 6]
 
 
+def test_sweep_reaches_the_longest_chains():
+    # N = 1023 at ratio 8: its bond product 8^511 overflows a float.  The
+    # row's time scale is exact; its P is rounding noise, as the true P
+    # stays below 1e-3000 on the window.  N = 1024: s_min underflows to 0,
+    # and the row is refused as a HorizonError, not a NumericError
+    odd, even = table1_sweep(8.0, [1023, 1024])
+    assert odd.note == "" and odd.estimate == 0.44879757117005803
+    assert 0.0 < odd.t_h1 <= 1.3 * odd.estimate and 0.0 <= odd.p_h1 < 1e-30
+    assert math.isnan(even.p_h1) and "degeneracy floor" in even.note
+
+
 def test_sweep_flags_unreachable_rows(monkeypatch):
     import altchain.search as search_mod
     from altchain import HorizonError
@@ -371,6 +386,23 @@ def test_sweep_flags_unreachable_rows(monkeypatch):
     assert rows[0].note == "" and rows[2].note == ""
     assert "degenerate" in rows[1].note
     assert math.isnan(rows[1].t_h1) and math.isnan(rows[1].p_h1)
+
+
+def test_sweep_flags_refused_spectra():
+    # at ratio 1e-14 the levels of N = 5 and 8 coincide in floating point
+    rows = table1_sweep(1e-14, [4, 5, 8])
+    assert rows[0].note == "" and 0.0 <= rows[0].p_h1 <= 1.0
+    for row in rows[1:]:
+        assert f"N={row.n_sites}, delta=1e-14" in row.note
+        assert math.isnan(row.t_h1) and math.isnan(row.p_h1)
+
+
+def test_ratio_search_passes_over_refused_ratios():
+    # the grid is 5e-324, 0.001, ..., 0.01: spectra refuses the first ratio,
+    # whose levels coincide, so the stack is scored again in halves and the
+    # search runs as it does on the other ten ratios
+    triad = fixed_time_optimize(8, 60.0, 5e-324, 0.01)
+    assert repr(triad) == repr(fixed_time_optimize(8, 60.0, 0.001, 0.01))
 
 
 def test_optimize_rerun_identical():

@@ -6,6 +6,7 @@ closed forms before being committed.
 """
 
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from altchain import (
     solve_even_roots,
     spectra,
 )
+from altchain import spectral as spectral_mod
 from conftest import dense_matrix
 
 # four sites, ratio 2.272: trig root, hyperbolic root, spectrum
@@ -227,17 +229,150 @@ def test_smallest_positive_skips_the_zero_mode(n, delta):
     assert abs(closed - numeric) <= 1e-12
 
 
-@pytest.mark.parametrize("n", [4, 5, 8, 9, 14])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9, 14, 64, 65, 256, 512])
 def test_spectra_match_numeric_route(n):
-    # ratios on both sides of the even threshold (N+2)/N
-    deltas = np.array([1.1, 1.6, 2.38, 3.2])
+    # ratios on both sides of the even threshold (N+2)/N.  The levels come
+    # from one levels function on both routes; the end products from the
+    # identity and from the singular vectors differ by at most 2.3e-14 at
+    # N = 256 and 512 on these ratios (measured)
+    deltas = np.array([0.5, 1.1, 1.13, 1.6, 2.38, 3.2, 8.0])
     lam, ends = spectra(n, deltas)
     assert lam.shape == ends.shape == (deltas.size, n)
+    tol = 1e-12 if n <= 65 else 5e-14
     for i, delta in enumerate(deltas):
         eig = eigensystem_numeric(build_coupling_matrix(ChainSpec(n, float(delta))))
-        assert np.max(np.abs(lam[i] - eig.eigenvalues)) <= 1e-12
+        assert np.array_equal(lam[i], eig.eigenvalues)
         expected = eig.vectors[0] * eig.vectors[-1]
-        assert np.max(np.abs(ends[i] - expected)) <= 1e-12
+        assert np.max(np.abs(ends[i] - expected)) <= tol
+
+
+# u_1j * u_Nj of the positive levels, descending, then an odd chain's zero
+# mode, from a 60-digit mpmath eigensolve of the N x N chain, to 40 digits
+END_PRODUCT_REFERENCE = {
+    (6, 2.0): (
+        "0.02718924939680335340549277350446822985228",
+        "-0.07884918859916908227306320673391348479614",
+        "0.3939615620040275643214440197616182853516",
+    ),
+    (8, 2.4): (
+        "0.01015268814102094641094317416030920749544",
+        "-0.0329382269192343163462683343128370299644",
+        "0.04177952259408493528754752746167511177027",
+        "-0.4151295623456598019552409640651786507699",
+    ),
+    (9, 2.38): (
+        "0.01563946141146522512162712653169342217696",
+        "-0.05292305617837453076877438424417453093523",
+        "0.0829012759673107402310538208109868866002",
+        "-0.05845216868422248245010349628579814868718",
+        "0.02566897496764209573239386637458474169051",
+    ),
+    (24, 2.38): (
+        "0.0004611022030868506421639207506076071721671",
+        "-0.001801071538180082801755353547798855490696",
+        "0.003890215351216892156337227662104658751995",
+        "-0.006512763328783044316306432992201714256643",
+        "0.009364937770495503523549712522171845790756",
+        "-0.01204694348363371776015399791430790657278",
+        "0.01404413558554923871487906624301612244408",
+        "-0.01469971876624513666860348763310937637582",
+        "0.01323079002585005255064795081182625491511",
+        "-0.009054574552920449873779715633094396942119",
+        "0.003164342871934893820412614463559882208365",
+        "-0.4117294045221041371714105198262013790795",
+    ),
+    (33, 2.38): (
+        "0.0004167149146616935405903959072316577179479",
+        "-0.001645449766581012157009143894539494765619",
+        "0.00362214029114933862791510330991419216865",
+        "-0.006240493059719423424647970778798711235356",
+        "0.009352455924008334649567937868751227908362",
+        "-0.01276837714875206664064734418467465696524",
+        "0.0162563847107086338481075721410620587488",
+        "-0.01954053831272200830002992762615820916664",
+        "0.02229776694789077316145169459853306988602",
+        "-0.02415533310696390410489443594539004566959",
+        "0.02469561812315315637477642458254063910018",
+        "-0.0234878076957085608302011510064034765174",
+        "0.02019285612596480649100351746407714784968",
+        "-0.01482341738349193286063720028271241136955",
+        "0.00820788552378702561473416649896404932172",
+        "-0.002380794578028698644206751465542862607176",
+        "7.769812876893082542256262916511904138921e-7",
+    ),
+    (48, 2.38): (
+        "6.011492061276727108677461238255885372502e-5",
+        "-0.0002389849313131885404714174803464233012276",
+        "0.0005321905904356997656797779687918483976488",
+        "-0.0009323808988359594675787323451497643923022",
+        "0.001429290796853119720295106533304310741141",
+        "-0.002009756271576248670739841501242609312469",
+        "0.002657717337643433669408109186964647380786",
+        "-0.003354196052511748906349214573092142894636",
+        "0.004077233840194407949199987493339084180054",
+        "-0.004801770657114426659591656040989079097002",
+        "0.005499450164061849062181023212419264810472",
+        "-0.00613834502179338646287487736544768159564",
+        "0.006682625266247433582663116585997517042563",
+        "-0.007092262145749132632567926821994571412985",
+        "0.007323012433834973435242955663108724702134",
+        "-0.007327241811447638192030190356078761759483",
+        "0.007056742614854677157203861992669386572512",
+        "-0.006469705376840164465938615874773458668922",
+        "0.005545292847829672496125461668627986041335",
+        "-0.0043096635010311020257923448769343163029",
+        "0.002872963022210106941620613477118440180876",
+        "-0.001460993604436654717415173767816963968207",
+        "0.000398668251162697993401037013848086883752",
+        "-0.4117293976414095102145421835875623715072",
+    ),
+}
+
+
+@pytest.mark.parametrize("n,delta", sorted(END_PRODUCT_REFERENCE))
+def test_end_products_as_accurate_as_the_vectors(n, delta):
+    reference = [Decimal(v) for v in END_PRODUCT_REFERENCE[n, delta]]
+
+    def error(values):
+        return max(abs(Decimal(float(v)) - r) for v, r in zip(values, reference))
+
+    _, ends = spectra(n, np.array([delta]))
+    eig = eigensystem_for(ChainSpec(n, delta))
+    vectors = eig.vectors[0] * eig.vectors[-1]
+    assert error(ends[0]) <= max(error(vectors), Decimal(4 * np.finfo(float).eps))
+
+
+def test_spectra_takes_one_values_only_svd(monkeypatch):
+    calls = []
+    real = np.linalg.svd
+
+    def counting(stack, compute_uv=True):
+        calls.append((stack.shape, compute_uv))
+        return real(stack, compute_uv=compute_uv)
+
+    def refuse(*args):
+        raise AssertionError("spectra validated singular vectors")
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    monkeypatch.setattr(spectral_mod, "_validate_svd", refuse)
+    spectra(8, np.linspace(2.0, 3.0, 5))
+    spectra(9, np.array([2.38]))
+    assert calls == [((5, 4, 4), False), ((1, 5, 5), False)]
+
+
+# an odd chain whose bond product overflows a float (8^511), an even one
+# whose s_min underflows to 0, and the longest at a ratio below 1
+@pytest.mark.parametrize("n,delta", [(1023, 8.0), (1024, 8.0), (1024, 0.5), (512, 2.38)])
+def test_spectra_of_the_longest_chains(n, delta):
+    lam, ends = spectra(n, np.array([delta]))
+    half = n // 2
+    assert np.isfinite(ends).all()
+    bonds = ChainSpec(n, delta).couplings()
+    assert math.isclose(np.sum(lam[0, :half] ** 2), np.sum(bonds ** 2), rel_tol=1e-13)
+    if n % 2 == 0:
+        assert abs(2.0 * np.sum(np.abs(ends[0, :half])) - 1.0) <= 1e-12
+    else:
+        assert abs(2.0 * np.sum(ends[0, :half]) + ends[0, half]) <= 1e-15
 
 
 @pytest.mark.parametrize(
@@ -248,14 +383,30 @@ def test_spectra_rejects_bad_ratios(deltas):
         spectra(6, np.array(deltas, dtype=float))
 
 
+def test_spectra_refuses_coinciding_levels():
+    # at ratio 1e-14 the two levels of N = 5 are both 1.0 in floating point,
+    # and the identity divides by their difference
+    with pytest.raises(NumericError, match=r"N=5, delta=1e-14"):
+        spectra(5, np.array([2.38, 1e-14]))
+
+
 def _corrupt_svd(monkeypatch, corrupt, chain):
-    """Make np.linalg.svd damage one chain's triplets of every stack it returns."""
+    """Make np.linalg.svd damage one chain's triplets of every stack it returns.
+
+    The values-only return (all that spectra asks for) gets a NaN level,
+    a level scaled by 1 + 1e-8 or a level shifted by 1e-6; the vectors
+    of the full return a NaN or the same scaling.
+    """
     real = np.linalg.svd
 
     def broken(stack, compute_uv=True):
         if not compute_uv:
             s = real(stack, compute_uv=False).copy()
-            if corrupt == "shift":
+            if corrupt == "nan":
+                s[chain, 0] = math.nan
+            elif corrupt == "scale":
+                s[chain, 0] *= 1.0 + 1e-8
+            elif corrupt == "shift":
                 s[chain, 0] += 1e-6
             return s
         first, s, last = (w.copy() for w in real(stack))
