@@ -15,9 +15,10 @@ from the paired series: the uniform time grid by angle addition
 every reported value directly (paired_transfer_probability); a kept
 sample is re-evaluated over its chunk of the grid.  optimize_delta and
 fixed_time_optimize are one ratio search (_ratio_search) under two
-scores.  Every search returns at least its own grid winner.  All
-searches are deterministic: grids are fixed by the parameters alone and
-tie-breaks take the earliest time (or smallest ratio).
+scores, which passes over a refused ratio: its spectrum fails its checks,
+or its score is out of reach.  Every search returns at least its own grid
+winner.  All searches are deterministic: grids are fixed by the
+parameters alone and tie-breaks take the earliest time (or smallest ratio).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .dynamics import (
 )
 from .errors import HorizonError, NumericError, ResourceError, ValidationError
 from .roots import bisect
-from .spectral import spectra
+from .spectral import _masked_spectra, spectra
 
 _WINDOW_FACTOR = 1.3
 _GRID_STEP_CAP = 0.01
@@ -51,7 +52,6 @@ _FIXED_TIME_TOL = 1e-6
 # the ratio grids take at most this / N^2 ratios per stacked solve,
 # which bounds their memory on wide ratio ranges
 _GRID_CHUNK_ENTRIES = 1 << 20
-_DEGENERACY_FLOOR = 1e-12
 _MAX_GRID_POINTS = 100_000_000
 # ratio grid steps at most; the default ranges take 500 or 1000
 _MAX_RATIO_STEPS = 1_000_000
@@ -162,12 +162,8 @@ def _spectrum_peak(lam: np.ndarray, ends: np.ndarray, delta: float) -> TransferT
     """first_peak of the chain whose levels and end products are given."""
     n = lam.size
     lam_min = float(lam[n // 2 - 1])
-    if lam_min < _DEGENERACY_FLOOR:
-        raise HorizonError(
-            f"smallest positive eigenvalue {lam_min} is below the degeneracy "
-            f"floor {_DEGENERACY_FLOOR:.3e}; the peak window is unbounded"
-        )
-    window = _WINDOW_FACTOR * math.pi / lam_min
+    # check_horizon refuses lambda_min below ~1e-6 (lambda_max >= 1) and 0 (underflowed)
+    window = _WINDOW_FACTOR * math.pi / lam_min if lam_min > 0.0 else math.inf
     check_horizon(window, float(lam[0]))
     step = min(_GRID_STEP_CAP, math.pi / (_FAST_SAMPLES_PER_HALF_PERIOD * float(lam[0])))
     count = int(math.ceil(window / step))
@@ -223,23 +219,13 @@ def _ratio_scores(
     n_sites: int, ratios: np.ndarray,
     score: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
 ) -> np.ndarray:
-    """score of each ratio of a stack; a ratio whose spectrum spectra refuses scores -inf.
-
-    A refused stack is scored again in halves, so one refused ratio
-    leaves the others their scores at a cost of about log2 of the stack
-    size in extra stacks.
-    """
-    try:
-        stack = spectra(n_sites, ratios)
-    except NumericError:
-        if ratios.size == 1:
-            return np.array([-math.inf])
-        half = ratios.size // 2
-        return np.concatenate([
-            _ratio_scores(n_sites, ratios[:half], score),
-            _ratio_scores(n_sites, ratios[half:], score),
-        ])
-    return score(*stack, ratios)
+    """score of each ratio of a stack, from one solve; a ratio whose spectrum fails scores -inf."""
+    lam, ends, ok = _masked_spectra(n_sites, ratios)
+    if ok.all():
+        return score(lam, ends, ratios)
+    scores = np.full(ratios.size, -math.inf)
+    scores[ok] = score(lam[ok], ends[ok], ratios[ok])
+    return scores
 
 
 def _ratio_search(
@@ -250,11 +236,12 @@ def _ratio_search(
 
     score(lam, ends, ratios) maps a stack of spectra to one P per ratio.
     The grid takes its spectra in stacks of _GRID_CHUNK_ENTRIES / N^2
-    ratios; golden section refines within one step of its first best
-    ratio, one ratio at a time, and the grid winner stands where that
-    does not beat it (as at a range end, which golden section never
-    evaluates).  A ratio whose spectrum spectra refuses is no candidate
-    (_ratio_scores); a range without one raises NumericError.
+    ratios, one solve each; golden section refines within one step of
+    its first best ratio, one ratio at a time, and the grid winner
+    stands where that does not beat it (as at a range end, which golden
+    section never evaluates).  A ratio whose spectrum fails its checks
+    (_ratio_scores), or that score gives -inf, is refused and no
+    candidate; a range of refused ratios raises NumericError.
     """
     _validate_delta_range(lo, hi)
     grid = _ratio_grid(lo, hi, step)
@@ -264,9 +251,7 @@ def _ratio_search(
         max(1, _GRID_CHUNK_ENTRIES // (n_sites * n_sites)),
     )
     if not p_best >= 0.0:
-        raise NumericError(
-            f"spectra refused every ratio of [{lo:.6g}, {hi:.6g}] at N={n_sites}"
-        )
+        raise NumericError(f"refused every ratio of [{lo:.6g}, {hi:.6g}] at N={n_sites}")
     winner = float(grid[best])
     delta, p = _golden_max(
         lambda d: float(_ratio_scores(n_sites, np.array([d]), score)[0]),
@@ -280,7 +265,8 @@ def optimize_delta(n_sites: int, delta_lo: float, delta_hi: float) -> TransferTr
 
     The ratio search (_ratio_search) scores each ratio by its
     first_peak p_h, on a 0.002-spaced grid refined to 1e-4, and returns
-    first_peak of the winner.  The range must reach above the
+    first_peak of the winner; a ratio whose first_peak raises
+    NumericError is refused.  The range must reach above the
     closed-form threshold (N+2)/N; below it the first-peak mechanism
     this search targets does not operate.
     """
@@ -294,10 +280,14 @@ def optimize_delta(n_sites: int, delta_lo: float, delta_hi: float) -> TransferTr
             "no high-transfer regime inside"
         )
 
+    def peak(lam: np.ndarray, ends: np.ndarray, delta: float) -> float:
+        try:
+            return _spectrum_peak(lam, ends, float(delta)).p_h
+        except NumericError:  # the peak window is out of reach: a refused ratio
+            return -math.inf
+
     def peaks(*stack: np.ndarray) -> np.ndarray:
-        return np.array([
-            _spectrum_peak(lam, ends, float(delta)).p_h for lam, ends, delta in zip(*stack)
-        ])
+        return np.array([peak(*row) for row in zip(*stack)])
 
     delta_h, _ = _ratio_search(n_sites, delta_lo, delta_hi, _DELTA_GRID, _DELTA_TOL, peaks)
     return first_peak(ChainSpec(n_sites, delta_h))
@@ -322,10 +312,9 @@ def fixed_time_optimize(
         n, delta_lo, delta_hi, _FIXED_TIME_GRID, _FIXED_TIME_TOL,
         lambda lam, ends, ratios: paired_transfer_probability(lam, ends, t_fixed),
     )
-    estimate = math.pi / float(spectra(n, [delta_h])[0][0, n // 2 - 1])
-    return TransferTriad(
-        delta_h=delta_h, t_h=t_fixed, p_h=p_h, lambda_min_estimate=estimate
-    )
+    lam_min = float(spectra(n, [delta_h])[0][0, n // 2 - 1])
+    estimate = math.pi / lam_min if lam_min > 0.0 else math.inf  # lambda_min underflowed
+    return TransferTriad(delta_h=delta_h, t_h=t_fixed, p_h=p_h, lambda_min_estimate=estimate)
 
 
 def table1_sweep(delta: float, n_list: list[int]) -> list[SweepRow]:
@@ -338,9 +327,9 @@ def table1_sweep(delta: float, n_list: list[int]) -> list[SweepRow]:
     transfer the chain reaches later: at ratio 2.38, N = 5, 7, 9 give
     P = 0.0204, 5.6e-4, 6.0e-6, while the same curves reach 0.31,
     0.23, 0.19 by t <= 500.  Rows come back sorted by length.  A
-    length whose peak window is numerically out of reach, or whose
-    spectrum spectra refuses, is flagged in its note and filled with
-    NaN; the sweep continues.
+    length that first_peak refuses (NumericError: its spectrum fails
+    its checks or its peak window is out of reach) is filled with NaN
+    and its note holds the reason; the sweep continues.
     """
     if not n_list:
         raise ValidationError("n_list must not be empty")

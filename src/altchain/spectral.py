@@ -343,8 +343,8 @@ def _svd(bt: np.ndarray, compute_uv: bool):
         raise NumericError(f"bidiagonal SVD failed: {exc}") from exc
 
 
-def _levels(bonds: np.ndarray, bt: np.ndarray) -> np.ndarray:
-    """Checked (S, N//2) positive levels, descending, of a (S, N-1) stack of chains.
+def _levels(bonds: np.ndarray, bt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(S, N//2) positive levels, descending, of a (S, N-1) stack of chains, and their verdict.
 
     bt is the stack's _bidiagonal_t.  The one source of levels for both
     routes: the values-only SVD of B^T (qd iterations, high relative
@@ -356,30 +356,24 @@ def _levels(bonds: np.ndarray, bt: np.ndarray) -> np.ndarray:
     its error only by eps*s_max; the other levels stay away from 0, so
     the identity keeps s_min to full relative precision.
 
-    The levels must be finite, descending and nonnegative, and obey
-    the trace rule sum_j s_j^2 = sum_i b_i^2 (the Frobenius norm of B)
-    to _TRACE_REL_TOL, or NumericError is raised.
+    Also returns an (S,) mask of the chains whose levels pass: finite,
+    descending and nonnegative, and obeying the trace rule
+    sum_j s_j^2 = sum_i b_i^2 (the Frobenius norm of B) to _TRACE_REL_TOL.
     """
     levels = _svd(bt, compute_uv=False)[:, : (bonds.shape[1] + 1) // 2]
     if bonds.shape[1] % 2 == 1:
         log_det = np.log(bonds[:, 0::2]).sum(axis=1)
         levels[:, -1] = np.exp(log_det - np.log(levels[:, :-1]).sum(axis=1))
-    if not (
-        np.isfinite(levels).all()
-        and (levels[:, 1:] - levels[:, :-1] <= _ORDER_TOL).all()
-        and (levels[:, -1] >= 0.0).all()
-    ):
-        raise NumericError("levels are not finite, descending and nonnegative")
     scale = bonds.max(axis=1)[:, None]
     norm = np.square(bonds / scale).sum(axis=1)
     trace = np.abs(np.square(levels / scale).sum(axis=1) - norm)
-    if not (trace <= _TRACE_REL_TOL * norm).all():
-        i = int(np.argmax(~(trace <= _TRACE_REL_TOL * norm)))
-        raise NumericError(
-            f"levels break the trace rule by {trace[i] / norm[i]:.3e} "
-            f"(tolerance {_TRACE_REL_TOL:.0e})"
-        )
-    return levels
+    ok = (
+        np.isfinite(levels).all(axis=1)
+        & (levels[:, 1:] - levels[:, :-1] <= _ORDER_TOL).all(axis=1)
+        & (levels[:, -1] >= 0.0)
+        & (trace <= _TRACE_REL_TOL * norm)
+    )
+    return levels, ok
 
 
 def _bond_svd(bonds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -390,10 +384,12 @@ def _bond_svd(bonds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     in columns.  Two SVDs: the levels come from the values-only one,
     because those of the divide-and-conquer SVD that supplies the
     vectors carry about three times the error at N=16, and a phase
-    lambda*t/2 multiplies it by t.
+    lambda*t/2 multiplies it by t.  Failing levels raise NumericError.
     """
     bt = _bidiagonal_t(bonds)
-    levels = _levels(bonds, bt)
+    levels, ok = _levels(bonds, bt)
+    if not ok.all():
+        raise NumericError("levels fail their checks: finite, descending, trace rule")
     v, _, ut = _svd(bt, compute_uv=True)
     cols = levels.shape[1]
     u, v = np.swapaxes(ut, 1, 2), v[:, :cols, :cols]
@@ -536,18 +532,12 @@ def _end_products(bonds: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np
     return ends, np.isfinite(ends).all(axis=1) & (defect <= tol * total)
 
 
-def spectra(n_sites: int, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Spectra of a stack of chains that differ only in ratio.
+def _masked_spectra(n_sites: int, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """spectra of a stack from one solve, and the (B,) mask of the chains that pass.
 
-    Returns the (B, N) eigenvalues, descending per row, and the (B, N)
-    end products u_1j * u_Nj, the only spectral data the transfer
-    probability P_N reads, without eigenvectors: the levels from one
-    values-only SVD of the stack (_levels), the end products from the
-    Jacobi end-product identity (_end_products).  Every system passes
-    the trace rule and its sum rule, or the whole stack raises
-    NumericError naming N and delta: chains whose levels are too close
-    for the identity to keep a digit, or coincide in floating point
-    (delta below about 1e-13 or above about 1e13), are refused.
+    A chain passes where its levels pass (_levels) and its end products
+    obey their sum rule (_end_products).  A failing chain's rows mean
+    nothing; the others are those of a stack without it.
     """
     n = ChainSpec(n_sites, 1.0).n_sites  # validates n_sites
     ratios = np.asarray(deltas, dtype=float)
@@ -556,10 +546,27 @@ def spectra(n_sites: int, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not (np.all(np.isfinite(ratios)) and np.all(ratios > 0.0)):
         raise ValidationError("deltas must be finite and positive")
     bonds = alternating_couplings(n, ratios)
-    levels = _levels(bonds, _bidiagonal_t(bonds))
-    ends, ok = _end_products(bonds, levels)
+    levels, levels_ok = _levels(bonds, _bidiagonal_t(bonds))
+    ends, ends_ok = _end_products(bonds, levels)
+    return _paired_levels(levels, n), ends, levels_ok & ends_ok
+
+
+def spectra(n_sites: int, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Spectra of a stack of chains that differ only in ratio.
+
+    Returns the (B, N) eigenvalues, descending per row, and the (B, N)
+    end products u_1j * u_Nj, the only spectral data the transfer
+    probability P_N reads, without eigenvectors: the levels from one
+    values-only SVD of the stack (_levels), the end products from the
+    Jacobi end-product identity (_end_products).  Every chain must pass
+    the checks of _masked_spectra, or NumericError names N and delta:
+    chains whose levels are too close for the identity to keep a digit,
+    or coincide in floating point (delta below about 1e-13 or above
+    about 1e13), fail.  The ratio searches read the same per-chain
+    verdict and pass over a failing ratio instead.
+    """
+    lam, ends, ok = _masked_spectra(n_sites, deltas)
     if not ok.all():
-        raise NumericError(
-            f"end products break their sum rule at N={n}, delta={ratios[~ok][0]:.6g}"
-        )
-    return _paired_levels(levels, n), ends
+        bad = np.asarray(deltas, dtype=float)[~ok][0]
+        raise NumericError(f"spectrum fails its checks at N={lam.shape[1]}, delta={bad:.6g}")
+    return lam, ends

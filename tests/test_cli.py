@@ -219,6 +219,22 @@ def test_every_ratio_refused_exit_code(capsys):
     assert err.startswith("numeric failure:") and "refused every ratio" in err
 
 
+def test_optimize_every_ratio_unreachable_exit_code(capsys, monkeypatch):
+    from altchain import HorizonError
+    from altchain import search as search_mod
+
+    def unreachable(lam, ends, delta):
+        raise HorizonError("peak window out of reach")
+
+    monkeypatch.setattr(search_mod, "_spectrum_peak", unreachable)
+    code, out, err = run_cli(
+        "optimize", "--n", "6", "--delta-min", "2.3", "--delta-max", "2.4", capsys=capsys
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numeric failure:") and "every ratio of [2.3, 2.4] at N=6" in err
+
+
 def test_long_time_within_horizon(capsys):
     code, out, _ = run_cli("fixed-time", "--n", "8", "--time", "1e5", capsys=capsys)
     assert code == 0

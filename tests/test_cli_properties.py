@@ -1,11 +1,14 @@
-"""Property tests over the numeric flags of `eigs`, `curve` and `fixed-time`.
+"""Property tests over the numeric flags of `eigs`, `curve`, `fixed-time`, `optimize` and `table1`.
 
 Every input either exits 0 with finite values (probabilities in
 [0, 1]) or exits 1 or 3 with a message on stderr and nothing on stdout.
+The one exception is a `table1` row that the sweep refuses: it prints
+as NaN, and a warning on stderr names its N.
 """
 
 import contextlib
 import io
+import logging
 import math
 
 from hypothesis import given, settings, strategies as st
@@ -23,23 +26,49 @@ def counts(lo: int, hi: int):
     return st.one_of(st.sampled_from(["0", "-2", "1e300", "nan"]), st.integers(lo, hi).map(str))
 
 
-def run(argv: list[str]) -> tuple[int, list[list[str]]]:
+def ratio_range(step: float):
+    """(--delta-min, --delta-max): an extreme upper end, or at most 50 grid steps above."""
+
+    def bounds(lo: str, width: float | str) -> tuple[str, str]:
+        return lo, width if isinstance(width, str) else repr(float(lo) + width)
+
+    # finite values first: one_of leans towards its first branch
+    return st.tuples(
+        st.one_of(st.floats(2.0, 4.0).map(repr), st.sampled_from(EXTREMES)),
+        st.one_of(st.floats(0.0, 50 * step), st.sampled_from(EXTREMES)),
+    ).map(lambda pair: bounds(*pair))
+
+
+def run(argv: list[str]) -> tuple[int, list[list[str]], str]:
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    # the warnings the cli logs to stderr; pytest holds the root logger,
+    # so they reach err through a handler of their own
+    handler = logging.StreamHandler(err)
+    logging.getLogger("altchain.cli").addHandler(handler)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        logging.getLogger("altchain.cli").removeHandler(handler)
     if code != 0:
         assert code in (1, 3), (argv, code, err.getvalue())
         assert out.getvalue() == ""
         assert err.getvalue().startswith(("error:", "numeric failure:")), err.getvalue()
-        return code, []
+        return code, [], err.getvalue()
     rows = [line.split(",") for line in out.getvalue().splitlines()[1:]]
-    return code, rows
+    return code, rows, err.getvalue()
+
+
+def assert_inside(delta_h: str, delta_min: str, delta_max: str) -> None:
+    # the ratio is printed to 12 digits, and so are the range ends here
+    lo, hi = (float(format(float(v), ".12g")) for v in (delta_min, delta_max))
+    assert lo <= float(delta_h) <= hi
 
 
 @settings(deadline=None, max_examples=60)
 @given(n=counts(2, 64), delta=numbers(1e-3, 50.0))
 def test_eigs_outcomes(n, delta):
-    code, rows = run(["eigs", "--n", n, "--delta", delta])
+    code, rows, _ = run(["eigs", "--n", n, "--delta", delta])
     if code != 0:
         return
     assert len(rows) == int(n)
@@ -60,7 +89,7 @@ def test_eigs_outcomes(n, delta):
     node=counts(1, 70),
 )
 def test_curve_outcomes(n, delta, tmax, samples, node):
-    code, rows = run(
+    code, rows, _ = run(
         ["curve", "--n", n, "--delta", delta, "--tmax", tmax, "--samples", samples,
          "--node", node]
     )
@@ -83,7 +112,7 @@ def test_curve_outcomes(n, delta, tmax, samples, node):
     delta_max=numbers(1e-3, 20.0),
 )
 def test_fixed_time_outcomes(n, time, delta_min, delta_max):
-    code, rows = run(
+    code, rows, _ = run(
         ["fixed-time", "--n", n, "--time", time, "--delta-min", delta_min,
          "--delta-max", delta_max]
     )
@@ -91,8 +120,45 @@ def test_fixed_time_outcomes(n, time, delta_min, delta_max):
         return
     [(n_out, t, delta_h, p_h)] = rows
     assert n_out == n
-    # the ratio is printed to 12 digits, and so are the range ends here
-    lo, hi = (float(format(float(v), ".12g")) for v in (delta_min, delta_max))
-    assert lo <= float(delta_h) <= hi
+    assert_inside(delta_h, delta_min, delta_max)
     assert math.isfinite(float(t))
     assert 0.0 <= float(p_h) <= 1.0
+
+
+@settings(deadline=None, max_examples=60)
+# n in 2..8, mostly even: an odd chain only exits 1
+@given(
+    n=st.one_of(st.integers(1, 4).map(lambda k: 2 * k), st.integers(2, 8)).map(str),
+    ratios=ratio_range(0.002),
+)
+def test_optimize_outcomes(n, ratios):
+    delta_min, delta_max = ratios
+    # "--flag=value", so that argparse takes "-1" as a value, not a flag
+    code, rows, _ = run(
+        ["optimize", "--n", n, f"--delta-min={delta_min}", f"--delta-max={delta_max}"]
+    )
+    if code != 0:
+        return
+    [(n_out, delta_h, t_h, p_h, estimate)] = rows
+    assert n_out == n
+    assert_inside(delta_h, delta_min, delta_max)
+    assert all(math.isfinite(float(v)) for v in (t_h, estimate))
+    assert 0.0 <= float(p_h) <= 1.0
+
+
+@settings(deadline=None, max_examples=60)
+@given(delta=numbers(1e-3, 20.0), lengths=st.lists(st.integers(2, 8), min_size=1, max_size=4))
+def test_table1_outcomes(delta, lengths):
+    code, rows, err = run(["table1", f"--delta={delta}", "--n", ",".join(map(str, lengths))])
+    if code != 0:
+        return
+    assert [int(row[0]) for row in rows] == sorted(set(lengths))
+    for n, _, t_h, p_h, estimate in rows:
+        values = [float(v) for v in (t_h, p_h, estimate)]
+        if any(math.isnan(v) for v in values):
+            # a refused row: all NaN, and a warning that names its N
+            assert all(math.isnan(v) for v in values)
+            assert f"N={n} skipped" in err
+        else:
+            assert all(math.isfinite(v) for v in values)
+            assert 0.0 <= values[1] <= 1.0

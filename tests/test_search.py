@@ -125,12 +125,13 @@ def test_time_scan_ties_take_earliest(monkeypatch, tied, expected):
 
 def test_ratio_grid_takes_one_stacked_solve(monkeypatch):
     calls = []
+    real = search_mod._masked_spectra
 
     def recording(n_sites, deltas):
         calls.append(len(deltas))
-        return spectra(n_sites, deltas)
+        return real(n_sites, deltas)
 
-    monkeypatch.setattr(search_mod, "spectra", recording)
+    monkeypatch.setattr(search_mod, "_masked_spectra", recording)
     optimize_delta(8, 2.3, 2.4)
     assert calls[0] == 51 and set(calls[1:]) == {1}  # the grid, then the polish
     grid = 2.3 + 0.002 * np.arange(51)
@@ -267,12 +268,12 @@ def test_fixed_time_grid_ties_take_earliest(monkeypatch, tied, expected):
     def fake_spectra(n_sites, deltas):
         # one unit-weight mode at zero frequency: P is the squared weight
         ends = np.where(np.isin(deltas, high), 0.9, 0.5)[:, None]
-        return np.zeros_like(ends), ends
+        return np.zeros_like(ends), ends, np.ones(deltas.size, dtype=bool)
 
     def arrival(lam, ends, ratios):
         return paired_transfer_probability(lam, ends, 1.0)
 
-    monkeypatch.setattr(search_mod, "spectra", fake_spectra)
+    monkeypatch.setattr(search_mod, "_masked_spectra", fake_spectra)
     monkeypatch.setattr(search_mod, "_GRID_CHUNK_ENTRIES", 7 * 2 * 2)  # 7 ratios per chunk
     # the polish evaluates only off-grid ratios (P = 0.25), so the grid winner stands
     delta, p = search_mod._ratio_search(2, grid[0], grid[-1], 0.001, 1e-6, arrival)
@@ -363,11 +364,11 @@ def test_sweep_reaches_the_longest_chains():
     # N = 1023 at ratio 8: its bond product 8^511 overflows a float.  The
     # row's time scale is exact; its P is rounding noise, as the true P
     # stays below 1e-3000 on the window.  N = 1024: s_min underflows to 0,
-    # and the row is refused as a HorizonError, not a NumericError
+    # an unbounded peak window that the phase horizon refuses
     odd, even = table1_sweep(8.0, [1023, 1024])
     assert odd.note == "" and odd.estimate == 0.44879757117005803
     assert 0.0 < odd.t_h1 <= 1.3 * odd.estimate and 0.0 <= odd.p_h1 < 1e-30
-    assert math.isnan(even.p_h1) and "degeneracy floor" in even.note
+    assert math.isnan(even.p_h1) and "phase error" in even.note
 
 
 def test_sweep_flags_unreachable_rows(monkeypatch):
@@ -398,11 +399,55 @@ def test_sweep_flags_refused_spectra():
 
 
 def test_ratio_search_passes_over_refused_ratios():
-    # the grid is 5e-324, 0.001, ..., 0.01: spectra refuses the first ratio,
-    # whose levels coincide, so the stack is scored again in halves and the
-    # search runs as it does on the other ten ratios
+    # the grid is 5e-324, 0.001, ..., 0.01: the first ratio's levels
+    # coincide, so it scores -inf and the search runs as it does on the
+    # other ten ratios
     triad = fixed_time_optimize(8, 60.0, 5e-324, 0.01)
     assert repr(triad) == repr(fixed_time_optimize(8, 60.0, 0.001, 0.01))
+
+
+def test_refused_ratio_leaves_one_solve(monkeypatch):
+    def arrival(lam, ends, ratios):
+        return paired_transfer_probability(lam, ends, 60.0)
+
+    alone = search_mod._ratio_scores(5, np.array([2.38]), arrival)
+    calls = []
+    real = np.linalg.svd
+
+    def counting(stack, compute_uv=True):
+        calls.append(stack.shape)
+        return real(stack, compute_uv=compute_uv)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    scores = search_mod._ratio_scores(5, np.array([2.38, 1e-14]), arrival)
+    assert calls == [(2, 3, 3)]
+    assert scores.tolist() == [alone[0], -math.inf]
+
+
+def test_optimize_passes_over_unreachable_ratios(monkeypatch):
+    # every ratio above the cut has its peak window out of reach; the
+    # search returns the best ratio below it instead of stopping
+    cut = 2.5
+    real = search_mod._spectrum_peak
+
+    def poisoned(lam, ends, delta):
+        if delta > cut:
+            raise HorizonError("peak window out of reach")
+        return real(lam, ends, delta)
+
+    monkeypatch.setattr(search_mod, "_spectrum_peak", poisoned)
+    triad = optimize_delta(8, 2.3, 2.6)
+    grid = search_mod._ratio_grid(2.3, 2.6, 0.002)
+    below = [first_peak(ChainSpec(8, float(delta))).p_h for delta in grid[grid <= cut]]
+    assert triad.delta_h <= cut and triad.p_h >= max(below)
+    assert triad == first_peak(ChainSpec(8, triad.delta_h))
+
+
+def test_fixed_time_with_underflowed_lambda_min():
+    # at N = 128, ratio 1e6 lambda_min underflows to 0: the arrival P is
+    # still defined, and the time scale pi / lambda_min is unbounded
+    triad = fixed_time_optimize(128, 0.001, 1e6, 1e6 + 0.001)
+    assert 0.0 <= triad.p_h <= 1.0 and triad.lambda_min_estimate == math.inf
 
 
 def test_optimize_rerun_identical():

@@ -390,6 +390,24 @@ def test_spectra_refuses_coinciding_levels():
         spectra(5, np.array([2.38, 1e-14]))
 
 
+def test_refused_chain_leaves_one_solve(monkeypatch):
+    # the stack above costs one values-only SVD; its refused chain is
+    # flagged, and its other row is that of a solve without it, to the bit
+    lam_alone, ends_alone = spectra(5, np.array([2.38]))
+    calls = []
+    real = np.linalg.svd
+
+    def counting(stack, compute_uv=True):
+        calls.append((stack.shape, compute_uv))
+        return real(stack, compute_uv=compute_uv)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    lam, ends, ok = spectral_mod._masked_spectra(5, np.array([2.38, 1e-14]))
+    assert calls == [((2, 3, 3), False)]
+    assert ok.tolist() == [True, False]
+    assert np.array_equal(lam[:1], lam_alone) and np.array_equal(ends[:1], ends_alone)
+
+
 def _corrupt_svd(monkeypatch, corrupt, chain):
     """Make np.linalg.svd damage one chain's triplets of every stack it returns.
 
