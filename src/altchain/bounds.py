@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainSpec
-from .errors import ValidationError
+from .errors import ResourceError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -50,17 +50,28 @@ class BoundReport:
 
 
 def bound_report(spec: ChainSpec) -> BoundReport:
-    """Evaluate the probability ceilings for an odd chain, delta >= 1."""
+    """Evaluate the probability ceilings for an odd chain, delta >= 1.
+
+    A chain whose (N-1)/2 modes numpy cannot allocate raises ResourceError.
+    """
     n, delta = spec.n_sites, spec.delta
     if n % 2 != 1:
         raise ValidationError(f"bound_report needs an odd chain, got N={n}")
     if delta < 1.0:
+        mirrored = 1.0 / delta
+        if not math.isfinite(mirrored):
+            raise ValidationError(
+                f"delta={delta} is below 1, and its mirrored ratio 1/delta overflows a float"
+            )
         raise ValidationError(
             f"delta={delta} is below 1; invert the ratio (the mirrored chain "
-            f"with delta={1.0 / delta:.12g} has the same spectrum)"
+            f"with delta={mirrored:.12g} has the same spectrum)"
         )
     m = (n - 1) // 2
-    j = np.arange(1, m + 1)
+    try:
+        j = np.arange(1, m + 1)
+    except (MemoryError, ValueError) as exc:  # ValueError: beyond the address space
+        raise ResourceError(f"bound report for N={n} cannot hold its {m} modes: {exc}") from exc
     cos_theta = np.cos(2.0 * math.pi * j / (n + 1))
     r_values = (2.0 + 2.0 * cos_theta) / (delta + 1.0 / delta + 2.0 * cos_theta)
     delta_max = float(r_values[0])

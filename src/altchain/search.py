@@ -16,9 +16,13 @@ every reported value directly (paired_transfer_probability); a kept
 sample is re-evaluated over its chunk of the grid.  optimize_delta and
 fixed_time_optimize are one ratio search (_ratio_search) under two
 scores, which passes over a refused ratio: its spectrum fails its checks,
-or its score is out of reach.  Every search returns at least its own grid
-winner.  All searches are deterministic: grids are fixed by the
-parameters alone and tie-breaks take the earliest time (or smallest ratio).
+or its score is out of reach.  On chains of up to _LOOK_AHEAD_SITES
+its golden-section polish solves ahead: one stacked solve holds every
+ratio that golden section can evaluate in its next _LOOK_AHEAD steps,
+and only the ratios it does evaluate are scored.  Every search returns
+at least its own grid winner.  All searches are deterministic: grids
+are fixed by the parameters alone and tie-breaks take the earliest
+time (or smallest ratio).
 """
 
 from __future__ import annotations
@@ -57,6 +61,12 @@ _MAX_GRID_POINTS = 100_000_000
 _MAX_RATIO_STEPS = 1_000_000
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# the ratio polish solves the candidate points of its next _LOOK_AHEAD
+# golden-section steps in one stack, 2^(k+1) - 1 ratios for k steps, on
+# chains of up to _LOOK_AHEAD_SITES; on longer ones the 31 ratios cost
+# more to solve than the calls they save, and it solves one at a time
+_LOOK_AHEAD = 4
+_LOOK_AHEAD_SITES = 32
 
 
 @dataclass(frozen=True)
@@ -81,25 +91,72 @@ class SweepRow:
     note: str = ""
 
 
+def _golden_step(
+    a: float, b: float, c: float, d: float, left: bool
+) -> tuple[float, float, float, float]:
+    """The bracket (a, b) and inner points (c, d) after one golden-section step.
+
+    It keeps [a, d] when left, [c, b] otherwise, and takes one new inner
+    point: c when left, d otherwise.
+    """
+    if left:
+        return a, d, d - _INV_PHI * (d - a), c
+    return c, b, d, c + _INV_PHI * (b - c)
+
+
+def _golden_reach(
+    a: float, b: float, c: float, d: float, xtol: float, steps: int
+) -> list[float]:
+    """Every point golden section can evaluate from (a, b, c, d) in its next steps.
+
+    Both branches of each step are replayed by _golden_step; a path that
+    ends within the steps contributes its final midpoint.
+    """
+    if not b - a > xtol:
+        return [0.5 * (a + b)]
+    if steps == 0:
+        return []
+    points = []
+    for left in (True, False):
+        bracket = _golden_step(a, b, c, d, left)
+        points += [bracket[2 if left else 3], *_golden_reach(*bracket, xtol, steps - 1)]
+    return points
+
+
 def _golden_max(
-    f: Callable[[float], float], lo: float, hi: float, xtol: float
+    f: Callable[[float], float], lo: float, hi: float, xtol: float,
+    prefetch: Callable[[list[float]], None] | None = None, ahead: int = 0,
 ) -> tuple[float, float]:
-    """Golden-section maximisation on [lo, hi] to width xtol."""
+    """Golden-section maximisation on [lo, hi] to width xtol.
+
+    prefetch, if given, receives every point the search can evaluate
+    within its next `ahead` steps (_golden_reach) whenever it is about
+    to evaluate a point it has not passed on yet, so that f can read
+    them from one batch; it changes no point the search takes.
+    """
+    passed: set[float] = set()
+
+    def value(x: float) -> float:
+        if prefetch is not None and x not in passed:
+            reach = [c, d, *_golden_reach(a, b, c, d, xtol, ahead)]
+            points = [p for p in dict.fromkeys(reach) if p not in passed]
+            prefetch(points)
+            passed.update(points)
+        return f(x)
+
     a, b = float(lo), float(hi)
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
+    fc, fd = value(c), value(d)
     while b - a > xtol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
+        left = fc >= fd
+        a, b, c, d = _golden_step(a, b, c, d, left)
+        if left:
+            fc, fd = value(c), fc
         else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
+            fc, fd = fd, value(d)
     x = 0.5 * (a + b)
-    return x, f(x)
+    return x, value(x)
 
 
 def _first_argmax(
@@ -231,17 +288,23 @@ def _ratio_scores(
 def _ratio_search(
     n_sites: int, lo: float, hi: float, step: float, tol: float,
     score: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-) -> tuple[float, float]:
-    """(ratio, P) of the best ratio in [lo, hi], never below the grid winner.
+) -> tuple[float, float, tuple[np.ndarray, np.ndarray]]:
+    """(ratio, P, (lam, ends)) of the best ratio in [lo, hi], never below the grid winner.
 
     score(lam, ends, ratios) maps a stack of spectra to one P per ratio.
     The grid takes its spectra in stacks of _GRID_CHUNK_ENTRIES / N^2
     ratios, one solve each; golden section refines within one step of
-    its first best ratio, one ratio at a time, and the grid winner
-    stands where that does not beat it (as at a range end, which golden
-    section never evaluates).  A ratio whose spectrum fails its checks
-    (_ratio_scores), or that score gives -inf, is refused and no
-    candidate; a range of refused ratios raises NumericError.
+    its first best ratio, and the grid winner stands where that does not
+    beat it (as at a range end, which golden section never evaluates).
+    Up to _LOOK_AHEAD_SITES the polish solves ahead: each stack holds
+    every ratio golden section can evaluate in its next _LOOK_AHEAD
+    steps (the grid winner rides with the first), and only the ratios
+    it does evaluate are scored, one row at a time; longer chains solve
+    one ratio per stack.  A stacked row equals the solve of its ratio alone, so no
+    ratio scores differently.  lam and ends are the spectrum of the
+    returned ratio, as spectra gives it.  A ratio whose spectrum fails
+    its checks (_masked_spectra), or that score gives -inf, is refused
+    and no candidate; a range of refused ratios raises NumericError.
     """
     _validate_delta_range(lo, hi)
     grid = _ratio_grid(lo, hi, step)
@@ -253,11 +316,26 @@ def _ratio_search(
     if not p_best >= 0.0:
         raise NumericError(f"refused every ratio of [{lo:.6g}, {hi:.6g}] at N={n_sites}")
     winner = float(grid[best])
+    rows: dict[float, tuple[np.ndarray, np.ndarray, bool]] = {}
+
+    def prefetch(points: list[float]) -> None:
+        ratios = [p for p in dict.fromkeys([*points, winner]) if p not in rows]
+        lam, ends, ok = _masked_spectra(n_sites, np.array(ratios))
+        for i, ratio in enumerate(ratios):
+            rows[ratio] = (lam[i:i + 1], ends[i:i + 1], bool(ok[i]))
+
+    def polish(delta: float) -> float:
+        lam, ends, ok = rows[delta]
+        return float(score(lam, ends, np.array([delta]))[0]) if ok else -math.inf
+
+    ahead = _LOOK_AHEAD if n_sites <= _LOOK_AHEAD_SITES else 0
     delta, p = _golden_max(
-        lambda d: float(_ratio_scores(n_sites, np.array([d]), score)[0]),
-        max(lo, winner - step), min(hi, winner + step), tol,
+        polish, max(lo, winner - step), min(hi, winner + step), tol, prefetch, ahead
     )
-    return (delta, p) if p > p_best else (winner, p_best)
+    if not p > p_best:
+        delta, p = winner, p_best
+    lam, ends, _ = rows[delta]
+    return delta, p, (lam[0], ends[0])
 
 
 def optimize_delta(n_sites: int, delta_lo: float, delta_hi: float) -> TransferTriad:
@@ -289,8 +367,10 @@ def optimize_delta(n_sites: int, delta_lo: float, delta_hi: float) -> TransferTr
     def peaks(*stack: np.ndarray) -> np.ndarray:
         return np.array([peak(*row) for row in zip(*stack)])
 
-    delta_h, _ = _ratio_search(n_sites, delta_lo, delta_hi, _DELTA_GRID, _DELTA_TOL, peaks)
-    return first_peak(ChainSpec(n_sites, delta_h))
+    delta_h, _, (lam, ends) = _ratio_search(
+        n_sites, delta_lo, delta_hi, _DELTA_GRID, _DELTA_TOL, peaks
+    )
+    return _spectrum_peak(lam, ends, delta_h)
 
 
 def fixed_time_optimize(
@@ -308,11 +388,11 @@ def fixed_time_optimize(
     _validate_delta_range(delta_lo, delta_hi)  # before the horizon check reads delta_hi
     n = ChainSpec(n_sites, delta_lo).n_sites  # validates n_sites
     check_horizon(t_fixed, 1.0 + delta_hi)  # lambda_max <= 1 + delta on the whole range
-    delta_h, p_h = _ratio_search(
+    delta_h, p_h, (lam, _) = _ratio_search(
         n, delta_lo, delta_hi, _FIXED_TIME_GRID, _FIXED_TIME_TOL,
         lambda lam, ends, ratios: paired_transfer_probability(lam, ends, t_fixed),
     )
-    lam_min = float(spectra(n, [delta_h])[0][0, n // 2 - 1])
+    lam_min = float(lam[n // 2 - 1])
     estimate = math.pi / lam_min if lam_min > 0.0 else math.inf  # lambda_min underflowed
     return TransferTriad(delta_h=delta_h, t_h=t_fixed, p_h=p_h, lambda_min_estimate=estimate)
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from altchain import (
     ChainSpec,
+    ResourceError,
     ValidationError,
     bound_report,
     eigensystem_for,
@@ -56,6 +57,20 @@ def test_rejects_even_or_weak_coupling():
         bound_report(ChainSpec(4, 2.0))
     with pytest.raises(ValidationError, match="invert the ratio"):
         bound_report(ChainSpec(5, 0.5))
+
+
+def test_names_an_overflowing_mirror():
+    # 1/delta overflows below about 5.6e-309: the message says so, not "delta=inf"
+    with pytest.raises(ValidationError, match="overflows") as info:
+        bound_report(ChainSpec(5, 5e-324))
+    assert "inf" not in str(info.value)
+
+
+@pytest.mark.parametrize("n", [2**62 + 1, 10**20 + 1])
+def test_refuses_chains_numpy_cannot_hold(n):
+    # modes beyond the address space: refused before anything is allocated
+    with pytest.raises(ResourceError, match="cannot hold"):
+        bound_report(ChainSpec(n, 2.0))
 
 
 def test_sampled_curve_stays_below_cap():

@@ -284,11 +284,16 @@ def test_byte_identical_reruns(tmp_path):
     [
         pytest.param(["table1", "--delta", "2.38", "--n", "14,16,18,20"], id="table1"),
         pytest.param(["optimize", "--n", "8"], id="optimize"),
+        pytest.param(
+            ["fixed-time", "--n", "8", "--time", "60", "--delta-min", "2.0", "--delta-max", "3.0"],
+            id="fixed-time",
+        ),
     ],
 )
 def test_stdout_does_not_depend_on_blas_threads(argv):
-    # the peak scan runs through matrix products; fresh processes with
-    # one BLAS thread and with the library's default print the same bytes
+    # the peak scan and the ratio polish run through stacked solves and
+    # matrix products; fresh processes with one BLAS thread and with the
+    # library's default print the same bytes
     default = {k: v for k, v in os.environ.items()
                if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     single = dict(default, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")

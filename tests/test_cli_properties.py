@@ -1,4 +1,4 @@
-"""Property tests over the numeric flags of `eigs`, `curve`, `fixed-time`, `optimize` and `table1`.
+"""Property tests over the numeric flags of every command but `verify`.
 
 Every input either exits 0 with finite values (probabilities in
 [0, 1]) or exits 1 or 3 with a message on stderr and nothing on stdout.
@@ -16,6 +16,8 @@ from hypothesis import given, settings, strategies as st
 from altchain.cli import main
 
 EXTREMES = ["inf", "-inf", "nan", "0", "-0", "-1", "1e300", "-1e300", "5e-324"]
+# integer flags that parse to no int, or to one beyond every cap
+HUGE_COUNTS = ["inf", "-inf", "1e300", "99999999999999999999", "-99999999999999999999"]
 
 
 def numbers(lo: float, hi: float):
@@ -162,3 +164,29 @@ def test_table1_outcomes(delta, lengths):
         else:
             assert all(math.isfinite(v) for v in values)
             assert 0.0 <= values[1] <= 1.0
+
+
+@settings(deadline=None, max_examples=40)
+@given(max_product=st.one_of(st.sampled_from(HUGE_COUNTS), counts(1, 3000)))
+def test_ideal4_outcomes(max_product):
+    code, rows, _ = run(["ideal4", f"--max-product={max_product}"])
+    if code != 0:
+        return
+    assert rows[0][:2] == ["3", "1"]
+    for a, b, delta_bar, t_bar, probability in rows:
+        assert int(a) * int(b) <= int(max_product)
+        assert all(math.isfinite(float(v)) for v in (delta_bar, t_bar, probability))
+        assert 0.0 <= float(probability) <= 1.0
+
+
+@settings(deadline=None, max_examples=60)
+@given(n=st.one_of(st.sampled_from(HUGE_COUNTS), counts(1, 201)), delta=numbers(1e-3, 50.0))
+def test_bound_outcomes(n, delta):
+    code, rows, _ = run(["bound", f"--n={n}", f"--delta={delta}"])
+    if code != 0:
+        return
+    assert len(rows) == (int(n) - 1) // 2
+    for row in rows:
+        # every column after n, delta and j is a probability or a cap on one
+        assert math.isfinite(float(row[1]))
+        assert all(0.0 <= float(v) <= 1.0 for v in row[3:])

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from altchain import (
     ChainSpec,
+    ResourceError,
     ValidationError,
     eigensystem_for,
     ideal_solutions,
@@ -78,6 +79,8 @@ def test_max_product_bounds_enumeration():
         ideal_solutions(2)
     few = ideal_solutions(3)
     assert [(s.a, s.b) for s in few] == [(3, 1)]
+    with pytest.raises(ResourceError, match="cap"):
+        ideal_solutions(1_000_001)
 
 
 @settings(deadline=None, max_examples=80)

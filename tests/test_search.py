@@ -133,7 +133,8 @@ def test_ratio_grid_takes_one_stacked_solve(monkeypatch):
 
     monkeypatch.setattr(search_mod, "_masked_spectra", recording)
     optimize_delta(8, 2.3, 2.4)
-    assert calls[0] == 51 and set(calls[1:]) == {1}  # the grid, then the polish
+    # the grid, then the polish: eight golden-section steps, four per stack
+    assert calls[0] == 51 and len(calls) == 3 and min(calls[1:]) > 1
     grid = 2.3 + 0.002 * np.arange(51)
     stacked = [
         search_mod._spectrum_peak(lam, ends, float(delta))
@@ -276,7 +277,7 @@ def test_fixed_time_grid_ties_take_earliest(monkeypatch, tied, expected):
     monkeypatch.setattr(search_mod, "_masked_spectra", fake_spectra)
     monkeypatch.setattr(search_mod, "_GRID_CHUNK_ENTRIES", 7 * 2 * 2)  # 7 ratios per chunk
     # the polish evaluates only off-grid ratios (P = 0.25), so the grid winner stands
-    delta, p = search_mod._ratio_search(2, grid[0], grid[-1], 0.001, 1e-6, arrival)
+    delta, p, _ = search_mod._ratio_search(2, grid[0], grid[-1], 0.001, 1e-6, arrival)
     assert (delta, p) == (grid[expected], pytest.approx(0.81))
 
 
@@ -422,6 +423,105 @@ def test_refused_ratio_leaves_one_solve(monkeypatch):
     scores = search_mod._ratio_scores(5, np.array([2.38, 1e-14]), arrival)
     assert calls == [(2, 3, 3)]
     assert scores.tolist() == [alone[0], -math.inf]
+
+
+def _sequential_ratio_search(n, lo, hi, step, tol, score):
+    """The ratio search with a polish that solves one ratio at a time."""
+    grid = search_mod._ratio_grid(lo, hi, step)
+    scores = search_mod._ratio_scores(n, grid, score)
+    best = int(np.argmax(scores))
+    winner, p_best = float(grid[best]), float(scores[best])
+    delta, p = search_mod._golden_max(
+        lambda d: float(search_mod._ratio_scores(n, np.array([d]), score)[0]),
+        max(lo, winner - step), min(hi, winner + step), tol,
+    )
+    return (delta, p) if p > p_best else (winner, p_best)
+
+
+def _arrival(t):
+    return lambda lam, ends, ratios: paired_transfer_probability(lam, ends, t)
+
+
+def _peaks(lam, ends, ratios):
+    return np.array([search_mod._spectrum_peak(*row).p_h for row in zip(lam, ends, ratios)])
+
+
+def _refusing(score, lo, hi):
+    """score, with -inf for every ratio in (lo, hi)."""
+    return lambda lam, ends, ratios: np.where(
+        (ratios > lo) & (ratios < hi), -math.inf, score(lam, ends, ratios)
+    )
+
+
+@pytest.mark.parametrize(
+    "n,lo,hi,step,tol,score",
+    [
+        pytest.param(8, 2.0, 3.0, 0.001, 1e-6, _arrival(60.0), id="even"),
+        pytest.param(7, 1.6, 2.2, 0.001, 1e-6, _arrival(23.5), id="odd"),
+        pytest.param(14, 2.2, 2.5, 0.001, 1e-6, _arrival(51.0), id="longest-benchmark-chain"),
+        pytest.param(8, 2.3, 2.4, 0.002, 1e-4, _peaks, id="first-peak"),
+        pytest.param(
+            8, 2.0, 3.0, 0.001, 1e-6, _refusing(_arrival(60.0), 2.5098, 2.5102),
+            id="refused-in-bracket",
+        ),
+        pytest.param(8, 2.40, 2.45, 0.001, 1e-6, _arrival(60.0), id="range-end-winner"),
+        # either side of _LOOK_AHEAD_SITES, and a long chain
+        pytest.param(32, 2.3, 2.35, 0.001, 1e-6, _arrival(20.0), id="longest-look-ahead-chain"),
+        pytest.param(33, 2.3, 2.35, 0.001, 1e-6, _arrival(20.0), id="one-ratio-at-a-time"),
+        pytest.param(128, 2.3, 2.31, 0.001, 1e-6, _arrival(5.0), id="long-chain"),
+    ],
+)
+def test_batched_polish_equals_sequential(n, lo, hi, step, tol, score):
+    delta, p, (lam, ends) = search_mod._ratio_search(n, lo, hi, step, tol, score)
+    assert (delta, p) == _sequential_ratio_search(n, lo, hi, step, tol, score)
+    # the returned spectrum is that of the returned ratio, to the bit
+    lam_1, ends_1 = spectra(n, np.array([delta]))
+    assert lam.tobytes() == lam_1[0].tobytes() and ends.tobytes() == ends_1[0].tobytes()
+
+
+def test_batched_polish_with_refused_spectra(monkeypatch):
+    # the spectral verdict refuses every ratio in a band inside the
+    # polish bracket of the README search; both searches pass over it alike
+    real = search_mod._masked_spectra
+
+    def refusing(n_sites, deltas):
+        lam, ends, ok = real(n_sites, deltas)
+        return lam, ends, ok & ~((deltas > 2.5095) & (deltas < 2.5101))
+
+    monkeypatch.setattr(search_mod, "_masked_spectra", refusing)
+    args = (8, 2.0, 3.0, 0.001, 1e-6, _arrival(60.0))
+    assert search_mod._ratio_search(*args)[:2] == _sequential_ratio_search(*args)
+
+
+def _svd_calls(monkeypatch):
+    calls = []
+    real = np.linalg.svd
+
+    def counting(stack, compute_uv=True):
+        calls.append((stack.shape[0], compute_uv))
+        return real(stack, compute_uv=compute_uv)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+def test_fixed_time_polish_solves_ahead(monkeypatch):
+    # the grid, then four stacks of ratios for sixteen golden-section
+    # steps; the winner's spectrum is not solved again
+    calls = _svd_calls(monkeypatch)
+    fixed_time_optimize(8, 60.0, 2.0, 3.0)
+    assert len(calls) <= 5 and not any(uv for _, uv in calls)
+
+
+@pytest.mark.parametrize("n", [33, 128])
+def test_long_chain_polish_solves_no_ratio_ahead(monkeypatch, n):
+    # above _LOOK_AHEAD_SITES a ratio costs more to solve than a call:
+    # after the grid the polish solves its first two points with the grid
+    # winner, then one ratio at a time, the last with the final midpoint
+    calls = _svd_calls(monkeypatch)
+    fixed_time_optimize(n, 5.0, 2.3, 2.31)
+    sizes = [size for size, _ in calls]
+    assert sizes == [11, 3] + [1] * (len(sizes) - 3) + [2]
 
 
 def test_optimize_passes_over_unreachable_ratios(monkeypatch):

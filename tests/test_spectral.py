@@ -408,6 +408,22 @@ def test_refused_chain_leaves_one_solve(monkeypatch):
     assert np.array_equal(lam[:1], lam_alone) and np.array_equal(ends[:1], ends_alone)
 
 
+@pytest.mark.parametrize("n", range(2, 33))
+def test_stacked_rows_equal_single_solves(n):
+    # the ratio polish solves ratios ahead in one stack and reads each row
+    # as the solve of its ratio alone: levels, end products and verdict
+    # agree to the bit, on both sides of the even threshold (N+2)/N
+    rng = np.random.default_rng(n)
+    deltas = np.concatenate([rng.uniform(0.3, 4.0, 12), [1e-14, (n + 2) / n]])
+    lam, ends, ok = spectral_mod._masked_spectra(n, deltas)
+    for i, delta in enumerate(deltas):
+        lam_1, ends_1, ok_1 = spectral_mod._masked_spectra(n, deltas[i:i + 1])
+        assert ok[i] == ok_1[0]
+        if ok[i]:
+            assert lam[i].tobytes() == lam_1[0].tobytes(), delta
+            assert ends[i].tobytes() == ends_1[0].tobytes(), delta
+
+
 def _corrupt_svd(monkeypatch, corrupt, chain):
     """Make np.linalg.svd damage one chain's triplets of every stack it returns.
 
