@@ -23,15 +23,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ResourceError, ValidationError
+
+# the most sites of a chain whose bonds are built: every route from the
+# bonds holds dense arrays of (N/2)^2 (spectra) to N^2 (eigensystem_for)
+# floats, and N^2 floats take 512 MiB at this cap
+MAX_SITES = 1 << 13
+
+
+def check_sites(n_sites: int) -> None:
+    """Refuse, with ResourceError, a chain longer than MAX_SITES before any array is allocated."""
+    if n_sites > MAX_SITES:
+        raise ResourceError(
+            f"N={n_sites} is above the cap of {MAX_SITES} sites; "
+            "a chain's dense N x N arrays take 512 MiB at the cap"
+        )
 
 
 def alternating_couplings(n_sites: int, delta: float | np.ndarray) -> np.ndarray:
     """Bond strengths (1, delta, 1, ...) along a last axis of length N-1.
 
     An array of ratios of shape (B,) gives the (B, N-1) bonds of a stack
-    of chains.
+    of chains.  A chain of more than MAX_SITES sites raises ResourceError
+    (check_sites).
     """
+    check_sites(n_sites)
     delta = np.asarray(delta, dtype=float)
     bonds = np.ones(delta.shape + (n_sites - 1,))
     bonds[..., 1::2] = delta[..., None]

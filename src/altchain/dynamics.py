@@ -214,6 +214,24 @@ def paired_transfer_slope(lam: np.ndarray, ends: np.ndarray, t: float) -> float:
     return float(-2.0 * (2.0 * (np.cos(phases) @ c) + ends[half]) * (np.sin(phases) @ rates))
 
 
+def series_derivative_bounds(lam: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(S1, S2) = (sum_j |c_j| lambda_j, 1/2 sum_j |c_j| lambda_j^2) over the positive half.
+
+    lam and ends are (..., N) as in paired_transfer_probability; the
+    sums are (...).  At every t the series s of P_N = s^2 obeys
+    |s'| <= S1 and |s''| <= S2, and |s| <= sum over all levels of
+    |c_j| <= 1 (Cauchy-Schwarz on u_1 and u_N), so
+    |P''| = |2 s'^2 + 2 s s''| <= 2 (S1^2 + S2).  Within h of a
+    stationary point of P, then, P lies at most (S1^2 + S2) h^2 below
+    it: the ratio grid of optimize_delta skips the polish of a ratio
+    whose best scan sample cannot rise by that much, plus a margin for
+    the scan's rounding, to a p_h already found.
+    """
+    half = lam.shape[-1] // 2
+    rates = np.abs(ends[..., :half]) * lam[..., :half]
+    return rates.sum(axis=-1), 0.5 * (rates * lam[..., :half]).sum(axis=-1)
+
+
 def sample_curve(
     eig: EigenSystem,
     t_max: float,

@@ -9,7 +9,8 @@ whole window, not the earliest peak above some level.  An earlier, lower
 peak is passed over: 16 sites at ratio 2.380 peak at P = 0.901 near
 0.85*pi/lambda_min, but the search returns the P = 0.915 peak at
 1.14*pi/lambda_min.  The peak time is then the root of dP/dt next to
-the winning sample.  Every search takes its spectra from spectra and P_N
+the winning sample: first_peak is a scan (_peak_scan), then a polish
+(_peak_polish).  Every search takes its spectra from spectra and P_N
 from the paired series: the uniform time grid by angle addition
 (paired_grid_probability), which only picks the winning sample, and
 every reported value directly (paired_transfer_probability); a kept
@@ -19,7 +20,13 @@ scores, which passes over a refused ratio: its spectrum fails its checks,
 or its score is out of reach.  On chains of up to _LOOK_AHEAD_SITES
 its golden-section polish solves ahead: one stacked solve holds every
 ratio that golden section can evaluate in its next _LOOK_AHEAD steps,
-and only the ratios it does evaluate are scored.  Every search returns
+and only the ratios it does evaluate are scored.  optimize_delta's
+grid scans every ratio but polishes only those that can win: a ratio
+whose best sample plus a certified rise, (S1^2 + S2) h^2 for scan step
+h from the curvature bound of the series (series_derivative_bounds;
+Breiman and Cutler 1993) plus a margin for the scan's rounding, lies
+strictly below a p_h already polished is skipped and scores its
+sample, which can neither win nor tie.  Every search returns
 at least its own grid winner.  All searches are deterministic: grids
 are fixed by the parameters alone and tie-breaks take the earliest
 time (or smallest ratio).
@@ -30,16 +37,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .chain import ChainSpec
+from .chain import ChainSpec, check_sites
 from .dynamics import (
     check_horizon,
     paired_grid_probability,
     paired_transfer_probability,
     paired_transfer_slope,
+    series_derivative_bounds,
 )
 from .errors import HorizonError, NumericError, ResourceError, ValidationError
 from .roots import bisect
@@ -61,12 +69,20 @@ _MAX_GRID_POINTS = 100_000_000
 _MAX_RATIO_STEPS = 1_000_000
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_EPS = float(np.finfo(float).eps)
 # the ratio polish solves the candidate points of its next _LOOK_AHEAD
 # golden-section steps in one stack, 2^(k+1) - 1 ratios for k steps, on
 # chains of up to _LOOK_AHEAD_SITES; on longer ones the 31 ratios cost
 # more to solve than the calls they save, and it solves one at a time
 _LOOK_AHEAD = 4
 _LOOK_AHEAD_SITES = 32
+# the margin of an optimize_delta grid ratio's skip, above its curvature
+# bound: the angle-addition scan differs from the direct series by at
+# most 0.15 eps * window * lambda_max (measured over N = 4..26 at ratios
+# 1.5..3.5); the margin allows _SKIP_DEVIATION times that, plus
+# _SKIP_MARGIN for the rounding of the bound and of the polished p_h
+_SKIP_DEVIATION = 8.0
+_SKIP_MARGIN = 1e-10
 
 
 @dataclass(frozen=True)
@@ -89,6 +105,17 @@ class SweepRow:
     p_h1: float
     estimate: float
     note: str = ""
+
+
+@dataclass(frozen=True)
+class _PeakScan:
+    """A first-peak window scan: P at (index + 1) * step, index < count; best is the highest."""
+
+    window: float
+    step: float
+    count: int
+    best: int
+    p_best: float
 
 
 def _golden_step(
@@ -216,7 +243,16 @@ def first_peak(spec: ChainSpec) -> TransferTriad:
 
 
 def _spectrum_peak(lam: np.ndarray, ends: np.ndarray, delta: float) -> TransferTriad:
-    """first_peak of the chain whose levels and end products are given."""
+    """first_peak of the chain whose levels and end products are given: scan, then polish."""
+    return _peak_polish(lam, ends, delta, _peak_scan(lam, ends))
+
+
+def _peak_scan(lam: np.ndarray, ends: np.ndarray) -> _PeakScan:
+    """The window scan of first_peak: its grid and its best sample.
+
+    A window beyond the phase horizon (check_horizon), or of more than
+    _MAX_GRID_POINTS samples, raises HorizonError.
+    """
     n = lam.size
     lam_min = float(lam[n // 2 - 1])
     # check_horizon refuses lambda_min below ~1e-6 (lambda_max >= 1) and 0 (underflowed)
@@ -230,12 +266,17 @@ def _spectrum_peak(lam: np.ndarray, ends: np.ndarray, delta: float) -> TransferT
             "the spectrum is too close to degenerate to scan"
         )
     actual = window / count
-    estimate = math.pi / lam_min
-    best, p_best = _best_sample(lam, ends, actual, count)
-    t_best = (best + 1) * actual
+    return _PeakScan(window, actual, count, *_best_sample(lam, ends, actual, count))
+
+
+def _peak_polish(lam: np.ndarray, ends: np.ndarray, delta: float, scan: _PeakScan) -> TransferTriad:
+    """The peak next to a scan's best sample: the root of dP/dt there, or the sample itself."""
+    estimate = math.pi / float(lam[lam.size // 2 - 1])
+    step, best, p_best = scan.step, scan.best, scan.p_best
+    t_best = (best + 1) * step
     slope = partial(paired_transfer_slope, lam, ends)
-    lo = max(t_best - actual, actual * 1e-3)
-    hi = min(t_best + actual, window)
+    lo = max(t_best - step, step * 1e-3)
+    hi = min(t_best + step, scan.window)
     if slope(lo) > 0.0 > slope(hi):
         root = bisect(slope, lo, hi)
         p_root = paired_transfer_probability(lam, ends, root)
@@ -243,7 +284,7 @@ def _spectrum_peak(lam: np.ndarray, ends: np.ndarray, delta: float) -> TransferT
             return TransferTriad(delta_h=delta, t_h=root, p_h=p_root, lambda_min_estimate=estimate)
     # keep the best sample, with the digits of the direct series over its chunk
     start = best - best % _TIME_CHUNK
-    times = (np.arange(start, min(start + _TIME_CHUNK, count)) + 1) * actual
+    times = (np.arange(start, min(start + _TIME_CHUNK, scan.count)) + 1) * step
     probs = paired_transfer_probability(lam, ends, times)
     k = int(np.argmax(probs))
     return TransferTriad(
@@ -288,6 +329,7 @@ def _ratio_scores(
 def _ratio_search(
     n_sites: int, lo: float, hi: float, step: float, tol: float,
     score: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    refusals: Sequence[str] = (),
 ) -> tuple[float, float, tuple[np.ndarray, np.ndarray]]:
     """(ratio, P, (lam, ends)) of the best ratio in [lo, hi], never below the grid winner.
 
@@ -304,7 +346,9 @@ def _ratio_search(
     ratio scores differently.  lam and ends are the spectrum of the
     returned ratio, as spectra gives it.  A ratio whose spectrum fails
     its checks (_masked_spectra), or that score gives -inf, is refused
-    and no candidate; a range of refused ratios raises NumericError.
+    and no candidate; a range of refused ratios raises NumericError,
+    which names the first ratio's reason: its failed checks, or else
+    the first of refusals, where score records why it gave -inf.
     """
     _validate_delta_range(lo, hi)
     grid = _ratio_grid(lo, hi, step)
@@ -314,7 +358,10 @@ def _ratio_search(
         max(1, _GRID_CHUNK_ENTRIES // (n_sites * n_sites)),
     )
     if not p_best >= 0.0:
-        raise NumericError(f"refused every ratio of [{lo:.6g}, {hi:.6g}] at N={n_sites}")
+        reason = refusals[0] if refusals else "its score is out of reach"
+        if not _masked_spectra(n_sites, grid[:1])[2][0]:
+            reason = f"the spectrum at delta={lo:.6g} fails the checks of spectra"
+        raise NumericError(f"refused every ratio of [{lo:.6g}, {hi:.6g}] at N={n_sites}: {reason}")
     winner = float(grid[best])
     rows: dict[float, tuple[np.ndarray, np.ndarray, bool]] = {}
 
@@ -344,7 +391,13 @@ def optimize_delta(n_sites: int, delta_lo: float, delta_hi: float) -> TransferTr
     The ratio search (_ratio_search) scores each ratio by its
     first_peak p_h, on a 0.002-spaced grid refined to 1e-4, and returns
     first_peak of the winner; a ratio whose first_peak raises
-    NumericError is refused.  The range must reach above the
+    NumericError is refused, and a range refused whole names the first
+    reason.  The grid polishes only the ratios that can win
+    (_first_peak_scores): every ratio is scanned, and a ratio whose best
+    sample plus its certified rise (S1^2 + S2) h^2 + margin lies
+    strictly below a p_h already polished in its stack is not polished
+    and scores that sample, so the search returns what polishing every
+    ratio returns, to the bit.  The range must reach above the
     closed-form threshold (N+2)/N; below it the first-peak mechanism
     this search targets does not operate.
     """
@@ -358,19 +411,67 @@ def optimize_delta(n_sites: int, delta_lo: float, delta_hi: float) -> TransferTr
             "no high-transfer regime inside"
         )
 
-    def peak(lam: np.ndarray, ends: np.ndarray, delta: float) -> float:
-        try:
-            return _spectrum_peak(lam, ends, float(delta)).p_h
-        except NumericError:  # the peak window is out of reach: a refused ratio
-            return -math.inf
-
-    def peaks(*stack: np.ndarray) -> np.ndarray:
-        return np.array([peak(*row) for row in zip(*stack)])
-
+    refusals: list[str] = []
     delta_h, _, (lam, ends) = _ratio_search(
-        n_sites, delta_lo, delta_hi, _DELTA_GRID, _DELTA_TOL, peaks
+        n_sites, delta_lo, delta_hi, _DELTA_GRID, _DELTA_TOL,
+        partial(_first_peak_scores, refusals=refusals), refusals,
     )
     return _spectrum_peak(lam, ends, delta_h)
+
+
+def _first_peak_scores(
+    lam: np.ndarray, ends: np.ndarray, ratios: np.ndarray, refusals: list[str]
+) -> np.ndarray:
+    """optimize_delta's score of a stack: each ratio's first_peak p_h, or a value that cannot win.
+
+    Every ratio is scanned (_peak_scan); one whose scan raises
+    NumericError scores -inf, and its reason joins refusals.  The others
+    are polished in descending order of their best sample, each by
+    _spectrum_peak, first_peak's own path, which scans it again: a
+    handful of scans in a stack of hundreds.  A ratio is skipped when
+    its best sample plus its rise lies strictly below the highest p_h
+    polished so far; it scores that sample, strictly below the stack's
+    winner, so the stack's best score and its first index are those of
+    polishing every ratio.  The rise is certified: the polish keeps the
+    sample or returns the root of dP/dt within one scan step h of it,
+    where P' = 0, so P there exceeds the sample by at most
+    max|P''| h^2 / 2 <= (S1^2 + S2) h^2 (series_derivative_bounds).
+    The margin adds _SKIP_DEVIATION times the scan's deviation from the
+    direct series, and _SKIP_MARGIN.  A one-ratio stack, as golden
+    section scores, has nothing to skip and is polished without a scan
+    ahead.
+    """
+
+    def polish(i: int) -> float:
+        try:
+            return _spectrum_peak(lam[i], ends[i], float(ratios[i])).p_h
+        except NumericError as exc:  # the peak window is out of reach: a refused ratio
+            refusals.append(str(exc))
+            return -math.inf
+
+    if ratios.size == 1:  # the golden-section polish: nothing to skip, nothing to scan ahead
+        return np.array([polish(0)])
+    scans: list[_PeakScan | None] = []
+    for row in zip(lam, ends):
+        try:
+            scans.append(_peak_scan(*row))
+        except NumericError as exc:
+            refusals.append(str(exc))
+            scans.append(None)
+    scores = np.array([-math.inf if scan is None else scan.p_best for scan in scans])
+    s1, s2 = series_derivative_bounds(lam, ends)
+    top = -math.inf
+    for i in np.argsort(-scores, kind="stable"):
+        scan = scans[i]
+        if scan is None:
+            break
+        deviation = _SKIP_DEVIATION * _EPS * scan.window * float(lam[i, 0])
+        rise = (s1[i] ** 2 + s2[i]) * scan.step**2 + deviation + _SKIP_MARGIN
+        if scan.p_best + rise < top:
+            continue
+        scores[i] = polish(i)
+        top = max(top, scores[i])
+    return scores
 
 
 def fixed_time_optimize(
@@ -409,11 +510,15 @@ def table1_sweep(delta: float, n_list: list[int]) -> list[SweepRow]:
     0.23, 0.19 by t <= 500.  Rows come back sorted by length.  A
     length that first_peak refuses (NumericError: its spectrum fails
     its checks or its peak window is out of reach) is filled with NaN
-    and its note holds the reason; the sweep continues.
+    and its note holds the reason; the sweep continues.  A length above
+    chain.MAX_SITES refuses the whole sweep with ResourceError (check_sites)
+    before any row.
     """
     if not n_list:
         raise ValidationError("n_list must not be empty")
     lengths = sorted(set(int(n) for n in n_list))
+    for n in lengths:
+        check_sites(n)
 
     def one_row(n: int) -> SweepRow:
         try:

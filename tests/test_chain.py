@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from altchain import ChainSpec, ValidationError, build_coupling_matrix
-from altchain.chain import CouplingMatrix, alternating_couplings
+from altchain import ChainSpec, ResourceError, ValidationError, build_coupling_matrix
+from altchain.chain import MAX_SITES, CouplingMatrix, alternating_couplings
 from conftest import dense_matrix
 
 
@@ -92,3 +92,9 @@ def test_apply_matches_dense_product(n):
     x = np.random.default_rng(n).standard_normal((n, 5))
     expected = dense_matrix(matrix) @ x
     assert np.max(np.abs(matrix.apply(x) - expected)) <= 4e-16 * np.max(np.abs(expected))
+
+
+def test_longest_chain_builds_and_one_more_site_is_refused():
+    assert alternating_couplings(MAX_SITES, 2.0).shape == (MAX_SITES - 1,)
+    with pytest.raises(ResourceError, match=f"N={MAX_SITES + 1} is above the cap"):
+        ChainSpec(MAX_SITES + 1, 2.0).couplings()

@@ -235,6 +235,44 @@ def test_optimize_every_ratio_unreachable_exit_code(capsys, monkeypatch):
     assert err.startswith("numeric failure:") and "every ratio of [2.3, 2.4] at N=6" in err
 
 
+def test_refused_range_names_its_limit(capsys):
+    # every ratio's peak window needs more samples than the scan's cap;
+    # the message names the first ratio's
+    code, out, err = run_cli(
+        "optimize", "--n", "32", "--delta-min", "2.3", "--delta-max", "2.33", capsys=capsys
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("numeric failure: refused every ratio of [2.3, 2.33] at N=32: ")
+    assert "peak window needs 134279324 samples (cap 100000000)" in err
+
+
+def test_refused_spectra_name_their_checks(capsys):
+    code, out, err = run_cli(
+        "fixed-time", "--n", "8", "--time", "60", "--delta-min", "5e-324",
+        "--delta-max", "1e-300", capsys=capsys,
+    )
+    assert code == 3 and out == ""
+    assert "fails the checks of spectra" in err
+
+
+HUGE_N = "99999999999999999999"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["eigs", "--n", HUGE_N, "--delta", "2"], id="eigs"),
+        pytest.param(["curve", "--n", HUGE_N, "--delta", "2", "--tmax", "1", "--samples", "3"],
+                     id="curve"),
+        pytest.param(["table1", "--delta", "2", "--n", f"4,{HUGE_N}"], id="table1"),
+    ],
+)
+def test_huge_chain_refused_before_allocating(capsys, argv):
+    code, out, err = run_cli(*argv, capsys=capsys)
+    assert code == 3 and out == ""
+    assert err.startswith(f"numeric failure: N={HUGE_N} is above the cap of 8192 sites")
+
+
 def test_long_time_within_horizon(capsys):
     code, out, _ = run_cli("fixed-time", "--n", "8", "--time", "1e5", capsys=capsys)
     assert code == 0

@@ -563,3 +563,87 @@ def test_ideal_ratio_dwell_contains_arrival():
     dwell = curve.times[curve.probabilities >= 0.999]
     assert dwell.size > 0
     assert dwell[0] <= math.pi * math.sqrt(3.0) <= dwell[-1]
+
+
+def _no_skip(lam, ends):
+    """series_derivative_bounds with an unbounded curvature: every grid ratio is polished."""
+    return (np.full(lam.shape[:-1], math.inf),) * 2
+
+
+def _poison_above(monkeypatch, cut):
+    """Refuse, by a HorizonError of _spectrum_peak, every ratio above cut."""
+    real = search_mod._spectrum_peak
+
+    def poisoned(lam, ends, delta):
+        if delta > cut:
+            raise HorizonError("peak window out of reach")
+        return real(lam, ends, delta)
+
+    monkeypatch.setattr(search_mod, "_spectrum_peak", poisoned)
+
+
+@pytest.mark.parametrize(
+    "n,lo,hi,ratios_per_stack,cut",
+    [
+        # the best sample lies at 3.014, the best p_h at 2.268
+        pytest.param(4, 2.0, 3.2, None, None, id="best-sample-loses"),
+        # 2.42 samples below 2.422 and polishes above it
+        pytest.param(12, 2.41, 2.422, None, None, id="12-samples-out-of-order"),
+        pytest.param(6, 2.3, 2.45, None, None, id="6"),
+        pytest.param(10, 2.2, 2.5, None, None, id="10"),
+        pytest.param(8, 2.3, 2.4, None, None, id="range-end-winner"),
+        pytest.param(6, 2.5, 2.6, None, None, id="range-start-winner"),
+        pytest.param(8, 2.3, 2.6, None, 2.5, id="refused-above-2.5"),
+        pytest.param(8, 2.4, 2.7, 7, None, id="stacks-of-7"),
+        pytest.param(6, 2.0, 3.0, 16, 2.4, id="stacks-of-16-refused-above-2.4"),
+    ],
+)
+def test_skipped_grid_ratios_change_no_output(monkeypatch, n, lo, hi, ratios_per_stack, cut):
+    if ratios_per_stack is not None:
+        monkeypatch.setattr(search_mod, "_GRID_CHUNK_ENTRIES", ratios_per_stack * n * n)
+    if cut is not None:
+        _poison_above(monkeypatch, cut)
+    skipping = repr(optimize_delta(n, lo, hi))
+    monkeypatch.setattr(search_mod, "series_derivative_bounds", _no_skip)
+    assert repr(optimize_delta(n, lo, hi)) == skipping
+
+
+def test_optimize_polishes_a_handful_of_grid_ratios(monkeypatch):
+    polished = []
+    real = search_mod._peak_polish
+
+    def counting(lam, ends, delta, scan):
+        polished.append(delta)
+        return real(lam, ends, delta, scan)
+
+    monkeypatch.setattr(search_mod, "_peak_polish", counting)
+    optimize_delta(8, 2.0, 3.0)
+    grid = search_mod._ratio_grid(2.0, 3.0, 0.002).tolist()
+    assert len(grid) == 501 and len(set(polished) & set(grid)) <= 8
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 9, 12, 16])
+def test_polish_rises_within_the_certified_bound(n):
+    # the polished p_h exceeds the best scanned sample by no more than the
+    # rise a skipped grid ratio is allowed
+    ratios = np.linspace(1.6, 3.2, 17)
+    lam, ends = spectra(n, ratios)
+    s1, s2 = search_mod.series_derivative_bounds(lam, ends)
+    for i, delta in enumerate(ratios):
+        scan = search_mod._peak_scan(lam[i], ends[i])
+        rise = (s1[i] ** 2 + s2[i]) * scan.step**2 + search_mod._SKIP_MARGIN
+        p_h = search_mod._spectrum_peak(lam[i], ends[i], float(delta)).p_h
+        assert scan.p_best - 1e-12 <= p_h <= scan.p_best + rise
+
+
+@pytest.mark.parametrize("n,lo,hi", [(4, 1.6, 3.2), (8, 2.0, 3.0), (12, 2.41, 2.43), (7, 2.0, 2.5)])
+def test_first_peak_scores_keep_the_best_of_polishing_every_ratio(n, lo, hi):
+    # a skipped ratio scores below the stack's best p_h; the polished ones
+    # score their p_h, so the best score and its first index are unchanged
+    grid = search_mod._ratio_grid(lo, hi, 0.002)
+    lam, ends = spectra(n, grid)
+    scores = search_mod._first_peak_scores(lam, ends, grid, [])
+    p_h = np.array([search_mod._spectrum_peak(*row).p_h for row in zip(lam, ends, grid)])
+    best = int(np.argmax(p_h))
+    assert int(np.argmax(scores)) == best and scores[best] == p_h[best]
+    assert np.all((scores == p_h) | (scores < p_h[best]))
