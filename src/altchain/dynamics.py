@@ -20,7 +20,8 @@ checks on sampled curves run on it.  On a uniform time grid t_k =
 k*step the series follows from angle addition, sin((K + r) a) from the
 sines and cosines at block starts K and offsets r, as two small matrix
 products per block of samples (paired_grid_probability); the peak scan
-uses it to pick its best sample.
+uses it to pick its best sample, and the first two time derivatives of
+the series (paired_transfer_derivatives) to polish it.
 
 transfer_probability keeps the complex spectral sum at node N as the
 reference route: the closed-form reduced series, the paired kernel and
@@ -181,10 +182,15 @@ def paired_grid_probability(
     products of a block-start table and an offset table, taken in
     groups of rows of at most _PRODUCT_SIZE multiply-adds, and only
     (rows + B) * N/2 sines and cosines are taken instead of one per
-    sample and level.  The block-start phases carry the bits of the
-    direct evaluation; the other phases are rounded differently, so the
-    two differ by a few eps * t * lambda_max (1e-15 to 1e-12 over the
-    first-peak windows up to N=22).
+    sample and level.  Each group's products are written into two
+    buffers allocated once per call (np.matmul(..., out=)), then added
+    or subtracted and squared in place, in the order of the plain
+    expression, so the bits are those of allocating each product.  A
+    sample's bits depend on the group it falls in (grid_pieces).  The
+    block-start phases carry the bits of the direct evaluation; the
+    other phases are rounded differently, so the two differ by a few
+    eps * t * lambda_max (1e-15 to 1e-12 over the first-peak windows up
+    to N=22).
     """
     half, count = lam.size // 2, stop - start
     rate = 0.5 * lam[:half]
@@ -194,24 +200,61 @@ def paired_grid_probability(
     offsets = np.multiply.outer(np.arange(block) * step, rate)
     sin_q, cos_q = 2.0 * ends[:half] * np.sin(starts), 2.0 * ends[:half] * np.cos(starts)
     sin_r, cos_r = np.sin(offsets).T, np.cos(offsets).T
-    series = np.empty((rows, block))
-    group = max(1, _PRODUCT_SIZE // (block * half))
+    group = _group_rows(lam.size, block)
+    series, product = np.empty((rows, block)), np.empty((min(group, rows), block))
     for i in range(0, rows, group):
         q = slice(i, i + group)
+        out = series[q]
+        other = product[:out.shape[0]]
         if lam.size % 2 == 0:
-            series[q] = sin_q[q] @ cos_r + cos_q[q] @ sin_r
+            np.matmul(sin_q[q], cos_r, out=out)
+            out += np.matmul(cos_q[q], sin_r, out=other)
         else:
-            series[q] = cos_q[q] @ cos_r - sin_q[q] @ sin_r + ends[half]
-    return series.ravel()[:count] ** 2
+            np.matmul(cos_q[q], cos_r, out=out)
+            out -= np.matmul(sin_q[q], sin_r, out=other)
+            out += ends[half]
+    probs = series.ravel()[:count]
+    return np.square(probs, out=probs)
 
 
-def paired_transfer_slope(lam: np.ndarray, ends: np.ndarray, t: float) -> float:
-    """dP_N/dt = 2 s s' of one chain at one time, s as in paired_transfer_probability."""
+def _group_rows(n_levels: int, block: int) -> int:
+    """Rows of blocks per matrix product of paired_grid_probability."""
+    return max(1, _PRODUCT_SIZE // (block * (n_levels // 2)))
+
+
+def grid_pieces(n_levels: int, count: int) -> list[int]:
+    """Cuts 0 = a_0 < ... < a_m = count of a paired_grid_probability call of count samples.
+
+    A call over the samples a_i..a_j-1 of a run of pieces returns the
+    bits of the whole call there.  The products of a call start at its
+    first sample, one group of rows each, and BLAS may round a row
+    differently in a product of another shape (numpy hands a one-row
+    product to a matrix-vector routine): a piece is one group, and a
+    last group shorter than one block joins the one before it, whose
+    call keeps full blocks.
+    """
+    block = min(_ANGLE_BLOCK, count)
+    cuts = [*range(0, count, _group_rows(n_levels, block) * block), count]
+    if len(cuts) > 2 and count - cuts[-2] < block:
+        del cuts[-2]
+    return cuts
+
+
+def paired_transfer_derivatives(lam: np.ndarray, ends: np.ndarray, t: float) -> tuple[float, float]:
+    """(dP_N/dt, d^2P_N/dt^2) = (2 s s', 2 (s'^2 + s s'')) of one chain at one time.
+
+    s is the series of paired_transfer_probability; its derivatives
+    scale each level's term by lambda_j / 2 and turn sines into cosines.
+    """
     half = lam.size // 2
     phases, c, rates = 0.5 * t * lam[:half], ends[:half], ends[:half] * lam[:half]
+    sin, cos = np.sin(phases), np.cos(phases)
     if lam.size % 2 == 0:
-        return float(4.0 * (np.sin(phases) @ c) * (np.cos(phases) @ rates))
-    return float(-2.0 * (2.0 * (np.cos(phases) @ c) + ends[half]) * (np.sin(phases) @ rates))
+        s, ds, dds = 2.0 * (sin @ c), cos @ rates, -0.5 * (sin @ (rates * lam[:half]))
+    else:
+        s, ds = 2.0 * (cos @ c) + ends[half], -(sin @ rates)
+        dds = -0.5 * (cos @ (rates * lam[:half]))
+    return float(2.0 * s * ds), float(2.0 * (ds * ds + s * dds))
 
 
 def series_derivative_bounds(lam: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -10,11 +10,18 @@ peak is passed over: 16 sites at ratio 2.380 peak at P = 0.901 near
 0.85*pi/lambda_min, but the search returns the P = 0.915 peak at
 1.14*pi/lambda_min.  The peak time is then the root of dP/dt next to
 the winning sample: first_peak is a scan (_peak_scan), then a polish
-(_peak_polish).  Every search takes its spectra from spectra and P_N
-from the paired series: the uniform time grid by angle addition
-(paired_grid_probability), which only picks the winning sample, and
-every reported value directly (paired_transfer_probability); a kept
-sample is re-evaluated over its chunk of the grid.  optimize_delta and
+(_peak_polish).  An even chain's window of more than one chunk is
+scanned only where the envelope of its series,
+2 |c_min| sin(lambda_min t/2) + 2 sum |c_bulk|, plus a margin for the
+scan's rounding, can reach the best sample so far (_envelope_sample;
+an exact bound, as in Hansen, Jaumard and Lu 1992); the sample it
+finds is the full scan's, to the bit.  The polish is a safeguarded
+Newton iteration on dP/dt (_slope_root).  Every search takes its
+spectra from spectra and P_N from the paired series: the uniform time
+grid by angle addition (paired_grid_probability), which only picks the
+winning sample, and every reported value directly
+(paired_transfer_probability); a kept sample is re-evaluated over its
+chunk of the grid.  optimize_delta and
 fixed_time_optimize are one ratio search (_ratio_search) under two
 scores, which passes over a refused ratio: its spectrum fails its checks,
 or its score is out of reach.  On chains of up to _LOOK_AHEAD_SITES
@@ -44,13 +51,13 @@ import numpy as np
 from .chain import ChainSpec, check_sites
 from .dynamics import (
     check_horizon,
+    grid_pieces,
     paired_grid_probability,
+    paired_transfer_derivatives,
     paired_transfer_probability,
-    paired_transfer_slope,
     series_derivative_bounds,
 )
 from .errors import HorizonError, NumericError, ResourceError, ValidationError
-from .roots import bisect
 from .spectral import _masked_spectra, spectra
 
 _WINDOW_FACTOR = 1.3
@@ -76,11 +83,12 @@ _EPS = float(np.finfo(float).eps)
 # more to solve than the calls they save, and it solves one at a time
 _LOOK_AHEAD = 4
 _LOOK_AHEAD_SITES = 32
-# the margin of an optimize_delta grid ratio's skip, above its curvature
-# bound: the angle-addition scan differs from the direct series by at
-# most 0.15 eps * window * lambda_max (measured over N = 4..26 at ratios
-# 1.5..3.5); the margin allows _SKIP_DEVIATION times that, plus
-# _SKIP_MARGIN for the rounding of the bound and of the polished p_h
+# the margin of a skip above its bound (an optimize_delta grid ratio's
+# curvature bound, a scan piece's envelope): the angle-addition scan
+# differs from the direct series by at most 0.15 eps * window * lambda_max
+# (measured over N = 4..26 at ratios 1.5..3.5); the margin allows
+# _SKIP_DEVIATION times that, plus _SKIP_MARGIN for the rounding of the
+# bound and of the polished p_h
 _SKIP_DEVIATION = 8.0
 _SKIP_MARGIN = 1e-10
 
@@ -109,13 +117,17 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class _PeakScan:
-    """A first-peak window scan: P at (index + 1) * step, index < count; best is the highest."""
+    """A first-peak window scan: P at (index + 1) * step, index < count; best is the highest.
+
+    evaluated counts the samples the scan computed, count at most.
+    """
 
     window: float
     step: float
     count: int
     best: int
     p_best: float
+    evaluated: int
 
 
 def _golden_step(
@@ -228,15 +240,19 @@ def first_peak(spec: ChainSpec) -> TransferTriad:
 
     Scans (0, 1.3*pi/lambda_min] on a grid no coarser than 0.01 and
     than a fiftieth of the fastest half-period, takes the global sampled
-    maximum (earliest on exact ties), and bisects dP/dt = 2 s s' where
-    it turns from + to - between the neighbouring samples.  Without that
-    sign change (an odd chain whose P still rises at the window end) the
-    best sample is kept, and p_h is never below it.  An earlier peak
-    lower than the window maximum is not returned, even a high one.
-    The grid is evaluated by angle addition (paired_grid_probability),
-    which only chooses the sample; a kept sample's p_h comes from the
-    direct series over its chunk of the grid.  A window too long for the
-    phases to keep digits (check_horizon) raises HorizonError.
+    maximum (earliest on exact ties), and solves dP/dt = 2 s s' = 0 by
+    safeguarded Newton steps where it turns from + to - between the
+    neighbouring samples.  Without that sign change (an odd chain whose
+    P still rises at the window end) the best sample is kept, and p_h
+    is never below it.  An earlier peak lower than the window maximum is
+    not returned, even a high one.  The grid is evaluated by angle
+    addition (paired_grid_probability), which only chooses the sample;
+    on an even chain whose window exceeds one chunk, only the pieces
+    where the series' envelope can reach the best sample are evaluated
+    (_envelope_sample), and the chosen sample is the same.  A kept
+    sample's p_h comes from the direct series over its chunk of the
+    grid.  A window too long for the phases to keep digits
+    (check_horizon) raises HorizonError.
     """
     lam, ends = spectra(spec.n_sites, [spec.delta])
     return _spectrum_peak(lam[0], ends[0], spec.delta)
@@ -250,8 +266,12 @@ def _spectrum_peak(lam: np.ndarray, ends: np.ndarray, delta: float) -> TransferT
 def _peak_scan(lam: np.ndarray, ends: np.ndarray) -> _PeakScan:
     """The window scan of first_peak: its grid and its best sample.
 
-    A window beyond the phase horizon (check_horizon), or of more than
-    _MAX_GRID_POINTS samples, raises HorizonError.
+    An even chain whose window is longer than one _TIME_CHUNK scans only
+    where its envelope can reach the best sample (_envelope_sample), and
+    finds what the full scan (_best_sample) finds, to the bit; other
+    windows are scanned whole.  A window beyond the phase horizon
+    (check_horizon), or of more than _MAX_GRID_POINTS samples, raises
+    HorizonError.
     """
     n = lam.size
     lam_min = float(lam[n // 2 - 1])
@@ -266,19 +286,24 @@ def _peak_scan(lam: np.ndarray, ends: np.ndarray) -> _PeakScan:
             "the spectrum is too close to degenerate to scan"
         )
     actual = window / count
-    return _PeakScan(window, actual, count, *_best_sample(lam, ends, actual, count))
+    if n % 2 == 0 and count > _TIME_CHUNK:
+        return _PeakScan(window, actual, count, *_envelope_sample(lam, ends, actual, count))
+    return _PeakScan(window, actual, count, *_best_sample(lam, ends, actual, count), count)
 
 
 def _peak_polish(lam: np.ndarray, ends: np.ndarray, delta: float, scan: _PeakScan) -> TransferTriad:
-    """The peak next to a scan's best sample: the root of dP/dt there, or the sample itself."""
+    """The peak next to a scan's best sample: the root of dP/dt there, or the sample itself.
+
+    The root is sought within one step h of the sample (_slope_root);
+    it is kept where P there is not below the sample, so p_h lies at
+    most (S1^2 + S2) h^2 above the sample, the rise optimize_delta's
+    grid relies on to skip a ratio.
+    """
     estimate = math.pi / float(lam[lam.size // 2 - 1])
     step, best, p_best = scan.step, scan.best, scan.p_best
     t_best = (best + 1) * step
-    slope = partial(paired_transfer_slope, lam, ends)
-    lo = max(t_best - step, step * 1e-3)
-    hi = min(t_best + step, scan.window)
-    if slope(lo) > 0.0 > slope(hi):
-        root = bisect(slope, lo, hi)
+    root = _slope_root(lam, ends, max(t_best - step, step * 1e-3), min(t_best + step, scan.window))
+    if root is not None:
         p_root = paired_transfer_probability(lam, ends, root)
         if p_root >= p_best:
             return TransferTriad(delta_h=delta, t_h=root, p_h=p_root, lambda_min_estimate=estimate)
@@ -292,6 +317,39 @@ def _peak_polish(lam: np.ndarray, ends: np.ndarray, delta: float, scan: _PeakSca
     )
 
 
+def _slope_root(lam: np.ndarray, ends: np.ndarray, lo: float, hi: float) -> float | None:
+    """The root of dP/dt in [lo, hi] where it turns from + to -, or None without that sign change.
+
+    A safeguarded Newton iteration on the bracket, with d^2P/dt^2 from
+    paired_transfer_derivatives, starting at the secant point of its
+    ends.  Each evaluation shrinks the bracket to the side the slope
+    points to; where the curvature is not negative, or the Newton step
+    would leave the bracket, the midpoint is taken instead.  Newton's
+    error after a step dt is about lambda_max * dt^2, so it stops on the
+    step once that lies below an ulp of t (at most two more than the
+    bracket's two ends on the first-peak chains), or once the bracket
+    can no longer be split; the root lies within two ulp of the one
+    bisection finds.
+    """
+    f_lo, f_hi = (paired_transfer_derivatives(lam, ends, t)[0] for t in (lo, hi))
+    if not f_lo > 0.0 > f_hi:
+        return None
+    t = lo + (hi - lo) * f_lo / (f_lo - f_hi)
+    while True:
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
+            if not lo < t < hi:
+                return t
+        slope, curvature = paired_transfer_derivatives(lam, ends, t)
+        if slope == 0.0:
+            return t
+        lo, hi = (t, hi) if slope > 0.0 else (lo, t)
+        step = -slope / curvature if curvature < 0.0 else math.inf
+        if float(lam[0]) * step * step <= math.ulp(t):
+            return min(max(t + step, lo), hi)
+        t += step
+
+
 def _best_sample(lam: np.ndarray, ends: np.ndarray, step: float, count: int) -> tuple[int, float]:
     """(index, P) of the highest of P((index + 1) * step), index < count, earliest on ties.
 
@@ -302,6 +360,48 @@ def _best_sample(lam: np.ndarray, ends: np.ndarray, step: float, count: int) -> 
         count,
         _TIME_CHUNK,
     )
+
+
+def _envelope_sample(
+    lam: np.ndarray, ends: np.ndarray, step: float, count: int
+) -> tuple[int, float, int]:
+    """_best_sample of an even chain, scanning only where a sample can win; and the samples scanned.
+
+    With c_min the end product of lambda_min and B = 2 sum |c_j| over
+    the other positive levels, the series obeys
+    |s(t)| <= 2 |c_min| sin(lambda_min t/2) + B on the window, which
+    ends before 2 pi/lambda_min; the envelope peaks at pi/lambda_min.
+    The window is cut into the pieces of _best_sample's kernel calls
+    (grid_pieces of each chunk), so that a piece scanned alone keeps
+    every bit.  Pieces are scanned in descending order of the square of
+    their envelope's largest value plus a margin (_SKIP_DEVIATION times
+    the kernel's deviation from the series, and _SKIP_MARGIN), the one
+    around pi/lambda_min first, until that bound lies strictly below the
+    best sample so far.  Every sample left out lies below it, so the
+    winner and the earliest-index rule are those of the full scan.
+    """
+    half = lam.size // 2
+    lam_min = float(lam[half - 1])
+    edge, bulk = 2.0 * abs(float(ends[half - 1])), 2.0 * float(np.abs(ends[:half - 1]).sum())
+    cuts = [
+        start + cut
+        for start in range(0, count, _TIME_CHUNK)
+        for cut in grid_pieces(lam.size, min(_TIME_CHUNK, count - start))[:-1]
+    ]
+    lo, hi = np.array(cuts), np.array([*cuts[1:], count])
+    nearest = np.clip(math.pi / lam_min, (lo + 1) * step, hi * step)
+    margin = _SKIP_DEVIATION * _EPS * count * step * float(lam[0]) + _SKIP_MARGIN
+    bounds = (edge * np.sin(0.5 * lam_min * nearest) + bulk) ** 2 + margin
+    best, p_best, evaluated = 0, -1.0, 0
+    for i in np.argsort(-bounds, kind="stable"):
+        if bounds[i] < p_best:
+            break
+        probs = paired_grid_probability(lam, ends, step, int(lo[i]) + 1, int(hi[i]) + 1)
+        k = int(np.argmax(probs))
+        evaluated += probs.size
+        if probs[k] > p_best or (probs[k] == p_best and lo[i] + k < best):
+            best, p_best = int(lo[i]) + k, float(probs[k])
+    return best, p_best, evaluated
 
 
 def _validate_delta_range(delta_lo: float, delta_hi: float) -> None:

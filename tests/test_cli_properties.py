@@ -11,13 +11,26 @@ import io
 import logging
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from altchain.cli import main
 
 EXTREMES = ["inf", "-inf", "nan", "0", "-0", "-1", "1e300", "-1e300", "5e-324"]
 # integer flags that parse to no int, or to one beyond every cap
 HUGE_COUNTS = ["inf", "-inf", "1e300", "99999999999999999999", "-99999999999999999999"]
+
+
+def assert_huge_refused(code: int, err: str) -> None:
+    """A chain length from HUGE_COUNTS never runs, and ends without a traceback.
+
+    Another flag may be refused first (exit 1).  A length above the site
+    cap is refused before any N-sized array is allocated, with exit 3.
+    """
+    assert code != 0 and "Traceback" not in err, err
+    if "above the cap" in err:
+        assert code == 3
+    else:
+        assert code == 1
 
 
 def numbers(lo: float, hi: float):
@@ -68,9 +81,12 @@ def assert_inside(delta_h: str, delta_min: str, delta_max: str) -> None:
 
 
 @settings(deadline=None, max_examples=60)
-@given(n=counts(2, 64), delta=numbers(1e-3, 50.0))
+@given(n=st.one_of(counts(2, 64), st.sampled_from(HUGE_COUNTS)), delta=numbers(1e-3, 50.0))
+@example(n="99999999999999999999", delta="2.0")
 def test_eigs_outcomes(n, delta):
-    code, rows, _ = run(["eigs", "--n", n, "--delta", delta])
+    code, rows, err = run(["eigs", f"--n={n}", "--delta", delta])
+    if n in HUGE_COUNTS:
+        assert_huge_refused(code, err)
     if code != 0:
         return
     assert len(rows) == int(n)
@@ -84,17 +100,20 @@ def test_eigs_outcomes(n, delta):
 
 @settings(deadline=None, max_examples=60)
 @given(
-    n=counts(2, 64),
+    n=st.one_of(counts(2, 64), st.sampled_from(HUGE_COUNTS)),
     delta=numbers(1e-3, 50.0),
     tmax=numbers(1e-3, 1e4),
     samples=counts(1, 400),
     node=counts(1, 70),
 )
+@example(n="99999999999999999999", delta="2.0", tmax="5.0", samples="3", node="1")
 def test_curve_outcomes(n, delta, tmax, samples, node):
-    code, rows, _ = run(
-        ["curve", "--n", n, "--delta", delta, "--tmax", tmax, "--samples", samples,
+    code, rows, err = run(
+        ["curve", f"--n={n}", "--delta", delta, "--tmax", tmax, "--samples", samples,
          "--node", node]
     )
+    if n in HUGE_COUNTS:
+        assert_huge_refused(code, err)
     if code != 0:
         # a node beyond the chain is invalid input, never a numeric failure
         if node.isdigit() and n.isdigit() and int(node) > int(n) >= 2:
@@ -149,9 +168,17 @@ def test_optimize_outcomes(n, ratios):
 
 
 @settings(deadline=None, max_examples=60)
-@given(delta=numbers(1e-3, 20.0), lengths=st.lists(st.integers(2, 8), min_size=1, max_size=4))
+@given(
+    delta=numbers(1e-3, 20.0),
+    lengths=st.lists(
+        st.one_of(st.integers(2, 8), st.sampled_from(HUGE_COUNTS)), min_size=1, max_size=4
+    ),
+)
+@example(delta="2.0", lengths=[4, "99999999999999999999"])
 def test_table1_outcomes(delta, lengths):
-    code, rows, err = run(["table1", f"--delta={delta}", "--n", ",".join(map(str, lengths))])
+    code, rows, err = run(["table1", f"--delta={delta}", f"--n={','.join(map(str, lengths))}"])
+    if any(v in HUGE_COUNTS for v in lengths):
+        assert_huge_refused(code, err)
     if code != 0:
         return
     assert [int(row[0]) for row in rows] == sorted(set(lengths))

@@ -27,7 +27,12 @@ from altchain import (
     transfer_probability_even_form,
     transfer_probability_odd_form,
 )
-from altchain.dynamics import _full_space_states, paired_grid_probability
+from altchain.dynamics import (
+    _full_space_states,
+    grid_pieces,
+    paired_grid_probability,
+    paired_transfer_derivatives,
+)
 
 P_8303 = 0.9999853660555051  # four sites, ratio 2.272
 P_N5_EARLY = 0.9423883339086744  # five sites, uniform, first high peak
@@ -297,3 +302,80 @@ def test_grid_kernel_over_several_chunks(n):
     blocked = paired_grid_probability(lam, ends, step, 1, stop)
     rounding = np.finfo(float).eps * (stop * step) * lam[0]
     assert np.max(np.abs(blocked - direct)) <= 8.0 * rounding
+
+
+def allocating_grid_probability(lam, ends, step, start, stop):
+    """paired_grid_probability as written before its products took buffers."""
+    half, count = lam.size // 2, stop - start
+    rate = 0.5 * lam[:half]
+    block = min(256, count)
+    rows = -(-count // block)
+    starts = np.multiply.outer((start + block * np.arange(rows)) * step, rate)
+    offsets = np.multiply.outer(np.arange(block) * step, rate)
+    sin_q, cos_q = 2.0 * ends[:half] * np.sin(starts), 2.0 * ends[:half] * np.cos(starts)
+    sin_r, cos_r = np.sin(offsets).T, np.cos(offsets).T
+    series = np.empty((rows, block))
+    group = max(1, (1 << 18) // (block * half))
+    for i in range(0, rows, group):
+        q = slice(i, i + group)
+        if lam.size % 2 == 0:
+            series[q] = sin_q[q] @ cos_r + cos_q[q] @ sin_r
+        else:
+            series[q] = cos_q[q] @ cos_r - sin_q[q] @ sin_r + ends[half]
+    return series.ravel()[:count] ** 2
+
+
+# (start, stop): below one block, a partial last block, several row
+# groups with a one-row group last (N = 24, 25: groups of 85 rows), and
+# a whole chunk
+KERNEL_RANGES = [(1, 101), (7, 7 + 3 * 256 + 17), (5, 5 + 256 * 85 * 3 + 256), (1, 65537)]
+
+
+@pytest.mark.parametrize("n", [3, 4, 9, 10, 20, 24, 25])
+def test_grid_kernel_keeps_the_bits_of_the_allocating_expression(n):
+    lam, ends = (x[0] for x in spectra(n, np.array([2.38])))
+    step = min(0.01, math.pi / (50.0 * lam[0]))
+    for start, stop in KERNEL_RANGES:
+        expected = allocating_grid_probability(lam, ends, step, start, stop)
+        assert np.array_equal(paired_grid_probability(lam, ends, step, start, stop), expected)
+
+
+@pytest.mark.parametrize(
+    "n,count",
+    [(24, 65536), (20, 65536), (20, 26112 * 2 + 100), (14, 200), (14, 37376 + 256), (25, 30000)],
+)
+def test_grid_pieces_keep_the_bits_of_the_whole_call(n, count):
+    # every run of consecutive pieces, called alone, returns the bits of
+    # the whole call: N = 24 ends each chunk on a one-row group, and a
+    # lone partial last block joins the group before it
+    lam, ends = (x[0] for x in spectra(n, np.array([2.38])))
+    step = min(0.01, math.pi / (50.0 * lam[0]))
+    whole = paired_grid_probability(lam, ends, step, 1, count + 1)
+    cuts = grid_pieces(n, count)
+    assert cuts[0] == 0 and cuts[-1] == count and all(np.diff(cuts) > 0)
+    for i in range(len(cuts) - 1):
+        for j in range(i + 1, len(cuts)):
+            alone = paired_grid_probability(lam, ends, step, cuts[i] + 1, cuts[j] + 1)
+            assert np.array_equal(alone, whole[cuts[i]:cuts[j]])
+
+
+def test_grid_pieces_are_the_product_groups():
+    # N = 20 takes 102 rows of 256 samples per product; a last group of
+    # less than a block joins the group before it, so its call keeps
+    # blocks of 256 samples
+    assert grid_pieces(20, 65536) == [0, 26112, 52224, 65536]
+    assert grid_pieces(20, 2 * 26112 + 100) == [0, 26112, 2 * 26112 + 100]
+    assert grid_pieces(20, 2 * 26112 + 256) == [0, 26112, 52224, 2 * 26112 + 256]
+    assert grid_pieces(24, 65536) == [0, 21760, 43520, 65280, 65536]
+    assert grid_pieces(14, 200) == [0, 200]
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 9, 16])
+def test_transfer_derivatives_match_difference_quotients(n):
+    lam, ends = (x[0] for x in spectra(n, np.array([2.38])))
+    h = 1e-4
+    for t in (0.7, 3.1, 11.3):
+        p = paired_transfer_probability(lam, ends, np.array([t - h, t, t + h]))
+        slope, curvature = paired_transfer_derivatives(lam, ends, t)
+        assert slope == pytest.approx((p[2] - p[0]) / (2 * h), abs=1e-7)
+        assert curvature == pytest.approx((p[2] - 2 * p[1] + p[0]) / h**2, abs=1e-5)

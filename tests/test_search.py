@@ -20,6 +20,7 @@ from altchain import (
     transfer_probability,
 )
 from altchain import search as search_mod
+from altchain.roots import bisect
 
 # frozen search outputs, produced on the closed-form eigensystems and
 # reproduced by the SVD engine within the tolerances asserted
@@ -121,6 +122,131 @@ def test_time_scan_ties_take_earliest(monkeypatch, tied, expected):
     monkeypatch.setattr(search_mod, "paired_grid_probability", tied_grid)
     lam, ends = (x[0] for x in spectra(6, np.array([2.38])))
     assert search_mod._best_sample(lam, ends, 0.01, 30) == (expected, 2.0)
+
+
+def _full_scan(lam, ends, scan):
+    """(best, p_best) of the whole window of a scan, every sample evaluated."""
+    return search_mod._best_sample(lam, ends, scan.step, scan.count)
+
+
+@pytest.mark.parametrize("delta", [1.05, 1.6, 2.0, 2.38, 2.8, 3.5])
+@pytest.mark.parametrize("n", range(10, 27, 2))
+def test_pruned_scan_finds_the_full_scan_sample(n, delta):
+    # 1.05 lies below the regime threshold (N+2)/N of every N here
+    lam, ends = (x[0] for x in spectra(n, np.array([delta])))
+    try:
+        scan = search_mod._peak_scan(lam, ends)
+    except HorizonError:
+        return  # N = 22..26 at 3.5 and N = 26 at 2.8 lie beyond the horizon or the cap
+    assert (scan.best, scan.p_best) == _full_scan(lam, ends, scan)
+    assert scan.evaluated <= scan.count
+
+
+@pytest.mark.parametrize(
+    "n,delta,chunk,block,product",
+    [
+        # chunks and blocks that do not divide each other, and groups of
+        # one, two and three rows of blocks
+        (10, 2.38, 1000, 16, 16 * 5),
+        (12, 2.0, 777, 32, 2 * 32 * 6),
+        (14, 2.3, 4096, 64, 3 * 64 * 7),
+        (16, 2.38, 5000, 256, 1 << 18),
+    ],
+)
+def test_pruned_scan_straddles_chunks_and_blocks(monkeypatch, n, delta, chunk, block, product):
+    import altchain.dynamics
+
+    monkeypatch.setattr(search_mod, "_TIME_CHUNK", chunk)
+    monkeypatch.setattr(altchain.dynamics, "_ANGLE_BLOCK", block)
+    monkeypatch.setattr(altchain.dynamics, "_PRODUCT_SIZE", product)
+    lam, ends = (x[0] for x in spectra(n, np.array([delta])))
+    scan = search_mod._peak_scan(lam, ends)
+    assert scan.count > chunk and scan.evaluated < scan.count
+    assert (scan.best, scan.p_best) == _full_scan(lam, ends, scan)
+
+
+def test_pruned_scan_evaluates_under_half_the_window():
+    lam, ends = (x[0] for x in spectra(20, np.array([2.3])))
+    scan = search_mod._peak_scan(lam, ends)
+    assert scan.count > 8 * search_mod._TIME_CHUNK
+    assert scan.evaluated < 0.5 * scan.count
+
+
+def test_odd_and_one_chunk_windows_are_scanned_whole(monkeypatch):
+    lam, ends = (x[0] for x in spectra(12, np.array([2.0])))
+    scan = search_mod._peak_scan(lam, ends)
+    assert scan.count <= search_mod._TIME_CHUNK and scan.evaluated == scan.count
+    # an odd window of several chunks
+    monkeypatch.setattr(search_mod, "_TIME_CHUNK", 64)
+    lam, ends = (x[0] for x in spectra(19, np.array([2.38])))
+    scan = search_mod._peak_scan(lam, ends)
+    assert scan.count > 64 and scan.evaluated == scan.count
+
+
+def _counted_derivatives(monkeypatch, curvature=None):
+    """Count the calls of the polish's derivatives; curvature, if given, replaces d^2P/dt^2."""
+    calls = []
+    real = search_mod.paired_transfer_derivatives
+
+    def counting(lam, ends, t):
+        calls.append(t)
+        slope, second = real(lam, ends, t)
+        return slope, second if curvature is None else curvature(second)
+
+    monkeypatch.setattr(search_mod, "paired_transfer_derivatives", counting)
+    return calls
+
+
+def test_newton_polish_takes_a_few_evaluations(monkeypatch):
+    calls = _counted_derivatives(monkeypatch)
+    rows = table1_sweep(2.38, list(range(4, 25, 2)))
+    assert all(row.note == "" for row in rows)
+    assert len(calls) <= 6 * len(rows)
+
+
+def _polish_brackets():
+    """(lam, ends, lo, hi) of the polish of each chain of a grid of (N, delta)."""
+    for n in (4, 6, 8, 12, 16, 20):
+        for delta in (1.6, 2.0, 2.38, 2.8):
+            lam, ends = (x[0] for x in spectra(n, np.array([delta])))
+            scan = search_mod._peak_scan(lam, ends)
+            t_best = (scan.best + 1) * scan.step
+            lo = max(t_best - scan.step, scan.step * 1e-3)
+            yield lam, ends, lo, min(t_best + scan.step, scan.window)
+
+
+def _bisected_root(lam, ends, lo, hi):
+    return bisect(lambda t: search_mod.paired_transfer_derivatives(lam, ends, t)[0], lo, hi)
+
+
+def test_newton_root_lies_within_two_ulp_of_bisection():
+    roots = 0
+    for lam, ends, lo, hi in _polish_brackets():
+        root = search_mod._slope_root(lam, ends, lo, hi)
+        if root is None:
+            continue
+        roots += 1
+        assert abs(root - _bisected_root(lam, ends, lo, hi)) <= 2.0 * math.ulp(root)
+    assert roots >= 20
+
+
+@pytest.mark.parametrize(
+    "curvature",
+    [
+        pytest.param(lambda second: abs(second), id="curvature-not-negative"),
+        pytest.param(lambda second: -1e-9, id="steps-leave-the-bracket"),
+    ],
+)
+def test_newton_polish_falls_back_to_bisection_steps(monkeypatch, curvature):
+    brackets = list(_polish_brackets())[::5]
+    expected = [_bisected_root(*bracket) for bracket in brackets]
+    calls = _counted_derivatives(monkeypatch, curvature)
+    for (lam, ends, lo, hi), bisected in zip(brackets, expected):
+        root = search_mod._slope_root(lam, ends, lo, hi)
+        assert lo <= root <= hi
+        assert abs(root - bisected) <= 2.0 * math.ulp(root)
+    # every step halves the bracket: about 40 evaluations per root
+    assert len(calls) > 20 * len(brackets)
 
 
 def test_ratio_grid_takes_one_stacked_solve(monkeypatch):
