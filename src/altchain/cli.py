@@ -114,8 +114,11 @@ def _emit(text: str, output: str | None) -> None:
     if output is None or output == "-":
         sys.stdout.write(text)
         return
-    with open(output, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
+    try:
+        with open(output, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {output}: {exc.strerror or exc}") from exc
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

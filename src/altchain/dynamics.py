@@ -19,7 +19,8 @@ every sampled curve (node_probability, sample_curve) and the verify
 checks on sampled curves run on it.  On a uniform time grid t_k =
 k*step the series follows from angle addition, sin((K + r) a) from the
 sines and cosines at block starts K and offsets r, as two small matrix
-products per block of samples (paired_grid_probability); the peak scan
+products per block of samples (paired_grid_probability) of sine tables
+that broadcast over a stack of chains (grid_angles); the peak scan
 uses it to pick its best sample, and the first two time derivatives of
 the series (paired_transfer_derivatives) to polish it.
 
@@ -48,6 +49,7 @@ from .spectral import EigenSystem, EvenRootSet
 _FULL_SPACE_MAX_SITES = 10
 # largest rounding error of a phase lambda*t that a probability may carry
 _HORIZON_TOL = 1e-9
+_EPS = float(np.finfo(float).eps)
 # offsets per block of the angle-addition grid kernel
 _ANGLE_BLOCK = 256
 # multiply-adds per matrix product of that kernel at most: OpenBLAS keeps
@@ -97,7 +99,7 @@ def check_horizon(t_max: float, lam_max: float) -> None:
     1e-9 that error, not the dynamics, sets the last digits of P, and
     at t = 1e300 it sets all of them.  Raises HorizonError there.
     """
-    if t_max * lam_max * np.finfo(float).eps > _HORIZON_TOL:
+    if t_max * lam_max * _EPS > _HORIZON_TOL:
         raise HorizonError(
             f"time {t_max:.6g} at frequency {lam_max:.6g} leaves a phase error above "
             f"{_HORIZON_TOL:.0e}; the probability has no significant digits there"
@@ -167,52 +169,83 @@ def paired_transfer_probability(
     return float(probs[0]) if probs.ndim == 1 else probs[..., 0]
 
 
+def grid_angles(lam: np.ndarray, step: float | np.ndarray, index: np.ndarray) -> np.ndarray:
+    """sin and cos of the grid phases (k * step) * lambda_j / 2: the table part of the grid kernel.
+
+    lam is (..., N) and step a scalar or (...); index holds the K
+    integers k.  The table is (2, ..., K, N/2), sines then cosines, j
+    over the positive half of the spectrum.  A scan's offset table
+    takes k = 0..B-1 for blocks of B = grid_block(count) samples, a
+    kernel call's block-start table k = grid_starts(start, count).  The
+    table broadcasts over a stack, so the tables of a whole stack of
+    chains come from one sin and one cos call; each phase is rounded as
+    in a table of one chain.
+    """
+    half = lam.shape[-1] // 2
+    phases = (np.asarray(step)[..., None] * index)[..., None] * (0.5 * lam[..., None, :half])
+    table = np.empty((2, *phases.shape))
+    np.sin(phases, out=table[0])
+    np.cos(phases, out=table[1])
+    return table
+
+
+def grid_block(count: int) -> int:
+    """Samples per block B of a paired_grid_probability call over count samples."""
+    return min(_ANGLE_BLOCK, count)
+
+
+def grid_starts(start: int, count: int) -> np.ndarray:
+    """The block starts K_q = start + q*B of the count samples from start on."""
+    return np.arange(start, start + count, grid_block(count))
+
+
 def paired_grid_probability(
-    lam: np.ndarray, ends: np.ndarray, step: float, start: int, stop: int
+    lam: np.ndarray, ends: np.ndarray, offsets: np.ndarray, starts: np.ndarray, count: int
 ) -> np.ndarray:
-    """P_N(k * step) for k = start..stop-1 of one chain, by angle addition.
+    """P_N(k * step) for the count samples k = start..start+count-1 of one chain, by angle addition.
 
     The series of paired_transfer_probability on a uniform grid.  With
     k = K_q + r, block starts K_q = start + q*B and offsets 0 <= r < B,
+    B = grid_block(count),
 
         sin(k a) = sin(K_q a) cos(r a) + cos(K_q a) sin(r a),
         cos(k a) = cos(K_q a) cos(r a) - sin(K_q a) sin(r a),
 
     so the series over the range is two (rows x N/2) @ (N/2 x B)
     products of a block-start table and an offset table, taken in
-    groups of rows of at most _PRODUCT_SIZE multiply-adds, and only
-    (rows + B) * N/2 sines and cosines are taken instead of one per
-    sample and level.  Each group's products are written into two
-    buffers allocated once per call (np.matmul(..., out=)), then added
-    or subtracted and squared in place, in the order of the plain
-    expression, so the bits are those of allocating each product.  A
-    sample's bits depend on the group it falls in (grid_pieces).  The
-    block-start phases carry the bits of the direct evaluation; the
-    other phases are rounded differently, so the two differ by a few
+    groups of rows of at most _PRODUCT_SIZE multiply-adds.  This is the
+    product part of the kernel; the tables are grid_angles' (2, K, N/2)
+    ones: offsets at k = 0..B-1 and starts at grid_starts(start, count),
+    rows beyond those ignored.  A scan builds its offset table once, and
+    a stack of one-call windows builds all its tables at once, so a call
+    needs at most the rows * N/2 sines and cosines of its block starts,
+    instead of one per sample and level.  The two products of a group
+    are one batched np.matmul, which makes the BLAS call of each product
+    alone, into a (2, rows, B) buffer allocated once per call; the
+    second is then added to or subtracted from the first, and the series
+    squared, in place and in the order of the plain expression, so the
+    bits are those of allocating each product.  A sample's bits depend
+    on the group it falls in (grid_pieces).  The block-start phases
+    carry the bits of the direct evaluation; the other phases are
+    rounded differently, so the two differ by a few
     eps * t * lambda_max (1e-15 to 1e-12 over the first-peak windows up
     to N=22).
     """
-    half, count = lam.size // 2, stop - start
-    rate = 0.5 * lam[:half]
-    block = min(_ANGLE_BLOCK, count)
+    half, block = lam.size // 2, grid_block(count)
     rows = -(-count // block)
-    starts = np.multiply.outer((start + block * np.arange(rows)) * step, rate)
-    offsets = np.multiply.outer(np.arange(block) * step, rate)
-    sin_q, cos_q = 2.0 * ends[:half] * np.sin(starts), 2.0 * ends[:half] * np.cos(starts)
-    sin_r, cos_r = np.sin(offsets).T, np.cos(offsets).T
+    weighted = 2.0 * ends[:half] * starts[:, :rows]  # 2 c_j sin, 2 c_j cos at the block starts
+    lead = weighted if lam.size % 2 == 0 else weighted[::-1]
+    trail = offsets[::-1, :block].swapaxes(1, 2)  # cos, sin of the offsets, N/2 x B
     group = _group_rows(lam.size, block)
-    series, product = np.empty((rows, block)), np.empty((min(group, rows), block))
+    products = np.empty((2, rows, block))
     for i in range(0, rows, group):
-        q = slice(i, i + group)
-        out = series[q]
-        other = product[:out.shape[0]]
-        if lam.size % 2 == 0:
-            np.matmul(sin_q[q], cos_r, out=out)
-            out += np.matmul(cos_q[q], sin_r, out=other)
-        else:
-            np.matmul(cos_q[q], cos_r, out=out)
-            out -= np.matmul(sin_q[q], sin_r, out=other)
-            out += ends[half]
+        np.matmul(lead[:, i:i + group], trail, out=products[:, i:i + group])
+    series = products[0]
+    if lam.size % 2 == 0:
+        series += products[1]
+    else:
+        series -= products[1]
+        series += ends[half]
     probs = series.ravel()[:count]
     return np.square(probs, out=probs)
 
@@ -233,7 +266,7 @@ def grid_pieces(n_levels: int, count: int) -> list[int]:
     last group shorter than one block joins the one before it, whose
     call keeps full blocks.
     """
-    block = min(_ANGLE_BLOCK, count)
+    block = grid_block(count)
     cuts = [*range(0, count, _group_rows(n_levels, block) * block), count]
     if len(cuts) > 2 and count - cuts[-2] < block:
         del cuts[-2]

@@ -21,7 +21,12 @@ spectra from spectra and P_N from the paired series: the uniform time
 grid by angle addition (paired_grid_probability), which only picks the
 winning sample, and every reported value directly
 (paired_transfer_probability); a kept sample is re-evaluated over its
-chunk of the grid.  optimize_delta and
+chunk of the grid.  The grid's offset table, the sines and cosines of
+the first block's phases, is built once per scan and shared by all its
+kernel calls; the ratios of a stack whose windows are one call each
+(_peak_scans) have their offset and block-start tables built together,
+one sin and one cos per bounded sub-stack, and each ratio then runs
+only its products.  optimize_delta and
 fixed_time_optimize are one ratio search (_ratio_search) under two
 scores, which passes over a refused ratio: its spectrum fails its checks,
 or its score is out of reach.  On chains of up to _LOOK_AHEAD_SITES
@@ -51,7 +56,10 @@ import numpy as np
 from .chain import ChainSpec, check_sites
 from .dynamics import (
     check_horizon,
+    grid_angles,
+    grid_block,
     grid_pieces,
+    grid_starts,
     paired_grid_probability,
     paired_transfer_derivatives,
     paired_transfer_probability,
@@ -264,15 +272,19 @@ def _spectrum_peak(lam: np.ndarray, ends: np.ndarray, delta: float) -> TransferT
 
 
 def _peak_scan(lam: np.ndarray, ends: np.ndarray) -> _PeakScan:
-    """The window scan of first_peak: its grid and its best sample.
+    """The window scan of first_peak: its grid and its best sample; a stack of one of _peak_scans.
 
-    An even chain whose window is longer than one _TIME_CHUNK scans only
-    where its envelope can reach the best sample (_envelope_sample), and
-    finds what the full scan (_best_sample) finds, to the bit; other
-    windows are scanned whole.  A window beyond the phase horizon
-    (check_horizon), or of more than _MAX_GRID_POINTS samples, raises
-    HorizonError.
+    A window beyond the phase horizon (check_horizon), or of more than
+    _MAX_GRID_POINTS samples, raises HorizonError.
     """
+    (scan,) = _peak_scans(lam[None], ends[None])
+    if isinstance(scan, NumericError):
+        raise scan
+    return scan
+
+
+def _peak_grid(lam: np.ndarray) -> tuple[float, float, int]:
+    """(window, step, count) of first_peak's scan of one chain, or HorizonError as _peak_scan."""
     n = lam.size
     lam_min = float(lam[n // 2 - 1])
     # check_horizon refuses lambda_min below ~1e-6 (lambda_max >= 1) and 0 (underflowed)
@@ -285,10 +297,73 @@ def _peak_scan(lam: np.ndarray, ends: np.ndarray) -> _PeakScan:
             f"peak window needs {count} samples (cap {_MAX_GRID_POINTS}); "
             "the spectrum is too close to degenerate to scan"
         )
-    actual = window / count
-    if n % 2 == 0 and count > _TIME_CHUNK:
-        return _PeakScan(window, actual, count, *_envelope_sample(lam, ends, actual, count))
-    return _PeakScan(window, actual, count, *_best_sample(lam, ends, actual, count), count)
+    return window, window / count, count
+
+
+def _peak_scans(lam: np.ndarray, ends: np.ndarray) -> list[_PeakScan | NumericError]:
+    """The window scan of first_peak of each chain of a stack, or the NumericError that refuses it.
+
+    A window of one _TIME_CHUNK or less is one kernel call, whose offset
+    and block-start tables come with those of the stack's other such
+    windows from one grid_angles call, one sin and one cos, per
+    sub-stack of bounded size (_one_call_samples).  An even
+    chain's longer window is scanned only where its envelope can reach
+    the best sample (_envelope_sample), an odd chain's whole
+    (_best_sample); each builds its offset table once.  Every scan
+    finds what _best_sample finds, to the bit.
+    """
+    grids: list[tuple[float, float, int] | NumericError] = []
+    for row in lam:
+        try:
+            grids.append(_peak_grid(row))
+        except NumericError as exc:
+            grids.append(exc)
+    found = _one_call_samples(lam, ends, grids)
+
+    def scan(i: int) -> _PeakScan | NumericError:
+        grid = grids[i]
+        if isinstance(grid, NumericError):
+            return grid
+        window, step, count = grid
+        if i in found:
+            return _PeakScan(window, step, count, *found[i])
+        if lam.shape[-1] % 2 == 0:
+            return _PeakScan(window, step, count, *_envelope_sample(lam[i], ends[i], step, count))
+        return _PeakScan(window, step, count, *_best_sample(lam[i], ends[i], step, count), count)
+
+    return [scan(i) for i in range(len(grids))]
+
+
+def _one_call_samples(
+    lam: np.ndarray, ends: np.ndarray, grids: list[tuple[float, float, int] | NumericError]
+) -> dict[int, tuple[int, float, int]]:
+    """(best, P, count) of each stack row whose grid is one kernel call, by row.
+
+    The rows share one table layout, that of the largest count in the
+    stack: its offsets k = 0..B-1 and its block starts from 1 on, which
+    begin with every shorter window's own.  The tables are built for
+    sub-stacks of at most _GRID_CHUNK_ENTRIES phases, one grid_angles
+    call each.
+    """
+    rows = [i for i, grid in enumerate(grids) if isinstance(grid, tuple) and grid[2] <= _TIME_CHUNK]
+    if not rows:
+        return {}
+    top = max(grids[i][2] for i in rows)
+    block = grid_block(top)
+    index = np.concatenate([np.arange(block), grid_starts(1, top)])
+    size = max(1, _GRID_CHUNK_ENTRIES // (index.size * (lam.shape[-1] // 2)))
+    found = {}
+    for a in range(0, len(rows), size):
+        sub = rows[a:a + size]
+        table = grid_angles(lam.take(sub, axis=0), np.array([grids[i][1] for i in sub]), index)
+        for j, i in enumerate(sub):
+            count = grids[i][2]
+            probs = paired_grid_probability(
+                lam[i], ends[i], table[:, j, :block], table[:, j, block:], count
+            )
+            best = int(probs.argmax())
+            found[i] = (best, float(probs[best]), count)
+    return found
 
 
 def _peak_polish(lam: np.ndarray, ends: np.ndarray, delta: float, scan: _PeakScan) -> TransferTriad:
@@ -350,13 +425,24 @@ def _slope_root(lam: np.ndarray, ends: np.ndarray, lo: float, hi: float) -> floa
         t += step
 
 
+def _grid_probability(
+    lam: np.ndarray, ends: np.ndarray, step: float,
+    offsets: np.ndarray, start: int, stop: int,
+) -> np.ndarray:
+    """P(k * step) for k = start..stop-1 of one chain, from its scan's offset table."""
+    starts = grid_angles(lam, step, grid_starts(start, stop - start))
+    return paired_grid_probability(lam, ends, offsets, starts, stop - start)
+
+
 def _best_sample(lam: np.ndarray, ends: np.ndarray, step: float, count: int) -> tuple[int, float]:
     """(index, P) of the highest of P((index + 1) * step), index < count, earliest on ties.
 
-    The grid is taken in chunks of _TIME_CHUNK samples by angle addition.
+    The grid is taken in chunks of _TIME_CHUNK samples by angle addition,
+    all from one offset table.
     """
+    offsets = grid_angles(lam, step, np.arange(grid_block(count)))
     return _first_argmax(
-        lambda start, stop: paired_grid_probability(lam, ends, step, start + 1, stop + 1),
+        lambda start, stop: _grid_probability(lam, ends, step, offsets, start + 1, stop + 1),
         count,
         _TIME_CHUNK,
     )
@@ -378,7 +464,8 @@ def _envelope_sample(
     the kernel's deviation from the series, and _SKIP_MARGIN), the one
     around pi/lambda_min first, until that bound lies strictly below the
     best sample so far.  Every sample left out lies below it, so the
-    winner and the earliest-index rule are those of the full scan.
+    winner and the earliest-index rule are those of the full scan.  The
+    pieces share one offset table.
     """
     half = lam.size // 2
     lam_min = float(lam[half - 1])
@@ -392,11 +479,12 @@ def _envelope_sample(
     nearest = np.clip(math.pi / lam_min, (lo + 1) * step, hi * step)
     margin = _SKIP_DEVIATION * _EPS * count * step * float(lam[0]) + _SKIP_MARGIN
     bounds = (edge * np.sin(0.5 * lam_min * nearest) + bulk) ** 2 + margin
+    offsets = grid_angles(lam, step, np.arange(grid_block(count)))
     best, p_best, evaluated = 0, -1.0, 0
     for i in np.argsort(-bounds, kind="stable"):
         if bounds[i] < p_best:
             break
-        probs = paired_grid_probability(lam, ends, step, int(lo[i]) + 1, int(hi[i]) + 1)
+        probs = _grid_probability(lam, ends, step, offsets, int(lo[i]) + 1, int(hi[i]) + 1)
         k = int(np.argmax(probs))
         evaluated += probs.size
         if probs[k] > p_best or (probs[k] == p_best and lo[i] + k < best):
@@ -524,8 +612,10 @@ def _first_peak_scores(
 ) -> np.ndarray:
     """optimize_delta's score of a stack: each ratio's first_peak p_h, or a value that cannot win.
 
-    Every ratio is scanned (_peak_scan); one whose scan raises
-    NumericError scores -inf, and its reason joins refusals.  The others
+    Every ratio is scanned (_peak_scans, which builds the tables of the
+    stack's one-call windows at once); one whose scan is refused
+    (NumericError) scores -inf, and its reason joins refusals, in stack
+    order.  The others
     are polished in descending order of their best sample, each by
     _spectrum_peak, first_peak's own path, which scans it again: a
     handful of scans in a stack of hundreds.  A ratio is skipped when
@@ -551,19 +641,16 @@ def _first_peak_scores(
 
     if ratios.size == 1:  # the golden-section polish: nothing to skip, nothing to scan ahead
         return np.array([polish(0)])
-    scans: list[_PeakScan | None] = []
-    for row in zip(lam, ends):
-        try:
-            scans.append(_peak_scan(*row))
-        except NumericError as exc:
-            refusals.append(str(exc))
-            scans.append(None)
-    scores = np.array([-math.inf if scan is None else scan.p_best for scan in scans])
+    scans = _peak_scans(lam, ends)
+    refusals += [str(scan) for scan in scans if isinstance(scan, NumericError)]
+    scores = np.array([
+        -math.inf if isinstance(scan, NumericError) else scan.p_best for scan in scans
+    ])
     s1, s2 = series_derivative_bounds(lam, ends)
     top = -math.inf
     for i in np.argsort(-scores, kind="stable"):
         scan = scans[i]
-        if scan is None:
+        if isinstance(scan, NumericError):
             break
         deviation = _SKIP_DEVIATION * _EPS * scan.window * float(lam[i, 0])
         rise = (s1[i] ** 2 + s2[i]) * scan.step**2 + deviation + _SKIP_MARGIN

@@ -70,6 +70,7 @@ _TRACE_REL_TOL = 1e-13
 # products and are refused too.
 _SUM_RULE_GAIN = 100.0
 _SUM_RULE_CAP = 0.1
+_EPS = float(np.finfo(float).eps)
 # mantissas in [1/2, 1) multiplied per run by _product: their product
 # stays above 2**-_PRODUCT_RUN, inside the normal range
 _PRODUCT_RUN = 512
@@ -528,7 +529,7 @@ def _end_products(bonds: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np
             total = 2.0 * np.abs(ends).sum(axis=1) + np.abs(zero)
             ends = np.concatenate([ends, zero[:, None], ends[:, ::-1]], axis=1)
         gap = np.min((levels[:, :-1] - levels[:, 1:]) / levels[:, :-1], axis=1, initial=1.0)
-        tol = np.minimum(_SUM_RULE_GAIN * np.finfo(float).eps / np.maximum(gap, 0.0), _SUM_RULE_CAP)
+        tol = np.minimum(_SUM_RULE_GAIN * _EPS / np.maximum(gap, 0.0), _SUM_RULE_CAP)
     return ends, np.isfinite(ends).all(axis=1) & (defect <= tol * total)
 
 

@@ -298,6 +298,23 @@ def test_output_file_lf_only(tmp_path, capsys):
     assert raw.endswith(b"\n")
 
 
+@pytest.mark.parametrize(
+    "target,reason",
+    [
+        pytest.param("missing/rows.csv", "No such file or directory", id="missing-directory"),
+        pytest.param(".", "Is a directory", id="directory"),
+    ],
+)
+def test_unwritable_output_exit_code(tmp_path, capsys, target, reason):
+    path = tmp_path / target
+    code, out, err = run_cli(
+        "table1", "--delta", "2.38", "--n", "4", "--output", str(path), capsys=capsys
+    )
+    assert code == 1 and out == ""
+    assert err == f"error: cannot write {path}: {reason}\n"
+    assert "Traceback" not in err
+
+
 def test_byte_identical_reruns(tmp_path):
     outputs = []
     for name in ("a.csv", "b.csv"):

@@ -29,7 +29,9 @@ from altchain import (
 )
 from altchain.dynamics import (
     _full_space_states,
+    grid_angles,
     grid_pieces,
+    grid_starts,
     paired_grid_probability,
     paired_transfer_derivatives,
 )
@@ -271,6 +273,13 @@ def test_paired_series_matches_spectral_sum(n, delta, route):
     )
 
 
+def grid_call(lam, ends, step, start, stop):
+    """P_N(k * step) for k = start..stop-1 from a full offset table and the call's block starts."""
+    offsets = grid_angles(lam, step, np.arange(256))
+    starts = grid_angles(lam, step, grid_starts(start, stop - start))
+    return paired_grid_probability(lam, ends, offsets, starts, stop - start)
+
+
 GRID_SHAPES = [
     pytest.param(1, 101, id="count-below-block"),
     pytest.param(1, 1001, id="count-not-a-block-multiple"),
@@ -286,7 +295,7 @@ def test_grid_kernel_matches_paired_series(n, delta, start, stop):
     lam, ends = (x[0] for x in spectra(n, np.array([delta])))
     step = min(0.01, math.pi / (50.0 * lam[0]))
     direct = paired_transfer_probability(lam, ends, np.arange(start, stop) * step)
-    blocked = paired_grid_probability(lam, ends, step, start, stop)
+    blocked = grid_call(lam, ends, step, start, stop)
     assert blocked.shape == direct.shape
     assert np.max(np.abs(blocked - direct)) <= 1e-13
 
@@ -299,7 +308,7 @@ def test_grid_kernel_over_several_chunks(n):
     step = min(0.01, math.pi / (50.0 * lam[0]))
     stop = 1 + 3 * 65536 + 77
     direct = paired_transfer_probability(lam, ends, np.arange(1, stop) * step)
-    blocked = paired_grid_probability(lam, ends, step, 1, stop)
+    blocked = grid_call(lam, ends, step, 1, stop)
     rounding = np.finfo(float).eps * (stop * step) * lam[0]
     assert np.max(np.abs(blocked - direct)) <= 8.0 * rounding
 
@@ -337,7 +346,7 @@ def test_grid_kernel_keeps_the_bits_of_the_allocating_expression(n):
     step = min(0.01, math.pi / (50.0 * lam[0]))
     for start, stop in KERNEL_RANGES:
         expected = allocating_grid_probability(lam, ends, step, start, stop)
-        assert np.array_equal(paired_grid_probability(lam, ends, step, start, stop), expected)
+        assert np.array_equal(grid_call(lam, ends, step, start, stop), expected)
 
 
 @pytest.mark.parametrize(
@@ -350,12 +359,12 @@ def test_grid_pieces_keep_the_bits_of_the_whole_call(n, count):
     # lone partial last block joins the group before it
     lam, ends = (x[0] for x in spectra(n, np.array([2.38])))
     step = min(0.01, math.pi / (50.0 * lam[0]))
-    whole = paired_grid_probability(lam, ends, step, 1, count + 1)
+    whole = grid_call(lam, ends, step, 1, count + 1)
     cuts = grid_pieces(n, count)
     assert cuts[0] == 0 and cuts[-1] == count and all(np.diff(cuts) > 0)
     for i in range(len(cuts) - 1):
         for j in range(i + 1, len(cuts)):
-            alone = paired_grid_probability(lam, ends, step, cuts[i] + 1, cuts[j] + 1)
+            alone = grid_call(lam, ends, step, cuts[i] + 1, cuts[j] + 1)
             assert np.array_equal(alone, whole[cuts[i]:cuts[j]])
 
 

@@ -111,15 +111,15 @@ def test_time_scan_ties_take_earliest(monkeypatch, tied, expected):
     # boundary (3, 4), a chunk boundary (6, 7), both (7, 8), or lie apart
     import altchain.dynamics
 
-    real = search_mod.paired_grid_probability
+    real = search_mod._grid_probability
 
-    def tied_grid(lam, ends, step, start, stop):
-        probs = real(lam, ends, step, start, stop)
+    def tied_grid(lam, ends, step, offsets, start, stop):
+        probs = real(lam, ends, step, offsets, start, stop)
         return np.where(np.isin(np.arange(start - 1, stop - 1), tied), 2.0, probs)
 
     monkeypatch.setattr(altchain.dynamics, "_ANGLE_BLOCK", 4)
     monkeypatch.setattr(search_mod, "_TIME_CHUNK", 7)
-    monkeypatch.setattr(search_mod, "paired_grid_probability", tied_grid)
+    monkeypatch.setattr(search_mod, "_grid_probability", tied_grid)
     lam, ends = (x[0] for x in spectra(6, np.array([2.38])))
     assert search_mod._best_sample(lam, ends, 0.01, 30) == (expected, 2.0)
 
@@ -773,3 +773,149 @@ def test_first_peak_scores_keep_the_best_of_polishing_every_ratio(n, lo, hi):
     best = int(np.argmax(p_h))
     assert int(np.argmax(scores)) == best and scores[best] == p_h[best]
     assert np.all((scores == p_h) | (scores < p_h[best]))
+
+
+def _assert_stack_scans_alone(lam, ends):
+    """_peak_scans of a stack, each equal to the stack-of-one scan of its ratio or its refusal."""
+    scans = search_mod._peak_scans(lam, ends)
+    assert len(scans) == len(lam)
+    for row, scan in zip(zip(lam, ends), scans):
+        try:
+            alone = search_mod._peak_scan(*row)
+        except HorizonError as exc:
+            assert isinstance(scan, HorizonError) and str(scan) == str(exc)
+            continue
+        # field by field: window, step, count, best, p_best, evaluated
+        assert scan == alone
+    return scans
+
+
+@pytest.mark.parametrize("lo", [1.6, 2.0, 2.4, 2.8])
+@pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
+def test_stack_scan_equals_the_scan_of_each_ratio(n, lo):
+    # N = 12 from 2.8 on has windows of more than one chunk next to
+    # windows of one call
+    lam, ends = spectra(n, np.linspace(lo, lo + 0.2, 21))
+    scans = _assert_stack_scans_alone(lam, ends)
+    for row, scan in zip(zip(lam, ends), scans):
+        if scan.count <= search_mod._TIME_CHUNK:
+            assert (scan.best, scan.p_best) == _full_scan(*row, scan)
+
+
+@pytest.mark.parametrize(
+    "n,block,product,chunk",
+    [
+        # N = 6 windows of 1534..1804 samples lie below one block, the
+        # others above it
+        pytest.param(6, 2048, 1 << 18, 65536, id="windows-below-a-block"),
+        # two rows of blocks per product group: several groups per window
+        pytest.param(6, 256, 2048, 65536, id="several-product-groups-6"),
+        pytest.param(8, 256, 2048, 65536, id="several-product-groups-8"),
+        # windows of several chunks next to windows of one call: even
+        # ones scanned where their envelope can win, odd ones whole
+        pytest.param(6, 256, 1 << 18, 3000, id="several-chunks-6"),
+        pytest.param(8, 256, 1 << 18, 5000, id="several-chunks-8"),
+        pytest.param(7, 64, 1 << 18, 300, id="several-chunks-odd"),
+    ],
+)
+def test_stack_scan_straddles_blocks_groups_and_chunks(monkeypatch, n, block, product, chunk):
+    import altchain.dynamics
+
+    monkeypatch.setattr(altchain.dynamics, "_ANGLE_BLOCK", block)
+    monkeypatch.setattr(altchain.dynamics, "_PRODUCT_SIZE", product)
+    monkeypatch.setattr(search_mod, "_TIME_CHUNK", chunk)
+    lam, ends = spectra(n, np.linspace(1.6, 2.8, 25))
+    scans = _assert_stack_scans_alone(lam, ends)
+    for row, scan in zip(zip(lam, ends), scans):
+        assert (scan.best, scan.p_best) == _full_scan(*row, scan)
+    counts = [scan.count for scan in scans]
+    assert min(counts) < block < max(counts) or block <= 256
+    assert min(counts) <= chunk < max(counts) or chunk == 65536
+
+
+def test_stack_scan_keeps_the_order_of_refusals(monkeypatch):
+    # the windows grow with the ratio; interleaved small and large ratios
+    # put refused windows between scanned ones
+    ratios = np.array([2.0, 2.8, 2.1, 2.7, 2.2, 2.6, 2.3, 2.5, 2.4])
+    lam, ends = spectra(8, ratios)
+    counts = [search_mod._peak_grid(row)[2] for row in lam]
+    monkeypatch.setattr(search_mod, "_MAX_GRID_POINTS", sorted(counts)[4])
+    scans = _assert_stack_scans_alone(lam, ends)
+    refused = [i for i, scan in enumerate(scans) if isinstance(scan, HorizonError)]
+    assert refused == [1, 3, 5, 7]
+    expected = []
+    for row in zip(lam, ends):
+        try:
+            search_mod._peak_scan(*row)
+        except HorizonError as exc:
+            expected.append(str(exc))
+    refusals = []
+    scores = search_mod._first_peak_scores(lam, ends, ratios, refusals)
+    assert refusals == expected and len(set(refusals)) == 4
+    assert np.all(np.isneginf(scores[refused]))
+    assert np.all(np.isfinite(np.delete(scores, refused)))
+
+
+def _counted_tables(monkeypatch):
+    """(stack size, offset table?) of each grid_angles call of search.
+
+    An offset table starts at k = 0, a block-start table after it.
+    """
+    builds = []
+    real = search_mod.grid_angles
+
+    def counting(lam, step, index):
+        builds.append((lam.shape[0] if lam.ndim == 2 else None, int(index[0]) == 0))
+        return real(lam, step, index)
+
+    monkeypatch.setattr(search_mod, "grid_angles", counting)
+    return builds
+
+
+def test_envelope_scan_builds_one_offset_table(monkeypatch):
+    lam, ends = (x[0] for x in spectra(20, np.array([2.3])))
+    window, step, count = search_mod._peak_grid(lam)
+    builds = _counted_tables(monkeypatch)
+    _, _, evaluated = search_mod._envelope_sample(lam, ends, step, count)
+    offsets = [build for build in builds if build[1]]
+    assert offsets == [(None, True)]
+    # each piece builds only its block starts
+    assert 2 <= len(builds) - 1 and evaluated < count
+
+
+def test_chunked_scan_builds_one_offset_table(monkeypatch):
+    lam, ends = (x[0] for x in spectra(16, np.array([2.38])))
+    window, step, count = search_mod._peak_grid(lam)
+    chunks = -(-count // search_mod._TIME_CHUNK)
+    assert chunks >= 3
+    builds = _counted_tables(monkeypatch)
+    search_mod._best_sample(lam, ends, step, count)
+    assert builds == [(None, True)] + [(None, False)] * chunks
+
+
+def test_first_peak_scores_build_one_table_per_sub_stack(monkeypatch):
+    grid = search_mod._ratio_grid(2.0, 2.2, 0.002)
+    lam, ends = spectra(8, grid)
+    top = max(search_mod._peak_grid(row)[2] for row in lam)
+    phases = (256 + -(-top // 256)) * 4  # per ratio: offsets and block starts, N/2 levels
+    monkeypatch.setattr(search_mod, "_GRID_CHUNK_ENTRIES", 30 * phases)
+    polished = _counted_polishes(monkeypatch)
+    builds = _counted_tables(monkeypatch)
+    search_mod._first_peak_scores(lam, ends, grid, [])
+    # the stack's windows are one call each: 101 ratios in sub-stacks of
+    # 30, then one stack of one per polished ratio, which scans it again
+    assert builds == [(30, True)] * 3 + [(11, True)] + [(1, True)] * len(polished)
+    assert 1 <= len(polished) <= 8
+
+
+def _counted_polishes(monkeypatch):
+    """The ratios _peak_polish polishes."""
+    polished = []
+    real = search_mod._peak_polish
+
+    def counting(lam, ends, delta, scan):
+        polished.append(delta)
+        return real(lam, ends, delta, scan)
+
+    monkeypatch.setattr(search_mod, "_peak_polish", counting)
+    return polished
