@@ -10,17 +10,17 @@ peak is passed over: 16 sites at ratio 2.380 peak at P = 0.901 near
 0.85*pi/lambda_min, but the search returns the P = 0.915 peak at
 1.14*pi/lambda_min.  The peak time is then the root of dP/dt next to
 the winning sample: first_peak is a scan (_peak_scan), then a polish
-(_peak_polish).  An even chain's window of more than one chunk is
-scanned only where the envelope of its series,
-2 |c_min| sin(lambda_min t/2) + 2 sum |c_bulk|, plus a margin for the
-scan's rounding, can reach the best sample so far (_envelope_sample;
-an exact bound, as in Hansen, Jaumard and Lu 1992); the sample it
-finds is the full scan's, to the bit.  The polish is a safeguarded
-Newton iteration on dP/dt (_slope_root).  Every search takes its
-spectra from spectra and P_N from the paired series: the uniform time
-grid by angle addition (paired_grid_probability), which only picks the
-winning sample, and every reported value directly
-(paired_transfer_probability); a kept sample is re-evaluated over its
+(_peak_polish).  A window of more than one chunk is scanned piece by
+piece (_envelope_sample): an even chain's only where the envelope of
+its series, 2 |c_min| sin(lambda_min t/2) + 2 sum |c_bulk|, plus a
+margin for the scan's rounding, can reach the best sample so far (an
+exact bound, as in Hansen, Jaumard and Lu 1992), an odd chain's whole
+by the same piece loop; the sample it finds is the full scan's, to the
+bit.  The polish is a safeguarded Newton iteration on dP/dt
+(_slope_root).  Every search takes its spectra from spectra and P_N
+from the paired series: the uniform time grid by angle addition
+(paired_grid_probability), which only picks the winning sample, and
+every reported value directly (paired_transfer_probability); a kept sample is re-evaluated over its
 chunk of the grid.  The grid's offset table, the sines and cosines of
 the first block's phases, is built once per scan and shared by all its
 kernel calls; the ratios of a stack whose windows are one call each
@@ -32,14 +32,15 @@ scores, which passes over a refused ratio: its spectrum fails its checks,
 or its score is out of reach.  On chains of up to _LOOK_AHEAD_SITES
 its golden-section polish solves ahead: one stacked solve holds every
 ratio that golden section can evaluate in its next _LOOK_AHEAD steps,
-and only the ratios it does evaluate are scored.  optimize_delta's
-grid scans every ratio but polishes only those that can win: a ratio
-whose best sample plus a certified rise, (S1^2 + S2) h^2 for scan step
-h from the curvature bound of the series (series_derivative_bounds;
-Breiman and Cutler 1993) plus a margin for the scan's rounding, lies
-strictly below a p_h already polished is skipped and scores its
-sample, which can neither win nor tie.  Every search returns
-at least its own grid winner.  All searches are deterministic: grids
+and only the ratios it does evaluate are scored.  optimize_delta
+makes one scan per ratio (_peak_scans), refused only by _peak_grid,
+and polishes that scan; its grid polishes only the ratios that can
+win: a ratio whose best sample plus a certified rise, (S1^2 + S2) h^2
+for scan step h from the curvature bound of the series
+(series_derivative_bounds; Breiman and Cutler 1993) plus a margin for
+the scan's rounding, lies strictly below a p_h already polished is
+skipped and scores its sample, which can neither win nor tie.  Every
+search returns at least its own grid winner.  All searches are deterministic: grids
 are fixed by the parameters alone and tie-breaks take the earliest
 time (or smallest ratio).
 """
@@ -255,9 +256,10 @@ def first_peak(spec: ChainSpec) -> TransferTriad:
     is never below it.  An earlier peak lower than the window maximum is
     not returned, even a high one.  The grid is evaluated by angle
     addition (paired_grid_probability), which only chooses the sample;
-    on an even chain whose window exceeds one chunk, only the pieces
-    where the series' envelope can reach the best sample are evaluated
-    (_envelope_sample), and the chosen sample is the same.  A kept
+    a window that exceeds one chunk is scanned piece by piece
+    (_envelope_sample): on an even chain only the pieces where the
+    series' envelope can reach the best sample are evaluated, and the
+    chosen sample is the same; an odd chain's are all evaluated.  A kept
     sample's p_h comes from the direct series over its chunk of the
     grid.  A window too long for the phases to keep digits
     (check_horizon) raises HorizonError.
@@ -306,11 +308,13 @@ def _peak_scans(lam: np.ndarray, ends: np.ndarray) -> list[_PeakScan | NumericEr
     A window of one _TIME_CHUNK or less is one kernel call, whose offset
     and block-start tables come with those of the stack's other such
     windows from one grid_angles call, one sin and one cos, per
-    sub-stack of bounded size (_one_call_samples).  An even
-    chain's longer window is scanned only where its envelope can reach
-    the best sample (_envelope_sample), an odd chain's whole
-    (_best_sample); each builds its offset table once.  Every scan
-    finds what _best_sample finds, to the bit.
+    sub-stack of bounded size (_one_call_samples).  A longer window
+    is scanned piece by piece from one offset table (_envelope_sample):
+    an even chain's only where its envelope can reach the best sample,
+    an odd chain's whole by the same piece loop.  Every scan finds what
+    the full scan of its window finds, to the bit.  This is the one
+    place a first-peak window is scanned, and _peak_grid the one place
+    it is refused.
     """
     grids: list[tuple[float, float, int] | NumericError] = []
     for row in lam:
@@ -327,9 +331,7 @@ def _peak_scans(lam: np.ndarray, ends: np.ndarray) -> list[_PeakScan | NumericEr
         window, step, count = grid
         if i in found:
             return _PeakScan(window, step, count, *found[i])
-        if lam.shape[-1] % 2 == 0:
-            return _PeakScan(window, step, count, *_envelope_sample(lam[i], ends[i], step, count))
-        return _PeakScan(window, step, count, *_best_sample(lam[i], ends[i], step, count), count)
+        return _PeakScan(window, step, count, *_envelope_sample(lam[i], ends[i], step, count))
 
     return [scan(i) for i in range(len(grids))]
 
@@ -434,38 +436,26 @@ def _grid_probability(
     return paired_grid_probability(lam, ends, offsets, starts, stop - start)
 
 
-def _best_sample(lam: np.ndarray, ends: np.ndarray, step: float, count: int) -> tuple[int, float]:
-    """(index, P) of the highest of P((index + 1) * step), index < count, earliest on ties.
-
-    The grid is taken in chunks of _TIME_CHUNK samples by angle addition,
-    all from one offset table.
-    """
-    offsets = grid_angles(lam, step, np.arange(grid_block(count)))
-    return _first_argmax(
-        lambda start, stop: _grid_probability(lam, ends, step, offsets, start + 1, stop + 1),
-        count,
-        _TIME_CHUNK,
-    )
-
-
 def _envelope_sample(
     lam: np.ndarray, ends: np.ndarray, step: float, count: int
 ) -> tuple[int, float, int]:
-    """_best_sample of an even chain, scanning only where a sample can win; and the samples scanned.
+    """(index, P) of the highest sample of a window, earliest on ties; and the samples scanned.
 
     With c_min the end product of lambda_min and B = 2 sum |c_j| over
     the other positive levels, the series obeys
     |s(t)| <= 2 |c_min| sin(lambda_min t/2) + B on the window, which
     ends before 2 pi/lambda_min; the envelope peaks at pi/lambda_min.
-    The window is cut into the pieces of _best_sample's kernel calls
-    (grid_pieces of each chunk), so that a piece scanned alone keeps
-    every bit.  Pieces are scanned in descending order of the square of
-    their envelope's largest value plus a margin (_SKIP_DEVIATION times
-    the kernel's deviation from the series, and _SKIP_MARGIN), the one
-    around pi/lambda_min first, until that bound lies strictly below the
-    best sample so far.  Every sample left out lies below it, so the
-    winner and the earliest-index rule are those of the full scan.  The
-    pieces share one offset table.
+    The window is cut into chunks of _TIME_CHUNK samples and those into
+    grid_pieces, so that a piece scanned alone keeps the bits of its
+    chunk's kernel call.  An even chain's pieces are scanned in
+    descending order of the square of their envelope's largest value
+    plus a margin (_SKIP_DEVIATION times the kernel's deviation from the
+    series, and _SKIP_MARGIN), the one around pi/lambda_min first, until
+    that bound lies strictly below the best sample so far.  Every
+    sample left out lies below it, so the winner and the earliest-index
+    rule are those of the full scan.  No envelope bounds an odd chain's
+    series, so its bounds are +inf and every piece is scanned, in
+    order.  The pieces share one offset table.
     """
     half = lam.size // 2
     lam_min = float(lam[half - 1])
@@ -479,6 +469,8 @@ def _envelope_sample(
     nearest = np.clip(math.pi / lam_min, (lo + 1) * step, hi * step)
     margin = _SKIP_DEVIATION * _EPS * count * step * float(lam[0]) + _SKIP_MARGIN
     bounds = (edge * np.sin(0.5 * lam_min * nearest) + bulk) ** 2 + margin
+    if lam.size % 2:  # no envelope bounds an odd chain's series: every piece, in order
+        bounds[:] = math.inf
     offsets = grid_angles(lam, step, np.arange(grid_block(count)))
     best, p_best, evaluated = 0, -1.0, 0
     for i in np.argsort(-bounds, kind="stable"):
@@ -580,8 +572,9 @@ def optimize_delta(n_sites: int, delta_lo: float, delta_hi: float) -> TransferTr
     first_peak p_h, on a 0.002-spaced grid refined to 1e-4, and returns
     first_peak of the winner; a ratio whose first_peak raises
     NumericError is refused, and a range refused whole names the first
-    reason.  The grid polishes only the ratios that can win
-    (_first_peak_scores): every ratio is scanned, and a ratio whose best
+    reason.  Each ratio is scanned once (_peak_scans) and refused only
+    by _peak_grid; the grid polishes only the ratios that can win
+    (_first_peak_scores), each from its own scan, and a ratio whose best
     sample plus its certified rise (S1^2 + S2) h^2 + margin lies
     strictly below a p_h already polished in its stack is not polished
     and scores that sample, so the search returns what polishing every
@@ -612,15 +605,14 @@ def _first_peak_scores(
 ) -> np.ndarray:
     """optimize_delta's score of a stack: each ratio's first_peak p_h, or a value that cannot win.
 
-    Every ratio is scanned (_peak_scans, which builds the tables of the
-    stack's one-call windows at once); one whose scan is refused
-    (NumericError) scores -inf, and its reason joins refusals, in stack
-    order.  The others
-    are polished in descending order of their best sample, each by
-    _spectrum_peak, first_peak's own path, which scans it again: a
-    handful of scans in a stack of hundreds.  A ratio is skipped when
-    its best sample plus its rise lies strictly below the highest p_h
-    polished so far; it scores that sample, strictly below the stack's
+    Every ratio is scanned once (_peak_scans, which builds the tables of
+    the stack's one-call windows at once); one whose scan is refused
+    (NumericError, from _peak_grid) scores -inf, and its reason joins
+    refusals, in stack order.  The others are polished in descending
+    order of their best sample, each from its own scan (_peak_polish,
+    which raises nothing).  A ratio is skipped when its best sample
+    plus its rise lies strictly below the highest p_h polished so far;
+    it scores that sample, strictly below the stack's
     winner, so the stack's best score and its first index are those of
     polishing every ratio.  The rise is certified: the polish keeps the
     sample or returns the root of dP/dt within one scan step h of it,
@@ -628,19 +620,9 @@ def _first_peak_scores(
     max|P''| h^2 / 2 <= (S1^2 + S2) h^2 (series_derivative_bounds).
     The margin adds _SKIP_DEVIATION times the scan's deviation from the
     direct series, and _SKIP_MARGIN.  A one-ratio stack, as golden
-    section scores, has nothing to skip and is polished without a scan
-    ahead.
+    section scores, takes the same path: with nothing polished yet,
+    nothing is skipped.
     """
-
-    def polish(i: int) -> float:
-        try:
-            return _spectrum_peak(lam[i], ends[i], float(ratios[i])).p_h
-        except NumericError as exc:  # the peak window is out of reach: a refused ratio
-            refusals.append(str(exc))
-            return -math.inf
-
-    if ratios.size == 1:  # the golden-section polish: nothing to skip, nothing to scan ahead
-        return np.array([polish(0)])
     scans = _peak_scans(lam, ends)
     refusals += [str(scan) for scan in scans if isinstance(scan, NumericError)]
     scores = np.array([
@@ -656,7 +638,7 @@ def _first_peak_scores(
         rise = (s1[i] ** 2 + s2[i]) * scan.step**2 + deviation + _SKIP_MARGIN
         if scan.p_best + rise < top:
             continue
-        scores[i] = polish(i)
+        scores[i] = _peak_polish(lam[i], ends[i], float(ratios[i]), scan).p_h
         top = max(top, scores[i])
     return scores
 

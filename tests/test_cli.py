@@ -220,13 +220,10 @@ def test_every_ratio_refused_exit_code(capsys):
 
 
 def test_optimize_every_ratio_unreachable_exit_code(capsys, monkeypatch):
-    from altchain import HorizonError
     from altchain import search as search_mod
 
-    def unreachable(lam, ends, delta):
-        raise HorizonError("peak window out of reach")
-
-    monkeypatch.setattr(search_mod, "_spectrum_peak", unreachable)
+    # no window fits the scan's cap of samples: _peak_grid refuses every ratio
+    monkeypatch.setattr(search_mod, "_MAX_GRID_POINTS", 0)
     code, out, err = run_cli(
         "optimize", "--n", "6", "--delta-min", "2.3", "--delta-max", "2.4", capsys=capsys
     )

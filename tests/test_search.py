@@ -121,12 +121,57 @@ def test_time_scan_ties_take_earliest(monkeypatch, tied, expected):
     monkeypatch.setattr(search_mod, "_TIME_CHUNK", 7)
     monkeypatch.setattr(search_mod, "_grid_probability", tied_grid)
     lam, ends = (x[0] for x in spectra(6, np.array([2.38])))
-    assert search_mod._best_sample(lam, ends, 0.01, 30) == (expected, 2.0)
+    assert _best_sample(lam, ends, 0.01, 30) == (expected, 2.0)
+
+
+@pytest.mark.parametrize(
+    "tied,expected",
+    [((3, 4), 3), ((7, 8), 7), ((9, 10), 9), ((13, 14), 13), ((25, 5), 5)],
+)
+def test_odd_piece_scan_ties_take_earliest(monkeypatch, tied, expected):
+    # an odd window of several chunks goes through the envelope scan's
+    # piece loop whole; with blocks of 4 samples, one row of blocks per
+    # product and chunks of 10, the pieces are 0..3 and 4..9 of each
+    # chunk: the pairs straddle a block and a piece (3, 4), a block
+    # within a piece (7, 8), a chunk (9, 10), a piece (13, 14), or lie
+    # apart
+    import altchain.dynamics
+
+    real = search_mod._grid_probability
+
+    def tied_grid(lam, ends, step, offsets, start, stop):
+        probs = real(lam, ends, step, offsets, start, stop)
+        return np.where(np.isin(np.arange(start - 1, stop - 1), tied), 2.0, probs)
+
+    monkeypatch.setattr(altchain.dynamics, "_ANGLE_BLOCK", 4)
+    monkeypatch.setattr(altchain.dynamics, "_PRODUCT_SIZE", 4 * 3)
+    monkeypatch.setattr(search_mod, "_TIME_CHUNK", 10)
+    monkeypatch.setattr(search_mod, "_grid_probability", tied_grid)
+    lam, ends = (x[0] for x in spectra(7, np.array([2.38])))
+    assert search_mod.grid_pieces(7, 10) == [0, 4, 10]
+    assert search_mod._envelope_sample(lam, ends, 0.01, 30) == (expected, 2.0, 30)
+
+
+def _best_sample(lam, ends, step, count):
+    """(index, P) of the highest of P((index + 1) * step), index < count, earliest on ties.
+
+    The full-scan reference of the first-peak scans: every sample, in
+    chunks of _TIME_CHUNK samples by angle addition, all from one offset
+    table.
+    """
+    offsets = search_mod.grid_angles(lam, step, np.arange(search_mod.grid_block(count)))
+    return search_mod._first_argmax(
+        lambda start, stop: search_mod._grid_probability(
+            lam, ends, step, offsets, start + 1, stop + 1
+        ),
+        count,
+        search_mod._TIME_CHUNK,
+    )
 
 
 def _full_scan(lam, ends, scan):
     """(best, p_best) of the whole window of a scan, every sample evaluated."""
-    return search_mod._best_sample(lam, ends, scan.step, scan.count)
+    return _best_sample(lam, ends, scan.step, scan.count)
 
 
 @pytest.mark.parametrize("delta", [1.05, 1.6, 2.0, 2.38, 2.8, 3.5])
@@ -654,14 +699,7 @@ def test_optimize_passes_over_unreachable_ratios(monkeypatch):
     # every ratio above the cut has its peak window out of reach; the
     # search returns the best ratio below it instead of stopping
     cut = 2.5
-    real = search_mod._spectrum_peak
-
-    def poisoned(lam, ends, delta):
-        if delta > cut:
-            raise HorizonError("peak window out of reach")
-        return real(lam, ends, delta)
-
-    monkeypatch.setattr(search_mod, "_spectrum_peak", poisoned)
+    _poison_above(monkeypatch, 8, cut)
     triad = optimize_delta(8, 2.3, 2.6)
     grid = search_mod._ratio_grid(2.3, 2.6, 0.002)
     below = [first_peak(ChainSpec(8, float(delta))).p_h for delta in grid[grid <= cut]]
@@ -696,16 +734,15 @@ def _no_skip(lam, ends):
     return (np.full(lam.shape[:-1], math.inf),) * 2
 
 
-def _poison_above(monkeypatch, cut):
-    """Refuse, by a HorizonError of _spectrum_peak, every ratio above cut."""
-    real = search_mod._spectrum_peak
+def _poison_above(monkeypatch, n, cut):
+    """Refuse every ratio above cut at N = n by the scan's own cap.
 
-    def poisoned(lam, ends, delta):
-        if delta > cut:
-            raise HorizonError("peak window out of reach")
-        return real(lam, ends, delta)
-
-    monkeypatch.setattr(search_mod, "_spectrum_peak", poisoned)
+    The cap becomes the sample count of the window at cut; on the
+    ranges poisoned here the count rises strictly with the ratio, so
+    _peak_grid refuses every ratio above cut with a HorizonError.
+    """
+    lam, _ = spectra(n, np.array([cut]))
+    monkeypatch.setattr(search_mod, "_MAX_GRID_POINTS", search_mod._peak_grid(lam[0])[2])
 
 
 @pytest.mark.parametrize(
@@ -728,7 +765,7 @@ def test_skipped_grid_ratios_change_no_output(monkeypatch, n, lo, hi, ratios_per
     if ratios_per_stack is not None:
         monkeypatch.setattr(search_mod, "_GRID_CHUNK_ENTRIES", ratios_per_stack * n * n)
     if cut is not None:
-        _poison_above(monkeypatch, cut)
+        _poison_above(monkeypatch, n, cut)
     skipping = repr(optimize_delta(n, lo, hi))
     monkeypatch.setattr(search_mod, "series_derivative_bounds", _no_skip)
     assert repr(optimize_delta(n, lo, hi)) == skipping
@@ -746,6 +783,36 @@ def test_optimize_polishes_a_handful_of_grid_ratios(monkeypatch):
     optimize_delta(8, 2.0, 3.0)
     grid = search_mod._ratio_grid(2.0, 3.0, 0.002).tolist()
     assert len(grid) == 501 and len(set(polished) & set(grid)) <= 8
+
+
+def test_optimize_scans_each_ratio_once(monkeypatch):
+    # one _peak_scans call for the grid, one per golden-section point and
+    # one for the winner's triad: a polished ratio is not scanned again
+    scans, points = [], []
+    real_scans, real_golden = search_mod._peak_scans, search_mod._golden_max
+
+    def counting_scans(lam, ends):
+        scans.append(len(lam))
+        return real_scans(lam, ends)
+
+    def counting_golden(f, *args):
+        def counted(x):
+            points.append(x)
+            return f(x)
+
+        return real_golden(counted, *args)
+
+    monkeypatch.setattr(search_mod, "_peak_scans", counting_scans)
+    monkeypatch.setattr(search_mod, "_golden_max", counting_golden)
+    grid = search_mod._ratio_grid(2.0, 3.0, 0.002)
+    counts = set()
+    for n in (4, 8, 16):
+        scans.clear()
+        points.clear()
+        optimize_delta(n, 2.0, 3.0)
+        assert scans == [grid.size] + [1] * len(points) + [1]
+        counts.add((len(scans), sum(scans)))
+    assert counts == {(13, 513)}
 
 
 @pytest.mark.parametrize("n", [4, 5, 8, 9, 12, 16])
@@ -884,13 +951,29 @@ def test_envelope_scan_builds_one_offset_table(monkeypatch):
 
 
 def test_chunked_scan_builds_one_offset_table(monkeypatch):
-    lam, ends = (x[0] for x in spectra(16, np.array([2.38])))
-    window, step, count = search_mod._peak_grid(lam)
-    chunks = -(-count // search_mod._TIME_CHUNK)
-    assert chunks >= 3
+    # an odd window of several chunks, each of several product groups,
+    # is scanned whole: one offset table, then one block-start table per
+    # piece
+    import altchain.dynamics
+
+    # blocks of 16 samples, two rows of blocks per product, chunks of 70
+    monkeypatch.setattr(altchain.dynamics, "_ANGLE_BLOCK", 16)
+    monkeypatch.setattr(altchain.dynamics, "_PRODUCT_SIZE", 2 * 16 * 3)
+    monkeypatch.setattr(search_mod, "_TIME_CHUNK", 70)
+    lam, ends = spectra(7, np.array([2.38]))
+    window, step, count = search_mod._peak_grid(lam[0])
+    chunk = search_mod._TIME_CHUNK
+    pieces = sum(
+        len(search_mod.grid_pieces(7, min(chunk, count - start))) - 1
+        for start in range(0, count, chunk)
+    )
+    chunks = -(-count // chunk)
+    assert chunks >= 3 and pieces > chunks
     builds = _counted_tables(monkeypatch)
-    search_mod._best_sample(lam, ends, step, count)
-    assert builds == [(None, True)] + [(None, False)] * chunks
+    (scan,) = search_mod._peak_scans(lam, ends)
+    assert builds == [(None, True)] + [(None, False)] * pieces
+    assert scan.evaluated == scan.count == count
+    assert (scan.best, scan.p_best) == _full_scan(lam[0], ends[0], scan)
 
 
 def test_first_peak_scores_build_one_table_per_sub_stack(monkeypatch):
@@ -903,8 +986,8 @@ def test_first_peak_scores_build_one_table_per_sub_stack(monkeypatch):
     builds = _counted_tables(monkeypatch)
     search_mod._first_peak_scores(lam, ends, grid, [])
     # the stack's windows are one call each: 101 ratios in sub-stacks of
-    # 30, then one stack of one per polished ratio, which scans it again
-    assert builds == [(30, True)] * 3 + [(11, True)] + [(1, True)] * len(polished)
+    # 30; each polished ratio is polished from its scan in the stack
+    assert builds == [(30, True)] * 3 + [(11, True)]
     assert 1 <= len(polished) <= 8
 
 
