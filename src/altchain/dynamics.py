@@ -20,9 +20,9 @@ checks on sampled curves run on it.  On a uniform time grid t_k =
 k*step the series follows from angle addition, sin((K + r) a) from the
 sines and cosines at block starts K and offsets r, as two small matrix
 products per block of samples (paired_grid_probability) of sine tables
-that broadcast over a stack of chains (grid_angles); the peak scan
-uses it to pick its best sample, and the first two time derivatives of
-the series (paired_transfer_derivatives) to polish it.
+(grid_angles), for one chain or a stack; the peak scan picks its best
+sample so, and polishes it by the series' first two time derivatives
+(paired_transfer_derivatives).
 
 transfer_probability keeps the complex spectral sum at node N as the
 reference route: the closed-form reduced series, the paired kernel and
@@ -182,7 +182,13 @@ def grid_angles(lam: np.ndarray, step: float | np.ndarray, index: np.ndarray) ->
     in a table of one chain.
     """
     half = lam.shape[-1] // 2
-    phases = (np.asarray(step)[..., None] * index)[..., None] * (0.5 * lam[..., None, :half])
+    times, rates = np.asarray(step)[..., None] * index, 0.5 * lam[..., :half]
+    if times.size == index.size:  # one chain
+        phases = times[..., None] * rates[..., None, :]
+    else:  # a strided multiply per level beats a broadcast over the short level axis
+        phases = np.empty((*times.shape, half))
+        for j in range(half):
+            np.multiply(times, rates[..., j, None], out=phases[..., j])
     table = np.empty((2, *phases.shape))
     np.sin(phases, out=table[0])
     np.cos(phases, out=table[1])
@@ -202,11 +208,11 @@ def grid_starts(start: int, count: int) -> np.ndarray:
 def paired_grid_probability(
     lam: np.ndarray, ends: np.ndarray, offsets: np.ndarray, starts: np.ndarray, count: int
 ) -> np.ndarray:
-    """P_N(k * step) for the count samples k = start..start+count-1 of one chain, by angle addition.
+    """P_N(k * step) for the count samples k = start..start+count-1, by angle addition.
 
-    The series of paired_transfer_probability on a uniform grid.  With
-    k = K_q + r, block starts K_q = start + q*B and offsets 0 <= r < B,
-    B = grid_block(count),
+    The series of paired_transfer_probability on a uniform grid, lam and
+    ends (..., N).  With k = K_q + r, block starts K_q = start + q*B and
+    offsets 0 <= r < B, B the offset table's rows or count if fewer,
 
         sin(k a) = sin(K_q a) cos(r a) + cos(K_q a) sin(r a),
         cos(k a) = cos(K_q a) cos(r a) - sin(K_q a) sin(r a),
@@ -214,39 +220,38 @@ def paired_grid_probability(
     so the series over the range is two (rows x N/2) @ (N/2 x B)
     products of a block-start table and an offset table, taken in
     groups of rows of at most _PRODUCT_SIZE multiply-adds.  This is the
-    product part of the kernel; the tables are grid_angles' (2, K, N/2)
-    ones: offsets at k = 0..B-1 and starts at grid_starts(start, count),
-    rows beyond those ignored.  A scan builds its offset table once, and
-    a stack of one-call windows builds all its tables at once, so a call
-    needs at most the rows * N/2 sines and cosines of its block starts,
-    instead of one per sample and level.  The two products of a group
-    are one batched np.matmul, which makes the BLAS call of each product
-    alone, into a (2, rows, B) buffer allocated once per call; the
-    second is then added to or subtracted from the first, and the series
-    squared, in place and in the order of the plain expression, so the
-    bits are those of allocating each product.  A sample's bits depend
-    on the group it falls in (grid_pieces).  The block-start phases
-    carry the bits of the direct evaluation; the other phases are
-    rounded differently, so the two differ by a few
-    eps * t * lambda_max (1e-15 to 1e-12 over the first-peak windows up
-    to N=22).
+    product part of the kernel; the tables are grid_angles' (2, ..., K,
+    N/2) ones: offsets at k = 0..B-1 and starts at start + q*B
+    (grid_starts), rows beyond those ignored.  A scan builds its offset
+    table once, so a call needs at most the rows * N/2 sines and cosines
+    of its block starts, not one per sample and level.  The two products
+    of a group are one batched np.matmul, which makes the BLAS call of
+    each product (of each chain) alone, into a (2, ..., rows, B) buffer
+    allocated once per call; the second is then added to or subtracted
+    from the first, and the series squared, in place and in the order of
+    the plain expression, so the bits are those of allocating each
+    product.  A sample's bits depend on the group it falls in
+    (grid_pieces).  The block-start phases carry the bits of the direct
+    evaluation; the other phases are rounded differently, so the two
+    differ by a few eps * t * lambda_max (1e-15 to 1e-12 over the
+    first-peak windows up to N=22).
     """
-    half, block = lam.size // 2, grid_block(count)
-    rows = -(-count // block)
-    weighted = 2.0 * ends[:half] * starts[:, :rows]  # 2 c_j sin, 2 c_j cos at the block starts
-    lead = weighted if lam.size % 2 == 0 else weighted[::-1]
-    trail = offsets[::-1, :block].swapaxes(1, 2)  # cos, sin of the offsets, N/2 x B
-    group = _group_rows(lam.size, block)
-    products = np.empty((2, rows, block))
+    n, block = lam.shape[-1], min(offsets.shape[-2], count)
+    half, rows = n // 2, -(-count // block)
+    weighted = 2.0 * ends[..., None, :half] * starts[..., :rows, :]  # 2 c sin, 2 c cos of starts
+    lead = weighted if n % 2 == 0 else weighted[::-1]
+    trail = offsets[::-1, ..., :block, :].swapaxes(-1, -2)  # cos, sin of the offsets, N/2 x B
+    group = _group_rows(n, block)
+    products = np.empty((2, *lam.shape[:-1], rows, block))
     for i in range(0, rows, group):
-        np.matmul(lead[:, i:i + group], trail, out=products[:, i:i + group])
+        np.matmul(lead[..., i:i + group, :], trail, out=products[..., i:i + group, :])
     series = products[0]
-    if lam.size % 2 == 0:
+    if n % 2 == 0:
         series += products[1]
     else:
         series -= products[1]
-        series += ends[half]
-    probs = series.ravel()[:count]
+        series += ends[..., half, None, None]
+    probs = series.reshape(*lam.shape[:-1], -1)[..., :count]
     return np.square(probs, out=probs)
 
 
@@ -297,11 +302,10 @@ def series_derivative_bounds(lam: np.ndarray, ends: np.ndarray) -> tuple[np.ndar
     sums are (...).  At every t the series s of P_N = s^2 obeys
     |s'| <= S1 and |s''| <= S2, and |s| <= sum over all levels of
     |c_j| <= 1 (Cauchy-Schwarz on u_1 and u_N), so
-    |P''| = |2 s'^2 + 2 s s''| <= 2 (S1^2 + S2).  Within h of a
-    stationary point of P, then, P lies at most (S1^2 + S2) h^2 below
-    it: the ratio grid of optimize_delta skips the polish of a ratio
-    whose best scan sample cannot rise by that much, plus a margin for
-    the scan's rounding, to a p_h already found.
+    |P''| = |2 s'^2 + 2 s s''| <= 2 (S1^2 + S2): between samples d
+    apart P exceeds the larger by at most (S1^2 + S2) d^2 / 4 (the peak
+    scan's coarse bounds), and within h of a stationary point it lies at
+    most (S1^2 + S2) h^2 below it (the rise of a polish).
     """
     half = lam.shape[-1] // 2
     rates = np.abs(ends[..., :half]) * lam[..., :half]

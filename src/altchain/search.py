@@ -3,46 +3,37 @@
 The slowest spectral frequency sets the natural time scale: the high
 transfer peaks of an even chain cluster around pi / lambda_min, where
 lambda_min is the smallest positive eigenvalue (the hyperbolic pair).
-The peak search scans the window (0, 1.3*pi/lambda_min] on a grid dense
-enough to resolve the fastest beat and takes the highest sample of the
-whole window, not the earliest peak above some level.  An earlier, lower
-peak is passed over: 16 sites at ratio 2.380 peak at P = 0.901 near
-0.85*pi/lambda_min, but the search returns the P = 0.915 peak at
-1.14*pi/lambda_min.  The peak time is then the root of dP/dt next to
-the winning sample: first_peak is a scan (_peak_scan), then a polish
-(_peak_polish).  A window of more than one chunk is scanned piece by
-piece (_envelope_sample): an even chain's only where the envelope of
-its series, 2 |c_min| sin(lambda_min t/2) + 2 sum |c_bulk|, plus a
-margin for the scan's rounding, can reach the best sample so far (an
-exact bound, as in Hansen, Jaumard and Lu 1992), an odd chain's whole
-by the same piece loop; the sample it finds is the full scan's, to the
-bit.  The polish is a safeguarded Newton iteration on dP/dt
+The peak search scans the window (0, 1.3*pi/lambda_min] on a grid
+dense enough to resolve the fastest beat and takes the highest sample
+of the whole window, not the earliest peak above some level.  An
+earlier, lower peak is passed over: 16 sites at ratio 2.380 peak at
+P = 0.901 near 0.85*pi/lambda_min, but the search returns the
+P = 0.915 peak at 1.14*pi/lambda_min.  The peak time is then the root of dP/dt
+next to the winning sample: first_peak is a scan (_peak_scan), then a
+polish (_peak_polish).  The scan bounds each product group of its
+window from a coarse pass (_peak_windows): P at every m-th grid point
+plus (S1^2 + S2) (m h)^2 / 4 from the curvature bound of the series
+(series_derivative_bounds; Breiman and Cutler 1993, as in Hansen,
+Jaumard and Lu 1992) and a margin for the rounding; it scans the
+groups in descending order of their bounds until the bound lies below
+its best sample (_window_scan), and finds the full scan's sample, to
+the bit.  The polish is a safeguarded Newton iteration on dP/dt
 (_slope_root).  Every search takes its spectra from spectra and P_N
 from the paired series: the uniform time grid by angle addition
-(paired_grid_probability), which only picks the winning sample, and
-every reported value directly (paired_transfer_probability); a kept sample is re-evaluated over its
-chunk of the grid.  The grid's offset table, the sines and cosines of
-the first block's phases, is built once per scan and shared by all its
-kernel calls; the ratios of a stack whose windows are one call each
-(_peak_scans) have their offset and block-start tables built together,
-one sin and one cos per bounded sub-stack, and each ratio then runs
-only its products.  optimize_delta and
-fixed_time_optimize are one ratio search (_ratio_search) under two
-scores, which passes over a refused ratio: its spectrum fails its checks,
-or its score is out of reach.  On chains of up to _LOOK_AHEAD_SITES
-its golden-section polish solves ahead: one stacked solve holds every
-ratio that golden section can evaluate in its next _LOOK_AHEAD steps,
-and only the ratios it does evaluate are scored.  optimize_delta
-makes one scan per ratio (_peak_scans), refused only by _peak_grid,
-and polishes that scan; its grid polishes only the ratios that can
-win: a ratio whose best sample plus a certified rise, (S1^2 + S2) h^2
-for scan step h from the curvature bound of the series
-(series_derivative_bounds; Breiman and Cutler 1993) plus a margin for
-the scan's rounding, lies strictly below a p_h already polished is
-skipped and scores its sample, which can neither win nor tie.  Every
-search returns at least its own grid winner.  All searches are deterministic: grids
-are fixed by the parameters alone and tie-breaks take the earliest
-time (or smallest ratio).
+(paired_grid_probability), which only bounds the groups and picks the
+winning sample, and every reported value directly
+(paired_transfer_probability); a kept sample is re-evaluated over its
+chunk of the grid.  optimize_delta and fixed_time_optimize are one
+ratio search (_ratio_search) under two scores, which passes over a
+refused ratio: its spectrum fails its checks, or its score is out of
+reach.  On chains of up to _LOOK_AHEAD_SITES its golden-section polish
+solves ahead: one stacked solve holds every ratio that golden section
+can evaluate in its next _LOOK_AHEAD steps, and only the ratios it
+does evaluate are scored.  optimize_delta's grid scans and polishes only
+the ratios that can win (_first_peak_scores), no ratio twice.  Every
+search returns at least its own grid winner.  All searches are
+deterministic: grids are fixed by the parameters alone and tie-breaks
+take the earliest time (or smallest ratio).
 """
 
 from __future__ import annotations
@@ -50,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -92,14 +83,18 @@ _EPS = float(np.finfo(float).eps)
 # more to solve than the calls they save, and it solves one at a time
 _LOOK_AHEAD = 4
 _LOOK_AHEAD_SITES = 32
-# the margin of a skip above its bound (an optimize_delta grid ratio's
-# curvature bound, a scan piece's envelope): the angle-addition scan
+# the margin of a skip above its bound (a coarse group bound, the rise of
+# an optimize_delta grid ratio's polish): the angle-addition scan
 # differs from the direct series by at most 0.15 eps * window * lambda_max
 # (measured over N = 4..26 at ratios 1.5..3.5); the margin allows
 # _SKIP_DEVIATION times that, plus _SKIP_MARGIN for the rounding of the
 # bound and of the polished p_h
 _SKIP_DEVIATION = 8.0
 _SKIP_MARGIN = 1e-10
+# grid points per coarse sample on windows of one group and of several: the
+# fastest of 1..6 and of 8..64 on the first 90 first-peak requests of seeds 1, 2
+_COARSE_STRIDE = 4
+_COARSE_GROUP_STRIDE = 32
 
 
 @dataclass(frozen=True)
@@ -128,7 +123,7 @@ class SweepRow:
 class _PeakScan:
     """A first-peak window scan: P at (index + 1) * step, index < count; best is the highest.
 
-    evaluated counts the samples the scan computed, count at most.
+    evaluated counts the fine samples computed (no coarse ones), count at most.
     """
 
     window: float
@@ -137,6 +132,21 @@ class _PeakScan:
     best: int
     p_best: float
     evaluated: int
+
+
+class _PeakWindow(NamedTuple):
+    """A _PeakScan's grid before the scan: group i holds samples cuts[i]..cuts[i+1]-1.
+
+    Each lies at or below bounds[i], and coarse is the highest coarse
+    sample (+inf and -inf where no coarse pass ran).
+    """
+
+    window: float
+    step: float
+    count: int
+    cuts: list[int]
+    bounds: list[float]
+    coarse: float
 
 
 def _golden_step(
@@ -256,13 +266,12 @@ def first_peak(spec: ChainSpec) -> TransferTriad:
     is never below it.  An earlier peak lower than the window maximum is
     not returned, even a high one.  The grid is evaluated by angle
     addition (paired_grid_probability), which only chooses the sample;
-    a window that exceeds one chunk is scanned piece by piece
-    (_envelope_sample): on an even chain only the pieces where the
-    series' envelope can reach the best sample are evaluated, and the
-    chosen sample is the same; an odd chain's are all evaluated.  A kept
-    sample's p_h comes from the direct series over its chunk of the
-    grid.  A window too long for the phases to keep digits
-    (check_horizon) raises HorizonError.
+    a window of several product groups is scanned only in the groups
+    whose coarse bound can reach the best sample (_peak_windows,
+    _window_scan), and the chosen sample is the same.  A kept sample's
+    p_h comes from the direct series over its chunk of the grid.  A
+    window too long for the phases to keep digits (check_horizon)
+    raises HorizonError.
     """
     lam, ends = spectra(spec.n_sites, [spec.delta])
     return _spectrum_peak(lam[0], ends[0], spec.delta)
@@ -274,15 +283,15 @@ def _spectrum_peak(lam: np.ndarray, ends: np.ndarray, delta: float) -> TransferT
 
 
 def _peak_scan(lam: np.ndarray, ends: np.ndarray) -> _PeakScan:
-    """The window scan of first_peak: its grid and its best sample; a stack of one of _peak_scans.
+    """The window scan of first_peak: its grid and its best sample.
 
     A window beyond the phase horizon (check_horizon), or of more than
     _MAX_GRID_POINTS samples, raises HorizonError.
     """
-    (scan,) = _peak_scans(lam[None], ends[None])
-    if isinstance(scan, NumericError):
-        raise scan
-    return scan
+    (window,) = _peak_windows(lam[None], ends[None])
+    if isinstance(window, NumericError):
+        raise window
+    return _window_scan(lam, ends, window)
 
 
 def _peak_grid(lam: np.ndarray) -> tuple[float, float, int]:
@@ -302,70 +311,85 @@ def _peak_grid(lam: np.ndarray) -> tuple[float, float, int]:
     return window, window / count, count
 
 
-def _peak_scans(lam: np.ndarray, ends: np.ndarray) -> list[_PeakScan | NumericError]:
-    """The window scan of first_peak of each chain of a stack, or the NumericError that refuses it.
+def _window_cuts(n_levels: int, count: int) -> list[int]:
+    """The product groups of a window of count samples: its chunks cut by grid_pieces."""
+    return [
+        start + cut
+        for start in range(0, count, _TIME_CHUNK)
+        for cut in grid_pieces(n_levels, min(_TIME_CHUNK, count - start))[:-1]
+    ] + [count]
 
-    A window of one _TIME_CHUNK or less is one kernel call, whose offset
-    and block-start tables come with those of the stack's other such
-    windows from one grid_angles call, one sin and one cos, per
-    sub-stack of bounded size (_one_call_samples).  A longer window
-    is scanned piece by piece from one offset table (_envelope_sample):
-    an even chain's only where its envelope can reach the best sample,
-    an odd chain's whole by the same piece loop.  Every scan finds what
-    the full scan of its window finds, to the bit.  This is the one
-    place a first-peak window is scanned, and _peak_grid the one place
-    it is refused.
+
+def _peak_windows(lam: np.ndarray, ends: np.ndarray) -> list[_PeakWindow | NumericError]:
+    """Each chain's first-peak window of a stack, or the NumericError of _peak_grid refusing it.
+
+    A window is cut into groups (_window_cuts), each of which keeps the
+    bits of its chunk's kernel call when scanned alone.  The coarse
+    pass (_coarse_bounds) bounds the windows where it can leave out
+    something: all of a stack of several chains, whose ratios compete,
+    and a lone chain's window of several groups.
     """
-    grids: list[tuple[float, float, int] | NumericError] = []
+    windows: list[_PeakWindow | NumericError] = []
     for row in lam:
         try:
-            grids.append(_peak_grid(row))
+            grid = _peak_grid(row)
         except NumericError as exc:
-            grids.append(exc)
-    found = _one_call_samples(lam, ends, grids)
-
-    def scan(i: int) -> _PeakScan | NumericError:
-        grid = grids[i]
-        if isinstance(grid, NumericError):
-            return grid
-        window, step, count = grid
-        if i in found:
-            return _PeakScan(window, step, count, *found[i])
-        return _PeakScan(window, step, count, *_envelope_sample(lam[i], ends[i], step, count))
-
-    return [scan(i) for i in range(len(grids))]
+            windows.append(exc)
+            continue
+        cuts = _window_cuts(row.size, grid[2])
+        windows.append(_PeakWindow(*grid, cuts, [math.inf] * (len(cuts) - 1), -math.inf))
+    rows = [i for i, w in enumerate(windows)
+            if isinstance(w, _PeakWindow) and (len(lam) > 1 or len(w.cuts) > 2)]
+    if rows:
+        bounded = _coarse_bounds(lam[rows], ends[rows], [windows[i] for i in rows])
+        for i, window in zip(rows, bounded):
+            windows[i] = window
+    return windows
 
 
-def _one_call_samples(
-    lam: np.ndarray, ends: np.ndarray, grids: list[tuple[float, float, int] | NumericError]
-) -> dict[int, tuple[int, float, int]]:
-    """(best, P, count) of each stack row whose grid is one kernel call, by row.
+def _coarse_bounds(
+    lam: np.ndarray, ends: np.ndarray, windows: list[_PeakWindow]
+) -> list[_PeakWindow]:
+    """The windows of a stack with their groups bounded by one coarse pass.
 
-    The rows share one table layout, that of the largest count in the
-    stack: its offsets k = 0..B-1 and its block starts from 1 on, which
-    begin with every shorter window's own.  The tables are built for
-    sub-stacks of at most _GRID_CHUNK_ENTRIES phases, one grid_angles
-    call each.
+    It samples P at every m-th grid point, k = 0, m, ... up to the first
+    at or past the window end.  As |P''| <= 2 (S1^2 + S2), P between two of
+    them exceeds the larger by at most (S1^2 + S2) (m h)^2 / 4, which a
+    group's bound adds to the largest coarse sample of its intervals,
+    with twice _SKIP_DEVIATION times the kernel's deviation (of a coarse
+    and a fine sample) and _SKIP_MARGIN.  These samples only bound, so
+    their rounding and blocks are free: blocks of about sqrt(size), and
+    one table and product per sub-stack of _GRID_CHUNK_ENTRIES samples.
     """
-    rows = [i for i, grid in enumerate(grids) if isinstance(grid, tuple) and grid[2] <= _TIME_CHUNK]
-    if not rows:
-        return {}
-    top = max(grids[i][2] for i in rows)
-    block = grid_block(top)
-    index = np.concatenate([np.arange(block), grid_starts(1, top)])
-    size = max(1, _GRID_CHUNK_ENTRIES // (index.size * (lam.shape[-1] // 2)))
-    found = {}
-    for a in range(0, len(rows), size):
-        sub = rows[a:a + size]
-        table = grid_angles(lam.take(sub, axis=0), np.array([grids[i][1] for i in sub]), index)
-        for j, i in enumerate(sub):
-            count = grids[i][2]
-            probs = paired_grid_probability(
-                lam[i], ends[i], table[:, j, :block], table[:, j, block:], count
-            )
-            best = int(probs.argmax())
-            found[i] = (best, float(probs[best]), count)
-    return found
+    window, step, count = np.array([w[:3] for w in windows]).T
+    groups = np.array([len(w.cuts) - 1 for w in windows])
+    stride = np.where(groups == 1, _COARSE_STRIDE, _COARSE_GROUP_STRIDE)
+    sizes = (-(-count // stride) + 1).astype(int)
+    s1, s2 = series_derivative_bounds(lam, ends)
+    deviation = _SKIP_DEVIATION * _EPS * window * lam[:, 0]
+    slack = (s1**2 + s2) * (stride * step) ** 2 / 4 + 2.0 * deviation + _SKIP_MARGIN
+    size = int(sizes.max())  # the layout of every sub-stack
+    block, per = math.isqrt(size - 1) + 1, max(1, _GRID_CHUNK_ENTRIES // size)
+    # the first and last coarse interval of each group, in its sub-stack's samples
+    row, edges = np.repeat(np.arange(len(windows)), groups), np.r_[0, np.cumsum(groups)]
+    base = row % per * size
+    first = (np.array([c for w in windows for c in w.cuts[:-1]]) + 1) // stride[row] + base
+    last = (np.array([c for w in windows for c in w.cuts[1:]]) - 1) // stride[row] + base
+    tops = []
+    for a in range(0, len(windows), per):
+        sub, steps = slice(a, a + per), stride[a:a + per] * step[a:a + per]
+        offsets = grid_angles(lam[sub], steps, np.arange(block))
+        starts = grid_angles(lam[sub], steps, np.arange(0, size, block))
+        samples = paired_grid_probability(lam[sub], ends[sub], offsets, starts, size)
+        if len(samples) > 1:  # past a shorter window
+            samples[np.arange(size) >= sizes[sub, None]] = -math.inf
+        flat, mine = samples.ravel(), slice(edges[a], edges[min(a + per, len(windows))])
+        segments = np.maximum.reduceat(flat, first[mine])  # may stop short of last + 1
+        tops.append(np.maximum(segments, np.maximum(flat[last[mine]], flat[last[mine] + 1])))
+    top = np.concatenate(tops)
+    bounds, coarse = (top + slack[row]).tolist(), np.maximum.reduceat(top, edges[:-1]).tolist()
+    return [_PeakWindow(*w[:4], bounds[a:b], c)
+            for w, a, b, c in zip(windows, edges, edges[1:], coarse)]
 
 
 def _peak_polish(lam: np.ndarray, ends: np.ndarray, delta: float, scan: _PeakScan) -> TransferTriad:
@@ -436,52 +460,26 @@ def _grid_probability(
     return paired_grid_probability(lam, ends, offsets, starts, stop - start)
 
 
-def _envelope_sample(
-    lam: np.ndarray, ends: np.ndarray, step: float, count: int
-) -> tuple[int, float, int]:
-    """(index, P) of the highest sample of a window, earliest on ties; and the samples scanned.
+def _window_scan(lam: np.ndarray, ends: np.ndarray, window: _PeakWindow) -> _PeakScan:
+    """The fine scan of a window: its highest sample, earliest on ties.
 
-    With c_min the end product of lambda_min and B = 2 sum |c_j| over
-    the other positive levels, the series obeys
-    |s(t)| <= 2 |c_min| sin(lambda_min t/2) + B on the window, which
-    ends before 2 pi/lambda_min; the envelope peaks at pi/lambda_min.
-    The window is cut into chunks of _TIME_CHUNK samples and those into
-    grid_pieces, so that a piece scanned alone keeps the bits of its
-    chunk's kernel call.  An even chain's pieces are scanned in
-    descending order of the square of their envelope's largest value
-    plus a margin (_SKIP_DEVIATION times the kernel's deviation from the
-    series, and _SKIP_MARGIN), the one around pi/lambda_min first, until
-    that bound lies strictly below the best sample so far.  Every
-    sample left out lies below it, so the winner and the earliest-index
-    rule are those of the full scan.  No envelope bounds an odd chain's
-    series, so its bounds are +inf and every piece is scanned, in
-    order.  The pieces share one offset table.
+    The groups, sharing one offset table, are scanned in descending
+    order of their bounds until the bound lies strictly below the best
+    sample so far; every sample left out lies below it, so the winner
+    is the full scan's, to the bit.
     """
-    half = lam.size // 2
-    lam_min = float(lam[half - 1])
-    edge, bulk = 2.0 * abs(float(ends[half - 1])), 2.0 * float(np.abs(ends[:half - 1]).sum())
-    cuts = [
-        start + cut
-        for start in range(0, count, _TIME_CHUNK)
-        for cut in grid_pieces(lam.size, min(_TIME_CHUNK, count - start))[:-1]
-    ]
-    lo, hi = np.array(cuts), np.array([*cuts[1:], count])
-    nearest = np.clip(math.pi / lam_min, (lo + 1) * step, hi * step)
-    margin = _SKIP_DEVIATION * _EPS * count * step * float(lam[0]) + _SKIP_MARGIN
-    bounds = (edge * np.sin(0.5 * lam_min * nearest) + bulk) ** 2 + margin
-    if lam.size % 2:  # no envelope bounds an odd chain's series: every piece, in order
-        bounds[:] = math.inf
-    offsets = grid_angles(lam, step, np.arange(grid_block(count)))
+    cuts, bounds = window.cuts, window.bounds
+    offsets = grid_angles(lam, window.step, np.arange(grid_block(window.count)))
     best, p_best, evaluated = 0, -1.0, 0
-    for i in np.argsort(-bounds, kind="stable"):
+    for i in sorted(range(len(bounds)), key=lambda i: -bounds[i]):
         if bounds[i] < p_best:
             break
-        probs = _grid_probability(lam, ends, step, offsets, int(lo[i]) + 1, int(hi[i]) + 1)
+        probs = _grid_probability(lam, ends, window.step, offsets, cuts[i] + 1, cuts[i + 1] + 1)
         k = int(np.argmax(probs))
         evaluated += probs.size
-        if probs[k] > p_best or (probs[k] == p_best and lo[i] + k < best):
-            best, p_best = int(lo[i]) + k, float(probs[k])
-    return best, p_best, evaluated
+        if probs[k] > p_best or (probs[k] == p_best and cuts[i] + k < best):
+            best, p_best = cuts[i] + k, float(probs[k])
+    return _PeakScan(window.window, window.step, window.count, best, p_best, evaluated)
 
 
 def _validate_delta_range(delta_lo: float, delta_hi: float) -> None:
@@ -570,14 +568,11 @@ def optimize_delta(n_sites: int, delta_lo: float, delta_hi: float) -> TransferTr
 
     The ratio search (_ratio_search) scores each ratio by its
     first_peak p_h, on a 0.002-spaced grid refined to 1e-4, and returns
-    first_peak of the winner; a ratio whose first_peak raises
-    NumericError is refused, and a range refused whole names the first
-    reason.  Each ratio is scanned once (_peak_scans) and refused only
-    by _peak_grid; the grid polishes only the ratios that can win
-    (_first_peak_scores), each from its own scan, and a ratio whose best
-    sample plus its certified rise (S1^2 + S2) h^2 + margin lies
-    strictly below a p_h already polished in its stack is not polished
-    and scores that sample, so the search returns what polishing every
+    first_peak of the winner, as its score polished it; a ratio whose
+    first_peak raises NumericError is refused, and a range refused
+    whole names the first reason.  No ratio is scanned twice, and the
+    grid scans and polishes only the ratios that can win
+    (_first_peak_scores), so the search returns what polishing every
     ratio returns, to the bit.  The range must reach above the
     closed-form threshold (N+2)/N; below it the first-peak mechanism
     this search targets does not operate.
@@ -593,54 +588,53 @@ def optimize_delta(n_sites: int, delta_lo: float, delta_hi: float) -> TransferTr
         )
 
     refusals: list[str] = []
-    delta_h, _, (lam, ends) = _ratio_search(
+    triads: dict[float, TransferTriad] = {}
+    delta_h, _, _ = _ratio_search(
         n_sites, delta_lo, delta_hi, _DELTA_GRID, _DELTA_TOL,
-        partial(_first_peak_scores, refusals=refusals), refusals,
+        partial(_first_peak_scores, refusals=refusals, triads=triads), refusals,
     )
-    return _spectrum_peak(lam, ends, delta_h)
+    return triads[delta_h]
 
 
 def _first_peak_scores(
-    lam: np.ndarray, ends: np.ndarray, ratios: np.ndarray, refusals: list[str]
+    lam: np.ndarray, ends: np.ndarray, ratios: np.ndarray,
+    refusals: list[str], triads: dict[float, TransferTriad],
 ) -> np.ndarray:
     """optimize_delta's score of a stack: each ratio's first_peak p_h, or a value that cannot win.
 
-    Every ratio is scanned once (_peak_scans, which builds the tables of
-    the stack's one-call windows at once); one whose scan is refused
-    (NumericError, from _peak_grid) scores -inf, and its reason joins
-    refusals, in stack order.  The others are polished in descending
-    order of their best sample, each from its own scan (_peak_polish,
-    which raises nothing).  A ratio is skipped when its best sample
-    plus its rise lies strictly below the highest p_h polished so far;
-    it scores that sample, strictly below the stack's
-    winner, so the stack's best score and its first index are those of
+    Every window is bounded once (_peak_windows); one refused by
+    _peak_grid scores -inf, and its reason joins refusals, in stack
+    order.  The others are scanned (_window_scan) and polished
+    (_peak_polish) in descending order of their reach, the highest
+    group bound plus the rise, while it is not below the highest p_h
+    polished so far; each triad joins triads under its ratio.  A ratio
+    left out scores its highest coarse sample, below the stack's
+    winner, so the best score and its first index are those of
     polishing every ratio.  The rise is certified: the polish keeps the
-    sample or returns the root of dP/dt within one scan step h of it,
-    where P' = 0, so P there exceeds the sample by at most
-    max|P''| h^2 / 2 <= (S1^2 + S2) h^2 (series_derivative_bounds).
-    The margin adds _SKIP_DEVIATION times the scan's deviation from the
-    direct series, and _SKIP_MARGIN.  A one-ratio stack, as golden
-    section scores, takes the same path: with nothing polished yet,
-    nothing is skipped.
+    best sample or returns the root of dP/dt within one step h of it,
+    so P there exceeds the sample by at most max|P''| h^2 / 2 <=
+    (S1^2 + S2) h^2, plus the margin (_SKIP_DEVIATION, _SKIP_MARGIN).
     """
-    scans = _peak_scans(lam, ends)
-    refusals += [str(scan) for scan in scans if isinstance(scan, NumericError)]
-    scores = np.array([
-        -math.inf if isinstance(scan, NumericError) else scan.p_best for scan in scans
-    ])
+    windows = _peak_windows(lam, ends)
+    refusals += [str(window) for window in windows if isinstance(window, NumericError)]
     s1, s2 = series_derivative_bounds(lam, ends)
+    scores, reach = [-math.inf] * len(windows), [-math.inf] * len(windows)
+    for i, window in enumerate(windows):
+        if isinstance(window, _PeakWindow):
+            deviation = _SKIP_DEVIATION * _EPS * window.window * float(lam[i, 0])
+            rise = (s1[i] ** 2 + s2[i]) * window.step**2 + deviation + _SKIP_MARGIN
+            scores[i], reach[i] = window.coarse, max(window.bounds) + float(rise)
     top = -math.inf
-    for i in np.argsort(-scores, kind="stable"):
-        scan = scans[i]
-        if isinstance(scan, NumericError):
+    for i in sorted(range(len(windows)), key=lambda i: -reach[i]):
+        window = windows[i]
+        if isinstance(window, NumericError) or reach[i] < top:
             break
-        deviation = _SKIP_DEVIATION * _EPS * scan.window * float(lam[i, 0])
-        rise = (s1[i] ** 2 + s2[i]) * scan.step**2 + deviation + _SKIP_MARGIN
-        if scan.p_best + rise < top:
-            continue
-        scores[i] = _peak_polish(lam[i], ends[i], float(ratios[i]), scan).p_h
+        scan = _window_scan(lam[i], ends[i], window)
+        triad = _peak_polish(lam[i], ends[i], float(ratios[i]), scan)
+        triads[triad.delta_h] = triad
+        scores[i] = triad.p_h
         top = max(top, scores[i])
-    return scores
+    return np.array(scores)
 
 
 def fixed_time_optimize(

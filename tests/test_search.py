@@ -129,27 +129,50 @@ def test_time_scan_ties_take_earliest(monkeypatch, tied, expected):
     [((3, 4), 3), ((7, 8), 7), ((9, 10), 9), ((13, 14), 13), ((25, 5), 5)],
 )
 def test_odd_piece_scan_ties_take_earliest(monkeypatch, tied, expected):
-    # an odd window of several chunks goes through the envelope scan's
-    # piece loop whole; with blocks of 4 samples, one row of blocks per
-    # product and chunks of 10, the pieces are 0..3 and 4..9 of each
+    # an odd window of several chunks goes through the coarse bounds and
+    # the pruned piece loop; with blocks of 4 samples, one row of blocks
+    # per product and chunks of 10, the pieces are 0..3 and 4..9 of each
     # chunk: the pairs straddle a block and a piece (3, 4), a block
     # within a piece (7, 8), a chunk (9, 10), a piece (13, 14), or lie
-    # apart
+    # apart.  The tied samples of 2.0 exceed every certified bound, so
+    # the coarse samples next to them are raised too, the later one's
+    # highest: its piece is scanned first, and the earlier tie still wins
     import altchain.dynamics
 
-    real = search_mod._grid_probability
+    real_grid, real_kernel = search_mod._grid_probability, search_mod.paired_grid_probability
 
     def tied_grid(lam, ends, step, offsets, start, stop):
-        probs = real(lam, ends, step, offsets, start, stop)
+        probs = real_grid(lam, ends, step, offsets, start, stop)
         return np.where(np.isin(np.arange(start - 1, stop - 1), tied), 2.0, probs)
+
+    def tied_coarse(lam, ends, offsets, starts, count):
+        samples = real_kernel(lam, ends, offsets, starts, count)
+        if lam.ndim == 2:  # the coarse pass: samples k = 0..count-1, every second grid point
+            for rank, index in enumerate(sorted(tied)):
+                for k in ((index + 1) // 2, (index + 1) // 2 + 1):
+                    samples[:, k] = np.maximum(samples[:, k], 2.0 + rank)
+        return samples
 
     monkeypatch.setattr(altchain.dynamics, "_ANGLE_BLOCK", 4)
     monkeypatch.setattr(altchain.dynamics, "_PRODUCT_SIZE", 4 * 3)
     monkeypatch.setattr(search_mod, "_TIME_CHUNK", 10)
+    monkeypatch.setattr(search_mod, "_COARSE_GROUP_STRIDE", 2)
     monkeypatch.setattr(search_mod, "_grid_probability", tied_grid)
+    monkeypatch.setattr(search_mod, "paired_grid_probability", tied_coarse)
     lam, ends = (x[0] for x in spectra(7, np.array([2.38])))
-    assert search_mod.grid_pieces(7, 10) == [0, 4, 10]
-    assert search_mod._envelope_sample(lam, ends, 0.01, 30) == (expected, 2.0, 30)
+    cuts = search_mod._window_cuts(7, 30)
+    assert cuts == [0, 4, 10, 14, 20, 24, 30]
+    scan = search_mod._window_scan(lam, ends, _bounded_window(lam, ends, 0.01, 30))
+    assert (scan.best, scan.p_best) == (expected, 2.0)
+    assert scan.evaluated < scan.count
+
+
+def _bounded_window(lam, ends, step, count):
+    """The _PeakWindow of a grid of count samples of one chain, bounded by the coarse pass."""
+    cuts = search_mod._window_cuts(lam.size, count)
+    unbounded = search_mod._PeakWindow(count * step, step, count, cuts, [], -math.inf)
+    (window,) = search_mod._coarse_bounds(lam[None], ends[None], [unbounded])
+    return window
 
 
 def _best_sample(lam, ends, step, count):
@@ -217,15 +240,43 @@ def test_pruned_scan_evaluates_under_half_the_window():
     assert scan.evaluated < 0.5 * scan.count
 
 
-def test_odd_and_one_chunk_windows_are_scanned_whole(monkeypatch):
+def test_one_group_windows_are_scanned_whole(monkeypatch):
+    # a window of one product group runs no coarse pass and is one kernel call
+    bounded = []
+    real = search_mod._coarse_bounds
+
+    def counting(lam, ends, windows):
+        bounded.append(len(windows))
+        return real(lam, ends, windows)
+
+    monkeypatch.setattr(search_mod, "_coarse_bounds", counting)
     lam, ends = (x[0] for x in spectra(12, np.array([2.0])))
     scan = search_mod._peak_scan(lam, ends)
     assert scan.count <= search_mod._TIME_CHUNK and scan.evaluated == scan.count
-    # an odd window of several chunks
+    assert bounded == []
+    # an odd window of several chunks is bounded, and its pruned scan is the full scan
     monkeypatch.setattr(search_mod, "_TIME_CHUNK", 64)
     lam, ends = (x[0] for x in spectra(19, np.array([2.38])))
     scan = search_mod._peak_scan(lam, ends)
-    assert scan.count > 64 and scan.evaluated == scan.count
+    assert scan.count > 64 and bounded == [1]
+    assert (scan.best, scan.p_best) == _full_scan(lam, ends, scan)
+
+
+@pytest.mark.parametrize("n", [5, 7, 9])
+def test_odd_window_of_several_groups_is_pruned(monkeypatch, n):
+    # odd first-peak windows hold only tiny P; over 30 time units the
+    # same chains transfer a few percent, and the coarse bounds leave out
+    # most of the groups of the grid
+    import altchain.dynamics
+
+    monkeypatch.setattr(altchain.dynamics, "_PRODUCT_SIZE", 2 * 256 * (n // 2))
+    monkeypatch.setattr(search_mod, "_TIME_CHUNK", 1200)
+    lam, ends = (x[0] for x in spectra(n, np.array([2.38])))
+    window = _bounded_window(lam, ends, 0.005, 6000)
+    assert len(window.cuts) > 8
+    scan = search_mod._window_scan(lam, ends, window)
+    assert (scan.best, scan.p_best) == _best_sample(lam, ends, 0.005, 6000)
+    assert scan.p_best > 1e-3 and scan.evaluated < 0.5 * scan.count
 
 
 def _counted_derivatives(monkeypatch, curvature=None):
@@ -786,14 +837,15 @@ def test_optimize_polishes_a_handful_of_grid_ratios(monkeypatch):
 
 
 def test_optimize_scans_each_ratio_once(monkeypatch):
-    # one _peak_scans call for the grid, one per golden-section point and
-    # one for the winner's triad: a polished ratio is not scanned again
-    scans, points = [], []
-    real_scans, real_golden = search_mod._peak_scans, search_mod._golden_max
+    # one _peak_windows call for the grid and one per golden-section
+    # point; a ratio is fine-scanned at most once, and the winner's
+    # triad is the one its score polished, not a scan of its own
+    stacks, points = [], []
+    real_windows, real_golden = search_mod._peak_windows, search_mod._golden_max
 
-    def counting_scans(lam, ends):
-        scans.append(len(lam))
-        return real_scans(lam, ends)
+    def counting_windows(lam, ends):
+        stacks.append(len(lam))
+        return real_windows(lam, ends)
 
     def counting_golden(f, *args):
         def counted(x):
@@ -802,17 +854,70 @@ def test_optimize_scans_each_ratio_once(monkeypatch):
 
         return real_golden(counted, *args)
 
-    monkeypatch.setattr(search_mod, "_peak_scans", counting_scans)
+    monkeypatch.setattr(search_mod, "_peak_windows", counting_windows)
     monkeypatch.setattr(search_mod, "_golden_max", counting_golden)
+    scans = _counted_scans(monkeypatch)
+    polished = _counted_polishes(monkeypatch)
     grid = search_mod._ratio_grid(2.0, 3.0, 0.002)
     counts = set()
     for n in (4, 8, 16):
-        scans.clear()
+        stacks.clear()
         points.clear()
-        optimize_delta(n, 2.0, 3.0)
-        assert scans == [grid.size] + [1] * len(points) + [1]
-        counts.add((len(scans), sum(scans)))
-    assert counts == {(13, 513)}
+        scans.clear()
+        polished.clear()
+        triad = optimize_delta(n, 2.0, 3.0)
+        assert stacks == [grid.size] + [1] * len(points)
+        assert len(scans) == len(polished) == len(set(polished))
+        assert triad.delta_h in polished
+        counts.add((len(stacks), sum(stacks)))
+    assert counts == {(12, 512)}
+
+
+def test_optimize_fine_scans_about_ten_grid_ratios(monkeypatch):
+    # the coarse pass bounds all 501 ratios of the grid; only those whose
+    # bound can reach the best p_h polished so far are fine-scanned
+    stack = [0]
+    real = search_mod._first_peak_scores
+
+    def sized(lam, ends, ratios, refusals, triads):
+        stack[0] = len(lam)
+        return real(lam, ends, ratios, refusals, triads)
+
+    monkeypatch.setattr(search_mod, "_first_peak_scores", sized)
+    scans = _counted_scans(monkeypatch, lambda lam, ends, window: stack[0])
+    optimize_delta(8, 2.0, 3.0)
+    grid = [size for size in scans if size > 1]
+    assert set(grid) == {501} and 1 <= len(grid) <= 10
+
+
+def _counted_scans(monkeypatch, record=lambda lam, ends, window: window):
+    """record(lam, ends, window) of each fine scan (_window_scan)."""
+    scans = []
+    real = search_mod._window_scan
+
+    def counting(lam, ends, window):
+        scans.append(record(lam, ends, window))
+        return real(lam, ends, window)
+
+    monkeypatch.setattr(search_mod, "_window_scan", counting)
+    return scans
+
+
+def test_long_windows_scan_at_most_two_groups(monkeypatch):
+    # one fine kernel call per group scanned; the windows hold 3 to 42 groups
+    groups = []
+    real = search_mod._grid_probability
+
+    def counting(*args):
+        groups[-1] += 1
+        return real(*args)
+
+    windows = _counted_scans(monkeypatch, lambda lam, ends, window: groups.append(0) or window)
+    monkeypatch.setattr(search_mod, "_grid_probability", counting)
+    rows = table1_sweep(2.3, [14, 16, 18, 20])
+    assert all(row.note == "" for row in rows)
+    assert [len(window.cuts) - 1 for window in windows] == [3, 6, 19, 42]
+    assert all(1 <= count <= 2 for count in groups)
 
 
 @pytest.mark.parametrize("n", [4, 5, 8, 9, 12, 16])
@@ -835,7 +940,7 @@ def test_first_peak_scores_keep_the_best_of_polishing_every_ratio(n, lo, hi):
     # score their p_h, so the best score and its first index are unchanged
     grid = search_mod._ratio_grid(lo, hi, 0.002)
     lam, ends = spectra(n, grid)
-    scores = search_mod._first_peak_scores(lam, ends, grid, [])
+    scores = search_mod._first_peak_scores(lam, ends, grid, [], {})
     p_h = np.array([search_mod._spectrum_peak(*row).p_h for row in zip(lam, ends, grid)])
     best = int(np.argmax(p_h))
     assert int(np.argmax(scores)) == best and scores[best] == p_h[best]
@@ -843,8 +948,11 @@ def test_first_peak_scores_keep_the_best_of_polishing_every_ratio(n, lo, hi):
 
 
 def _assert_stack_scans_alone(lam, ends):
-    """_peak_scans of a stack, each equal to the stack-of-one scan of its ratio or its refusal."""
-    scans = search_mod._peak_scans(lam, ends)
+    """The scans of a stack bounded together, each equal to its ratio's scan alone or refusal."""
+    scans = [
+        window if isinstance(window, HorizonError) else search_mod._window_scan(*row, window)
+        for row, window in zip(zip(lam, ends), search_mod._peak_windows(lam, ends))
+    ]
     assert len(scans) == len(lam)
     for row, scan in zip(zip(lam, ends), scans):
         try:
@@ -917,7 +1025,7 @@ def test_stack_scan_keeps_the_order_of_refusals(monkeypatch):
         except HorizonError as exc:
             expected.append(str(exc))
     refusals = []
-    scores = search_mod._first_peak_scores(lam, ends, ratios, refusals)
+    scores = search_mod._first_peak_scores(lam, ends, ratios, refusals, {})
     assert refusals == expected and len(set(refusals)) == 4
     assert np.all(np.isneginf(scores[refused]))
     assert np.all(np.isfinite(np.delete(scores, refused)))
@@ -939,21 +1047,30 @@ def _counted_tables(monkeypatch):
     return builds
 
 
+def _scanned_groups(window, scan):
+    """The groups a fine scan evaluated: those whose bound is not below its best sample."""
+    return [i for i, bound in enumerate(window.bounds) if bound >= scan.p_best]
+
+
 def test_envelope_scan_builds_one_offset_table(monkeypatch):
-    lam, ends = (x[0] for x in spectra(20, np.array([2.3])))
-    window, step, count = search_mod._peak_grid(lam)
+    # a long even window: one offset table for the fine scan, then only
+    # the block starts of each group it scans
+    lam, ends = spectra(20, np.array([2.3]))
+    (window,) = search_mod._peak_windows(lam, ends)
     builds = _counted_tables(monkeypatch)
-    _, _, evaluated = search_mod._envelope_sample(lam, ends, step, count)
-    offsets = [build for build in builds if build[1]]
-    assert offsets == [(None, True)]
-    # each piece builds only its block starts
-    assert 2 <= len(builds) - 1 and evaluated < count
+    scan = search_mod._window_scan(lam[0], ends[0], window)
+    scanned = _scanned_groups(window, scan)
+    assert builds == [(None, True)] + [(None, False)] * len(scanned)
+    assert 1 <= len(scanned) <= 2 and scan.evaluated < scan.count
+    assert scan.evaluated == sum(window.cuts[i + 1] - window.cuts[i] for i in scanned)
+    assert (scan.best, scan.p_best) == _full_scan(lam[0], ends[0], scan)
 
 
 def test_chunked_scan_builds_one_offset_table(monkeypatch):
-    # an odd window of several chunks, each of several product groups,
-    # is scanned whole: one offset table, then one block-start table per
-    # piece
+    # an odd window of several chunks, each of several product groups:
+    # the coarse pass builds its offset and block-start tables, then the
+    # fine scan one offset table and one block-start table per group it
+    # scans
     import altchain.dynamics
 
     # blocks of 16 samples, two rows of blocks per product, chunks of 70
@@ -970,24 +1087,30 @@ def test_chunked_scan_builds_one_offset_table(monkeypatch):
     chunks = -(-count // chunk)
     assert chunks >= 3 and pieces > chunks
     builds = _counted_tables(monkeypatch)
-    (scan,) = search_mod._peak_scans(lam, ends)
-    assert builds == [(None, True)] + [(None, False)] * pieces
-    assert scan.evaluated == scan.count == count
+    windows = _counted_scans(monkeypatch)
+    scan = search_mod._peak_scan(lam[0], ends[0])
+    assert len(windows[0].cuts) - 1 == pieces
+    scanned = _scanned_groups(windows[0], scan)
+    assert builds == [(1, True)] * 2 + [(None, True)] + [(None, False)] * len(scanned)
+    assert scan.count == count
+    assert scan.evaluated == sum(windows[0].cuts[i + 1] - windows[0].cuts[i] for i in scanned)
     assert (scan.best, scan.p_best) == _full_scan(lam[0], ends[0], scan)
 
 
 def test_first_peak_scores_build_one_table_per_sub_stack(monkeypatch):
     grid = search_mod._ratio_grid(2.0, 2.2, 0.002)
     lam, ends = spectra(8, grid)
-    top = max(search_mod._peak_grid(row)[2] for row in lam)
-    phases = (256 + -(-top // 256)) * 4  # per ratio: offsets and block starts, N/2 levels
-    monkeypatch.setattr(search_mod, "_GRID_CHUNK_ENTRIES", 30 * phases)
+    stride = search_mod._COARSE_STRIDE
+    size = max(-(-search_mod._peak_grid(row)[2] // stride) + 1 for row in lam)
+    monkeypatch.setattr(search_mod, "_GRID_CHUNK_ENTRIES", 30 * size)  # 30 ratios per sub-stack
     polished = _counted_polishes(monkeypatch)
     builds = _counted_tables(monkeypatch)
-    search_mod._first_peak_scores(lam, ends, grid, [])
-    # the stack's windows are one call each: 101 ratios in sub-stacks of
-    # 30; each polished ratio is polished from its scan in the stack
-    assert builds == [(30, True)] * 3 + [(11, True)]
+    search_mod._first_peak_scores(lam, ends, grid, [], {})
+    # the coarse pass: 101 ratios in sub-stacks of 30, an offset and a
+    # block-start table each; then each polished ratio's fine scan, its
+    # window one group: its offset table and its block starts
+    assert builds[:8] == [(30, True)] * 6 + [(11, True)] * 2
+    assert builds[8:] == [(None, True), (None, False)] * len(polished)
     assert 1 <= len(polished) <= 8
 
 
@@ -1002,3 +1125,65 @@ def _counted_polishes(monkeypatch):
 
     monkeypatch.setattr(search_mod, "_peak_polish", counting)
     return polished
+
+
+def _group_maxima(lam, ends, window):
+    """The highest fine sample of each group of a window, every sample evaluated."""
+    block = search_mod.grid_block(window.count)
+    offsets = search_mod.grid_angles(lam, window.step, np.arange(block))
+    return [
+        float(search_mod._grid_probability(lam, ends, window.step, offsets, a + 1, b + 1).max())
+        for a, b in zip(window.cuts[:-1], window.cuts[1:])
+    ]
+
+
+def _assert_bounds_cover_the_groups(n, ratios):
+    """Every group of every bounded window of N = n lies at or below its coarse bound."""
+    lam, ends = spectra(n, np.array(ratios))
+    bounded = 0
+    for row, window in zip(zip(lam, ends), search_mod._peak_windows(lam, ends)):
+        if isinstance(window, HorizonError):
+            continue  # N = 26 at 2.8 lies beyond the horizon
+        maxima = _group_maxima(*row, window)
+        assert all(top <= bound for top, bound in zip(maxima, window.bounds))
+        bounded += 1
+    return bounded
+
+
+@pytest.mark.parametrize("n", range(4, 27))
+def test_coarse_bounds_cover_every_group(n):
+    # even and odd chains, below and above the regime threshold; one
+    # group of stride _COARSE_STRIDE up to N = 12, several groups of
+    # stride _COARSE_GROUP_STRIDE beyond
+    assert _assert_bounds_cover_the_groups(n, [1.2, 2.0, 2.38, 2.8]) >= 3
+
+
+@pytest.mark.parametrize("n", [5, 7, 9, 11, 13])
+def test_coarse_bounds_cover_odd_windows_of_several_groups(monkeypatch, n):
+    import altchain.dynamics
+
+    # blocks of 16 samples, two rows of blocks per product, chunks of 100
+    monkeypatch.setattr(altchain.dynamics, "_ANGLE_BLOCK", 16)
+    monkeypatch.setattr(altchain.dynamics, "_PRODUCT_SIZE", 2 * 16 * (n // 2))
+    monkeypatch.setattr(search_mod, "_TIME_CHUNK", 100)
+    lam, ends = spectra(n, np.array([1.0, 2.38]))
+    for row, window in zip(zip(lam, ends), search_mod._peak_windows(lam, ends)):
+        assert len(window.cuts) > 3
+        maxima = _group_maxima(*row, window)
+        assert all(top <= bound for top, bound in zip(maxima, window.bounds))
+        scan = search_mod._window_scan(*row, window)
+        assert (scan.best, scan.p_best) == _full_scan(*row, scan)
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 13, 16, 20])
+def test_coarse_margin_covers_the_rounding_alone(monkeypatch, n):
+    # at stride 1 every fine sample is a coarse sample, evaluated with
+    # other blocks; with the curvature term zeroed the bound is the
+    # coarse sample plus the margin, which must cover the two roundings
+    monkeypatch.setattr(search_mod, "_COARSE_STRIDE", 1)
+    monkeypatch.setattr(search_mod, "_COARSE_GROUP_STRIDE", 1)
+    monkeypatch.setattr(
+        search_mod, "series_derivative_bounds",
+        lambda lam, ends: (np.zeros(lam.shape[:-1]),) * 2,
+    )
+    assert _assert_bounds_cover_the_groups(n, [1.6, 2.0, 2.38]) == 3
