@@ -16,13 +16,11 @@ constant on odd nodes, pure sines on even nodes.  That series,
 applied to one chain or to a stack as spectral.spectra returns it, is
 paired_transfer_probability, the one probability kernel: every search,
 every sampled curve (node_probability, sample_curve) and the verify
-checks on sampled curves run on it.  On a uniform time grid t_k =
-k*step the series follows from angle addition, sin((K + r) a) from the
-sines and cosines at block starts K and offsets r, as two small matrix
-products per block of samples (paired_grid_probability) of sine tables
-(grid_angles), for one chain or a stack; the peak scan picks its best
-sample so, and polishes it by the series' first two time derivatives
-(paired_transfer_derivatives).
+checks on sampled curves run on it.  The peak scan's coarse pass, which
+only bounds, takes it on a uniform time grid by angle addition
+(paired_grid_probability), its fine samples, whose bits must not depend
+on the batch, from paired_sample_probability, and its polish from the
+series' first two time derivatives (paired_transfer_derivatives).
 
 transfer_probability keeps the complex spectral sum at node N as the
 reference route: the closed-form reduced series, the paired kernel and
@@ -50,13 +48,6 @@ _FULL_SPACE_MAX_SITES = 10
 # largest rounding error of a phase lambda*t that a probability may carry
 _HORIZON_TOL = 1e-9
 _EPS = float(np.finfo(float).eps)
-# offsets per block of the angle-addition grid kernel
-_ANGLE_BLOCK = 256
-# multiply-adds per matrix product of that kernel at most: OpenBLAS keeps
-# a product this small on the calling thread, and its worker threads,
-# once woken for the scan's many small products, cost more than they
-# saved (an N=16 scan on a 2-vCPU host: 96 ms threaded, 4 ms not)
-_PRODUCT_SIZE = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -169,113 +160,69 @@ def paired_transfer_probability(
     return float(probs[0]) if probs.ndim == 1 else probs[..., 0]
 
 
-def grid_angles(lam: np.ndarray, step: float | np.ndarray, index: np.ndarray) -> np.ndarray:
-    """sin and cos of the grid phases (k * step) * lambda_j / 2: the table part of the grid kernel.
+def paired_sample_probability(lam: np.ndarray, ends: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """P_N at each time by the paired series, each value's bits those of its time alone.
 
-    lam is (..., N) and step a scalar or (...); index holds the K
-    integers k.  The table is (2, ..., K, N/2), sines then cosines, j
-    over the positive half of the spectrum.  A scan's offset table
-    takes k = 0..B-1 for blocks of B = grid_block(count) samples, a
-    kernel call's block-start table k = grid_starts(start, count).  The
-    table broadcasts over a stack, so the tables of a whole stack of
-    chains come from one sin and one cos call; each phase is rounded as
-    in a table of one chain.
+    The series of paired_transfer_probability for lam and ends (..., N)
+    and times (..., T), result (..., T), with its phases, but its terms
+    summed along their contiguous axis, not by a matrix product (BLAS
+    rounds a row differently in products of other shapes).
     """
-    half = lam.shape[-1] // 2
-    times, rates = np.asarray(step)[..., None] * index, 0.5 * lam[..., :half]
-    if times.size == index.size:  # one chain
-        phases = times[..., None] * rates[..., None, :]
-    else:  # a strided multiply per level beats a broadcast over the short level axis
-        phases = np.empty((*times.shape, half))
-        for j in range(half):
-            np.multiply(times, rates[..., j, None], out=phases[..., j])
-    table = np.empty((2, *phases.shape))
-    np.sin(phases, out=table[0])
-    np.cos(phases, out=table[1])
-    return table
-
-
-def grid_block(count: int) -> int:
-    """Samples per block B of a paired_grid_probability call over count samples."""
-    return min(_ANGLE_BLOCK, count)
-
-
-def grid_starts(start: int, count: int) -> np.ndarray:
-    """The block starts K_q = start + q*B of the count samples from start on."""
-    return np.arange(start, start + count, grid_block(count))
+    n = lam.shape[-1]
+    half = n // 2
+    phases = 0.5 * times[..., :, None] * lam[..., None, :half]
+    terms = np.sin(phases, out=phases) if n % 2 == 0 else np.cos(phases, out=phases)
+    terms *= 2.0 * ends[..., None, :half]
+    series = terms.sum(axis=-1)
+    if n % 2 == 1:
+        series += ends[..., half, None]
+    return np.square(series, out=series)
 
 
 def paired_grid_probability(
-    lam: np.ndarray, ends: np.ndarray, offsets: np.ndarray, starts: np.ndarray, count: int
+    lam: np.ndarray, ends: np.ndarray, step: np.ndarray, first: np.ndarray, count: int
 ) -> np.ndarray:
-    """P_N(k * step) for the count samples k = start..start+count-1, by angle addition.
+    """P_N(k * step) for k = first..first+count-1 on each chain of a stack, by angle addition.
 
-    The series of paired_transfer_probability on a uniform grid, lam and
-    ends (..., N).  With k = K_q + r, block starts K_q = start + q*B and
-    offsets 0 <= r < B, B the offset table's rows or count if fewer,
+    The series of paired_transfer_probability on uniform grids: lam and
+    ends (S, N), step and first (S,), result (S, count).  With k = K + r,
+    block starts K = first + q*B and offsets 0 <= r < B, B about
+    sqrt(count),
 
-        sin(k a) = sin(K_q a) cos(r a) + cos(K_q a) sin(r a),
-        cos(k a) = cos(K_q a) cos(r a) - sin(K_q a) sin(r a),
+        sin(k a) = sin(K a) cos(r a) + cos(K a) sin(r a),
+        cos(k a) = cos(K a) cos(r a) - sin(K a) sin(r a),
 
-    so the series over the range is two (rows x N/2) @ (N/2 x B)
-    products of a block-start table and an offset table, taken in
-    groups of rows of at most _PRODUCT_SIZE multiply-adds.  This is the
-    product part of the kernel; the tables are grid_angles' (2, ..., K,
-    N/2) ones: offsets at k = 0..B-1 and starts at start + q*B
-    (grid_starts), rows beyond those ignored.  A scan builds its offset
-    table once, so a call needs at most the rows * N/2 sines and cosines
-    of its block starts, not one per sample and level.  The two products
-    of a group are one batched np.matmul, which makes the BLAS call of
-    each product (of each chain) alone, into a (2, ..., rows, B) buffer
-    allocated once per call; the second is then added to or subtracted
-    from the first, and the series squared, in place and in the order of
-    the plain expression, so the bits are those of allocating each
-    product.  A sample's bits depend on the group it falls in
-    (grid_pieces).  The block-start phases carry the bits of the direct
-    evaluation; the other phases are rounded differently, so the two
-    differ by a few eps * t * lambda_max (1e-15 to 1e-12 over the
-    first-peak windows up to N=22).
+    so the series of a chain is two (count/B x N/2) @ (N/2 x B) products
+    of a block-start and an offset table, about 2 sqrt(count) sines and
+    cosines per level.  The offsets round their phases differently from
+    the direct series, so the two differ by a few eps * t * lambda_max
+    (1e-15 to 1e-12 over the first-peak windows up to N=22).
     """
-    n, block = lam.shape[-1], min(offsets.shape[-2], count)
-    half, rows = n // 2, -(-count // block)
-    weighted = 2.0 * ends[..., None, :half] * starts[..., :rows, :]  # 2 c sin, 2 c cos of starts
+    n = lam.shape[-1]
+    half, block = n // 2, math.isqrt(count - 1) + 1
+    index = np.empty((len(lam), block + -(-count // block)))
+    index[:, :block] = np.arange(block)
+    index[:, block:] = first[:, None] + np.arange(0, count, block)
+    times, rates = step[:, None] * index, 0.5 * lam[:, :half]
+    if len(lam) == 1:
+        phases = times[..., None] * rates[:, None, :]
+    else:  # a strided multiply per level beats a broadcast over the short level axis
+        phases = np.empty((*times.shape, half))
+        for j in range(half):
+            np.multiply(times, rates[:, j, None], out=phases[..., j])
+    table = np.empty((2, *phases.shape))  # sines, cosines: offsets, then block starts
+    np.sin(phases, out=table[0])
+    np.cos(phases, out=table[1])
+    weighted = 2.0 * ends[:, None, :half] * table[:, :, block:]  # 2 c sin, 2 c cos of starts
     lead = weighted if n % 2 == 0 else weighted[::-1]
-    trail = offsets[::-1, ..., :block, :].swapaxes(-1, -2)  # cos, sin of the offsets, N/2 x B
-    group = _group_rows(n, block)
-    products = np.empty((2, *lam.shape[:-1], rows, block))
-    for i in range(0, rows, group):
-        np.matmul(lead[..., i:i + group, :], trail, out=products[..., i:i + group, :])
-    series = products[0]
+    series, other = lead @ table[::-1, :, :block].swapaxes(-1, -2)  # cos, sin of the offsets
     if n % 2 == 0:
-        series += products[1]
+        series += other
     else:
-        series -= products[1]
-        series += ends[..., half, None, None]
-    probs = series.reshape(*lam.shape[:-1], -1)[..., :count]
+        series -= other
+        series += ends[:, half, None, None]
+    probs = series.reshape(len(lam), -1)[:, :count]
     return np.square(probs, out=probs)
-
-
-def _group_rows(n_levels: int, block: int) -> int:
-    """Rows of blocks per matrix product of paired_grid_probability."""
-    return max(1, _PRODUCT_SIZE // (block * (n_levels // 2)))
-
-
-def grid_pieces(n_levels: int, count: int) -> list[int]:
-    """Cuts 0 = a_0 < ... < a_m = count of a paired_grid_probability call of count samples.
-
-    A call over the samples a_i..a_j-1 of a run of pieces returns the
-    bits of the whole call there.  The products of a call start at its
-    first sample, one group of rows each, and BLAS may round a row
-    differently in a product of another shape (numpy hands a one-row
-    product to a matrix-vector routine): a piece is one group, and a
-    last group shorter than one block joins the one before it, whose
-    call keeps full blocks.
-    """
-    block = grid_block(count)
-    cuts = [*range(0, count, _group_rows(n_levels, block) * block), count]
-    if len(cuts) > 2 and count - cuts[-2] < block:
-        del cuts[-2]
-    return cuts
 
 
 def paired_transfer_derivatives(lam: np.ndarray, ends: np.ndarray, t: float) -> tuple[float, float]:

@@ -9,31 +9,31 @@ of the whole window, not the earliest peak above some level.  An
 earlier, lower peak is passed over: 16 sites at ratio 2.380 peak at
 P = 0.901 near 0.85*pi/lambda_min, but the search returns the
 P = 0.915 peak at 1.14*pi/lambda_min.  The peak time is then the root of dP/dt
-next to the winning sample: first_peak is a scan (_peak_scan), then a
-polish (_peak_polish).  The scan bounds each product group of its
-window from a coarse pass (_peak_windows): P at every m-th grid point
-plus (S1^2 + S2) (m h)^2 / 4 from the curvature bound of the series
+next to the winning sample, by a safeguarded Newton iteration
+(_peak_polish, _slope_root).  Every scan, of one chain or of a stack,
+takes one path whose unit is the coarse interval of m grid samples:
+nine samples near pi / lambda_min bound the stack's winner from below,
+an analytic envelope of the series leaves out the times that cannot
+reach that bound, a coarse pass by angle addition bounds each interval
+of the rest by its end samples plus the curvature bound of the series
 (series_derivative_bounds; Breiman and Cutler 1993, as in Hansen,
-Jaumard and Lu 1992) and a margin for the rounding; it scans the
-groups in descending order of their bounds until the bound lies below
-its best sample (_window_scan), and finds the full scan's sample, to
-the bit.  The polish is a safeguarded Newton iteration on dP/dt
-(_slope_root).  Every search takes its spectra from spectra and P_N
-from the paired series: the uniform time grid by angle addition
-(paired_grid_probability), which only bounds the groups and picks the
-winning sample, and every reported value directly
-(paired_transfer_probability); a kept sample is re-evaluated over its
-chunk of the grid.  optimize_delta and fixed_time_optimize are one
-ratio search (_ratio_search) under two scores, which passes over a
-refused ratio: its spectrum fails its checks, or its score is out of
-reach.  On chains of up to _LOOK_AHEAD_SITES its golden-section polish
-solves ahead: one stacked solve holds every ratio that golden section
-can evaluate in its next _LOOK_AHEAD steps, and only the ratios it
-does evaluate are scored.  optimize_delta's grid scans and polishes only
-the ratios that can win (_first_peak_scores), no ratio twice.  Every
-search returns at least its own grid winner.  All searches are
-deterministic: grids are fixed by the parameters alone and tie-breaks
-take the earliest time (or smallest ratio).
+Jaumard and Lu 1992; _peak_windows), and the fine scan evaluates the
+intervals in descending order of their bounds until the bound lies
+below its best sample (_window_scan).  Its samples come from
+paired_sample_probability, whose bits do not depend on the batch, so it
+finds the full scan's sample, to the bit; the polished values come from
+paired_transfer_probability.  optimize_delta and fixed_time_optimize
+are one ratio search (_ratio_search) under two scores, which passes
+over a refused ratio: its spectrum fails its checks, or its score is
+out of reach.  On chains of up to _LOOK_AHEAD_SITES its golden-section
+polish solves ahead: one stacked solve holds every ratio that golden
+section can evaluate in its next _LOOK_AHEAD steps, and only the ratios
+it does evaluate are scored.  optimize_delta's score scans and polishes
+only the ratios that can win (_first_peak_scores), no ratio twice, and
+first_peak is its stack of one.  Every search returns at least its own
+grid winner.  All searches are deterministic: grids are fixed by the
+parameters alone and tie-breaks take the earliest time (or smallest
+ratio).
 """
 
 from __future__ import annotations
@@ -48,11 +48,8 @@ import numpy as np
 from .chain import ChainSpec, check_sites
 from .dynamics import (
     check_horizon,
-    grid_angles,
-    grid_block,
-    grid_pieces,
-    grid_starts,
     paired_grid_probability,
+    paired_sample_probability,
     paired_transfer_derivatives,
     paired_transfer_probability,
     series_derivative_bounds,
@@ -63,13 +60,13 @@ from .spectral import _masked_spectra, spectra
 _WINDOW_FACTOR = 1.3
 _GRID_STEP_CAP = 0.01
 _FAST_SAMPLES_PER_HALF_PERIOD = 50
-_TIME_CHUNK = 65536
 _DELTA_GRID = 0.002
 _DELTA_TOL = 1e-4
 _FIXED_TIME_GRID = 0.001
 _FIXED_TIME_TOL = 1e-6
-# the ratio grids take at most this / N^2 ratios per stacked solve,
-# which bounds their memory on wide ratio ranges
+# the ratio grids take at most this / N^2 ratios per stacked solve, and a
+# peak scan's kernel calls at most this many samples (coarse) or phases
+# (fine), which bounds their memory on wide ratio ranges and long windows
 _GRID_CHUNK_ENTRIES = 1 << 20
 _MAX_GRID_POINTS = 100_000_000
 # ratio grid steps at most; the default ranges take 500 or 1000
@@ -83,18 +80,22 @@ _EPS = float(np.finfo(float).eps)
 # more to solve than the calls they save, and it solves one at a time
 _LOOK_AHEAD = 4
 _LOOK_AHEAD_SITES = 32
-# the margin of a skip above its bound (a coarse group bound, the rise of
-# an optimize_delta grid ratio's polish): the angle-addition scan
+# the margin of a skip above its bound (the envelope, a coarse interval's
+# bound, the rise of a polish): the angle-addition coarse pass
 # differs from the direct series by at most 0.15 eps * window * lambda_max
 # (measured over N = 4..26 at ratios 1.5..3.5); the margin allows
 # _SKIP_DEVIATION times that, plus _SKIP_MARGIN for the rounding of the
 # bound and of the polished p_h
 _SKIP_DEVIATION = 8.0
 _SKIP_MARGIN = 1e-10
-# grid points per coarse sample on windows of one group and of several: the
-# fastest of 1..6 and of 8..64 on the first 90 first-peak requests of seeds 1, 2
+# grid samples per coarse interval on windows of up to _LONG_WINDOW samples and beyond
 _COARSE_STRIDE = 4
-_COARSE_GROUP_STRIDE = 32
+_COARSE_LONG_STRIDE = 32
+_LONG_WINDOW = 1 << 16
+# the times of the samples that bound a stack's winner, in pi / lambda_min
+_SEED_FRACTIONS = np.linspace(0.95, 1.05, 9)
+# fine samples of a window's first batch of coarse intervals
+_FINE_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -119,11 +120,10 @@ class SweepRow:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class _PeakScan:
+class _PeakScan(NamedTuple):
     """A first-peak window scan: P at (index + 1) * step, index < count; best is the highest.
 
-    evaluated counts the fine samples computed (no coarse ones), count at most.
+    evaluated counts the fine samples of the intervals it evaluated.
     """
 
     window: float
@@ -135,18 +135,25 @@ class _PeakScan:
 
 
 class _PeakWindow(NamedTuple):
-    """A _PeakScan's grid before the scan: group i holds samples cuts[i]..cuts[i+1]-1.
+    """A _PeakScan's grid before the fine scan, with the coarse intervals that can hold the winner.
 
-    Each lies at or below bounds[i], and coarse is the highest coarse
-    sample (+inf and -inf where no coarse pass ran).
+    Coarse interval j holds the samples with index // stride == j;
+    intervals lists, ascending, those whose bound (in bounds) reaches
+    the row's floor, and the others hold no sample that does.  top is
+    the highest of the row's bounds and of the level its envelope gate
+    leaves out, and rise how far the polish can lift p_h above the best
+    sample.
     """
 
     window: float
     step: float
     count: int
-    cuts: list[int]
-    bounds: list[float]
-    coarse: float
+    stride: int
+    intervals: np.ndarray
+    bounds: np.ndarray
+    floor: float
+    top: float
+    rise: float
 
 
 def _golden_step(
@@ -264,38 +271,22 @@ def first_peak(spec: ChainSpec) -> TransferTriad:
     neighbouring samples.  Without that sign change (an odd chain whose
     P still rises at the window end) the best sample is kept, and p_h
     is never below it.  An earlier peak lower than the window maximum is
-    not returned, even a high one.  The grid is evaluated by angle
-    addition (paired_grid_probability), which only chooses the sample;
-    a window of several product groups is scanned only in the groups
-    whose coarse bound can reach the best sample (_peak_windows,
-    _window_scan), and the chosen sample is the same.  A kept sample's
-    p_h comes from the direct series over its chunk of the grid.  A
+    not returned, even a high one.  It is the stack of one of
+    _first_peak_scores, and raises the NumericError it records: a
     window too long for the phases to keep digits (check_horizon)
     raises HorizonError.
     """
     lam, ends = spectra(spec.n_sites, [spec.delta])
-    return _spectrum_peak(lam[0], ends[0], spec.delta)
-
-
-def _spectrum_peak(lam: np.ndarray, ends: np.ndarray, delta: float) -> TransferTriad:
-    """first_peak of the chain whose levels and end products are given: scan, then polish."""
-    return _peak_polish(lam, ends, delta, _peak_scan(lam, ends))
-
-
-def _peak_scan(lam: np.ndarray, ends: np.ndarray) -> _PeakScan:
-    """The window scan of first_peak: its grid and its best sample.
-
-    A window beyond the phase horizon (check_horizon), or of more than
-    _MAX_GRID_POINTS samples, raises HorizonError.
-    """
-    (window,) = _peak_windows(lam[None], ends[None])
-    if isinstance(window, NumericError):
-        raise window
-    return _window_scan(lam, ends, window)
+    refusals: list[NumericError] = []
+    triads: dict[float, TransferTriad] = {}
+    _first_peak_scores(lam, ends, np.array([spec.delta]), refusals, triads)
+    if refusals:
+        raise refusals[0]
+    return triads[spec.delta]
 
 
 def _peak_grid(lam: np.ndarray) -> tuple[float, float, int]:
-    """(window, step, count) of first_peak's scan of one chain, or HorizonError as _peak_scan."""
+    """(window, step, count) of one chain's first-peak scan; HorizonError past horizon or cap."""
     n = lam.size
     lam_min = float(lam[n // 2 - 1])
     # check_horizon refuses lambda_min below ~1e-6 (lambda_max >= 1) and 0 (underflowed)
@@ -311,85 +302,156 @@ def _peak_grid(lam: np.ndarray) -> tuple[float, float, int]:
     return window, window / count, count
 
 
-def _window_cuts(n_levels: int, count: int) -> list[int]:
-    """The product groups of a window of count samples: its chunks cut by grid_pieces."""
-    return [
-        start + cut
-        for start in range(0, count, _TIME_CHUNK)
-        for cut in grid_pieces(n_levels, min(_TIME_CHUNK, count - start))[:-1]
-    ] + [count]
-
-
 def _peak_windows(lam: np.ndarray, ends: np.ndarray) -> list[_PeakWindow | NumericError]:
     """Each chain's first-peak window of a stack, or the NumericError of _peak_grid refusing it.
 
-    A window is cut into groups (_window_cuts), each of which keeps the
-    bits of its chunk's kernel call when scanned alone.  The coarse
-    pass (_coarse_bounds) bounds the windows where it can leave out
-    something: all of a stack of several chains, whose ratios compete,
-    and a lone chain's window of several groups.
+    The windows come bounded by one coarse pass over the stack
+    (_coarse_bounds).
     """
-    windows: list[_PeakWindow | NumericError] = []
+    grids: list[tuple[float, float, int] | NumericError] = []
     for row in lam:
         try:
-            grid = _peak_grid(row)
+            grids.append(_peak_grid(row))
         except NumericError as exc:
-            windows.append(exc)
-            continue
-        cuts = _window_cuts(row.size, grid[2])
-        windows.append(_PeakWindow(*grid, cuts, [math.inf] * (len(cuts) - 1), -math.inf))
-    rows = [i for i, w in enumerate(windows)
-            if isinstance(w, _PeakWindow) and (len(lam) > 1 or len(w.cuts) > 2)]
+            grids.append(exc)
+    rows = [i for i, grid in enumerate(grids) if not isinstance(grid, NumericError)]
+    windows: list[_PeakWindow | NumericError] = list(grids)  # type: ignore[arg-type]
     if rows:
-        bounded = _coarse_bounds(lam[rows], ends[rows], [windows[i] for i in rows])
+        bounded = _coarse_bounds(lam[rows], ends[rows], [grids[i] for i in rows])
         for i, window in zip(rows, bounded):
             windows[i] = window
     return windows
 
 
-def _coarse_bounds(
-    lam: np.ndarray, ends: np.ndarray, windows: list[_PeakWindow]
-) -> list[_PeakWindow]:
-    """The windows of a stack with their groups bounded by one coarse pass.
+def _envelope_terms(lam: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(c0, a, b) of each chain of a stack: P_N(t) <= (c0 + a |f(lambda_min t / 2)| + b)^2.
 
-    It samples P at every m-th grid point, k = 0, m, ... up to the first
-    at or past the window end.  As |P''| <= 2 (S1^2 + S2), P between two of
-    them exceeds the larger by at most (S1^2 + S2) (m h)^2 / 4, which a
-    group's bound adds to the largest coarse sample of its intervals,
-    with twice _SKIP_DEVIATION times the kernel's deviation (of a coarse
-    and a fine sample) and _SKIP_MARGIN.  These samples only bound, so
-    their rounding and blocks are free: blocks of about sqrt(size), and
-    one table and product per sub-stack of _GRID_CHUNK_ENTRIES samples.
+    f is sin for an even chain and cos for an odd one, a = 2|c_min| the
+    weight of the slowest level, b = 2 sum |c_j| over the faster ones
+    and c0 = |c_0| the zero mode's, 0 on an even chain: the series
+    takes the slowest term exactly and bounds every other by its weight.
     """
-    window, step, count = np.array([w[:3] for w in windows]).T
-    groups = np.array([len(w.cuts) - 1 for w in windows])
-    stride = np.where(groups == 1, _COARSE_STRIDE, _COARSE_GROUP_STRIDE)
-    sizes = (-(-count // stride) + 1).astype(int)
-    s1, s2 = series_derivative_bounds(lam, ends)
-    deviation = _SKIP_DEVIATION * _EPS * window * lam[:, 0]
-    slack = (s1**2 + s2) * (stride * step) ** 2 / 4 + 2.0 * deviation + _SKIP_MARGIN
-    size = int(sizes.max())  # the layout of every sub-stack
-    block, per = math.isqrt(size - 1) + 1, max(1, _GRID_CHUNK_ENTRIES // size)
-    # the first and last coarse interval of each group, in its sub-stack's samples
-    row, edges = np.repeat(np.arange(len(windows)), groups), np.r_[0, np.cumsum(groups)]
-    base = row % per * size
-    first = (np.array([c for w in windows for c in w.cuts[:-1]]) + 1) // stride[row] + base
-    last = (np.array([c for w in windows for c in w.cuts[1:]]) - 1) // stride[row] + base
-    tops = []
-    for a in range(0, len(windows), per):
-        sub, steps = slice(a, a + per), stride[a:a + per] * step[a:a + per]
-        offsets = grid_angles(lam[sub], steps, np.arange(block))
-        starts = grid_angles(lam[sub], steps, np.arange(0, size, block))
-        samples = paired_grid_probability(lam[sub], ends[sub], offsets, starts, size)
-        if len(samples) > 1:  # past a shorter window
-            samples[np.arange(size) >= sizes[sub, None]] = -math.inf
-        flat, mine = samples.ravel(), slice(edges[a], edges[min(a + per, len(windows))])
-        segments = np.maximum.reduceat(flat, first[mine])  # may stop short of last + 1
-        tops.append(np.maximum(segments, np.maximum(flat[last[mine]], flat[last[mine] + 1])))
-    top = np.concatenate(tops)
-    bounds, coarse = (top + slack[row]).tolist(), np.maximum.reduceat(top, edges[:-1]).tolist()
-    return [_PeakWindow(*w[:4], bounds[a:b], c)
-            for w, a, b, c in zip(windows, edges, edges[1:], coarse)]
+    half = lam.shape[-1] // 2
+    weights = 2.0 * np.abs(ends[..., :half])
+    zero = np.abs(ends[..., half]) if lam.shape[-1] % 2 else np.zeros(lam.shape[:-1])
+    return zero, weights[..., half - 1], weights[..., :half - 1].sum(axis=-1)
+
+
+def _envelope_runs(
+    c0: float, a: float, b: float, level: float, even: bool
+) -> list[tuple[float, float]]:
+    """The runs of phases lambda_min t / 2 in [0, pi) where the envelope reaches level.
+
+    The envelope is _envelope_terms'.  The window's phases stay below pi:
+    one run on an even chain, around pi / 2, and at most two on an odd
+    one, from 0 and to the window end.
+    """
+    amount = math.sqrt(max(level, 0.0)) - c0 - b
+    if amount <= 0.0:
+        return [(0.0, math.inf)]
+    if not amount <= a:
+        return []
+    angle = math.asin(amount / a)
+    if even:
+        return [(angle, math.pi - angle)]
+    return [(0.0, 0.5 * math.pi - angle), (0.5 * math.pi + angle, math.inf)]
+
+
+def _coarse_bounds(
+    lam: np.ndarray, ends: np.ndarray, grids: list[tuple[float, float, int]]
+) -> list[_PeakWindow]:
+    """The windows of a stack, each with the coarse intervals that can hold the stack's winner.
+
+    L, a lower bound on the stack's winner, is the highest of nine
+    samples of each row within 5 % of pi / lambda_min; a stack of one
+    short window takes none, as it could only save coarse samples of
+    its one kernel call.  A row needs only the samples that reach its
+    floor, max(its own nine, L - its rise): below that it cannot win.
+    The coarse pass samples P at every m-th grid point of the intervals
+    where the envelope plus the rounding margin reaches the floor
+    (_envelope_runs), by angle addition in spans of at most
+    _GRID_CHUNK_ENTRIES samples (_coarse_calls).  As |P''| <= 2 (S1^2 +
+    S2), P between two coarse samples exceeds the larger by at most
+    (S1^2 + S2) (m h)^2 / 4, which an interval's bound adds, with twice
+    _SKIP_DEVIATION times the kernel's deviation (of a coarse and a fine
+    sample) and _SKIP_MARGIN; a coarse sample less that margin bounds a
+    fine sample from below, and raises the floor of its span.
+    """
+    half = lam.shape[-1] // 2
+    window, step, count = np.array(grids).T
+    lam_min = lam[:, half - 1]
+    if len(grids) > 1 or count[0] > _LONG_WINDOW:
+        seeds = np.rint(math.pi / (lam_min * step)[:, None] * _SEED_FRACTIONS)
+        seeds = np.minimum(np.maximum(seeds, 1.0), count[:, None]) * step[:, None]
+        own = paired_sample_probability(lam, ends, seeds).max(axis=1).tolist()
+    else:
+        own = [-math.inf]
+    best = max(own)
+    rows = zip(
+        window.tolist(), step.tolist(), count.tolist(), lam[:, 0].tolist(), lam_min.tolist(),
+        *(x.tolist() for x in series_derivative_bounds(lam, ends)),
+        *(x.tolist() for x in _envelope_terms(lam, ends)), own,
+    )
+    strides, guards, slack, floor, top, rise, segments = [], [], [], [], [], [], []
+    for i, (span, h, n, lam_max, lam_low, s1, s2, c0, a, b, seed) in enumerate(rows):
+        m = _COARSE_LONG_STRIDE if n > _LONG_WINDOW else _COARSE_STRIDE
+        curvature, deviation = s1 * s1 + s2, _SKIP_DEVIATION * _EPS * span * lam_max
+        strides.append(m)
+        guards.append(2.0 * deviation + _SKIP_MARGIN)
+        rise.append(curvature * h * h + deviation + _SKIP_MARGIN)
+        floor.append(max(seed, best - rise[-1]))
+        top.append(floor[-1] - deviation - _SKIP_MARGIN)  # the envelope's level
+        slack.append(curvature * (m * h) ** 2 / 4 + guards[-1])
+        # interval j, samples j*m .. j*m + m - 1, spans the phases j * width .. (j + 1) * width
+        width, last = 0.5 * lam_low * m * h, int(n - 1) // m
+        for lo, hi in _envelope_runs(c0, a, b, top[-1], half * 2 == lam.shape[-1]):
+            first, stop = max(0, math.ceil(lo / width) - 1), int(min(hi / width, last))
+            if first <= stop:
+                segments.append((i, first, stop))
+    steps, slacks = np.array(strides) * step, np.array(slack)
+    hits = [(np.zeros(0, dtype=int),) * 2 + (np.zeros(0),)]
+    for spans in _coarse_calls(segments):
+        row, first, size = np.array(spans).T
+        points = int(size.max()) + 1
+        samples = paired_grid_probability(lam[row], ends[row], steps[row], first, points)
+        left = samples[:, :-1]  # the first point of each interval, inside the window
+        bounds = np.maximum(left, samples[:, 1:])
+        bounds += slacks[row, None]
+        if len(spans) > 1:  # past a shorter span
+            pad = np.arange(points - 1) >= size[:, None]
+            bounds[pad] = left[pad] = -math.inf
+        cut = []
+        for i, hi, lo in zip(row.tolist(), bounds.max(axis=1).tolist(), left.max(axis=1).tolist()):
+            top[i] = max(top[i], hi)
+            cut.append(max(floor[i], lo - guards[i]))
+        hit = np.flatnonzero(bounds >= np.array(cut)[:, None])
+        span, offset = np.divmod(hit, points - 1)
+        hits.append((row[span], first[span] + offset, bounds.ravel()[hit]))
+    where, intervals, bounds = (np.concatenate(column) for column in zip(*hits))  # row order
+    edges = np.searchsorted(where, np.arange(len(grids) + 1)).tolist()
+    return [
+        _PeakWindow(*grid, m, intervals[p:q], bounds[p:q], *values)
+        for grid, m, p, q, *values in zip(grids, strides, edges, edges[1:], floor, top, rise)
+    ]
+
+
+def _coarse_calls(segments: list[tuple[int, int, int]]) -> list[list[tuple[int, int, int]]]:
+    """The coarse pass's kernel calls: (row, first interval, intervals) of each span.
+
+    A run becomes spans of at most _GRID_CHUNK_ENTRIES intervals, and a
+    call's spans, in stack order and padded to its longest, as many samples.
+    """
+    calls: list[list[tuple[int, int, int]]] = [[]]
+    longest = 0
+    for row, first, last in segments:
+        for start in range(first, last + 1, _GRID_CHUNK_ENTRIES):
+            size = min(_GRID_CHUNK_ENTRIES, last + 1 - start)
+            longest = max(longest, size)
+            if calls[-1] and (len(calls[-1]) + 1) * (longest + 1) > _GRID_CHUNK_ENTRIES:
+                calls.append([])
+                longest = size
+            calls[-1].append((row, start, size))
+    return calls if calls[-1] else []
 
 
 def _peak_polish(lam: np.ndarray, ends: np.ndarray, delta: float, scan: _PeakScan) -> TransferTriad:
@@ -408,14 +470,7 @@ def _peak_polish(lam: np.ndarray, ends: np.ndarray, delta: float, scan: _PeakSca
         p_root = paired_transfer_probability(lam, ends, root)
         if p_root >= p_best:
             return TransferTriad(delta_h=delta, t_h=root, p_h=p_root, lambda_min_estimate=estimate)
-    # keep the best sample, with the digits of the direct series over its chunk
-    start = best - best % _TIME_CHUNK
-    times = (np.arange(start, min(start + _TIME_CHUNK, scan.count)) + 1) * step
-    probs = paired_transfer_probability(lam, ends, times)
-    k = int(np.argmax(probs))
-    return TransferTriad(
-        delta_h=delta, t_h=float(times[k]), p_h=float(probs[k]), lambda_min_estimate=estimate
-    )
+    return TransferTriad(delta_h=delta, t_h=t_best, p_h=p_best, lambda_min_estimate=estimate)
 
 
 def _slope_root(lam: np.ndarray, ends: np.ndarray, lo: float, hi: float) -> float | None:
@@ -451,34 +506,34 @@ def _slope_root(lam: np.ndarray, ends: np.ndarray, lo: float, hi: float) -> floa
         t += step
 
 
-def _grid_probability(
-    lam: np.ndarray, ends: np.ndarray, step: float,
-    offsets: np.ndarray, start: int, stop: int,
-) -> np.ndarray:
-    """P(k * step) for k = start..stop-1 of one chain, from its scan's offset table."""
-    starts = grid_angles(lam, step, grid_starts(start, stop - start))
-    return paired_grid_probability(lam, ends, offsets, starts, stop - start)
-
-
 def _window_scan(lam: np.ndarray, ends: np.ndarray, window: _PeakWindow) -> _PeakScan:
     """The fine scan of a window: its highest sample, earliest on ties.
 
-    The groups, sharing one offset table, are scanned in descending
-    order of their bounds until the bound lies strictly below the best
-    sample so far; every sample left out lies below it, so the winner
-    is the full scan's, to the bit.
+    The coarse intervals are evaluated in descending order of their
+    bounds, _FINE_BATCH samples first and twice as many each time after,
+    until the next bound lies strictly below the best sample so far.  A
+    sample has the bits of the full scan, so the winner is its, to the bit.
     """
-    cuts, bounds = window.cuts, window.bounds
-    offsets = grid_angles(lam, window.step, np.arange(grid_block(window.count)))
-    best, p_best, evaluated = 0, -1.0, 0
-    for i in sorted(range(len(bounds)), key=lambda i: -bounds[i]):
-        if bounds[i] < p_best:
-            break
-        probs = _grid_probability(lam, ends, window.step, offsets, cuts[i] + 1, cuts[i + 1] + 1)
-        k = int(np.argmax(probs))
-        evaluated += probs.size
-        if probs[k] > p_best or (probs[k] == p_best and cuts[i] + k < best):
-            best, p_best = cuts[i] + k, float(probs[k])
+    stride, intervals, bounds = window.stride, window.intervals, window.bounds
+    size = max(1, _FINE_BATCH // stride)
+    ordered = intervals.size > size  # one batch needs no order
+    if ordered:
+        order = np.argsort(-bounds, kind="stable")
+        intervals, bounds = intervals[order], bounds[order]
+    most = max(size, _GRID_CHUNK_ENTRIES // (stride * lam.size))
+    best, p_best, evaluated, done = 0, -1.0, 0, 0
+    while done < intervals.size and bounds[done] >= p_best:
+        batch = np.sort(intervals[done:done + size]) if ordered else intervals
+        index = (batch[:, None] * stride + np.arange(1, stride + 1)).ravel()  # index + 1
+        spill = int(index[-1]) - window.count  # the last interval may end past the window
+        if spill > 0:
+            index = index[:-spill]
+        done, size = done + size, min(2 * size, most)
+        probs = paired_sample_probability(lam, ends, index * window.step)
+        evaluated += index.size
+        k = int(np.argmax(probs))  # index ascends: the earliest of the highest
+        if probs[k] > p_best or (probs[k] == p_best and index[k] <= best):
+            best, p_best = int(index[k]) - 1, float(probs[k])
     return _PeakScan(window.window, window.step, window.count, best, p_best, evaluated)
 
 
@@ -507,7 +562,7 @@ def _ratio_scores(
 def _ratio_search(
     n_sites: int, lo: float, hi: float, step: float, tol: float,
     score: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-    refusals: Sequence[str] = (),
+    refusals: Sequence[NumericError] = (),
 ) -> tuple[float, float, tuple[np.ndarray, np.ndarray]]:
     """(ratio, P, (lam, ends)) of the best ratio in [lo, hi], never below the grid winner.
 
@@ -536,7 +591,7 @@ def _ratio_search(
         max(1, _GRID_CHUNK_ENTRIES // (n_sites * n_sites)),
     )
     if not p_best >= 0.0:
-        reason = refusals[0] if refusals else "its score is out of reach"
+        reason = str(refusals[0]) if refusals else "its score is out of reach"
         if not _masked_spectra(n_sites, grid[:1])[2][0]:
             reason = f"the spectrum at delta={lo:.6g} fails the checks of spectra"
         raise NumericError(f"refused every ratio of [{lo:.6g}, {hi:.6g}] at N={n_sites}: {reason}")
@@ -587,7 +642,7 @@ def optimize_delta(n_sites: int, delta_lo: float, delta_hi: float) -> TransferTr
             "no high-transfer regime inside"
         )
 
-    refusals: list[str] = []
+    refusals: list[NumericError] = []
     triads: dict[float, TransferTriad] = {}
     delta_h, _, _ = _ratio_search(
         n_sites, delta_lo, delta_hi, _DELTA_GRID, _DELTA_TOL,
@@ -598,40 +653,36 @@ def optimize_delta(n_sites: int, delta_lo: float, delta_hi: float) -> TransferTr
 
 def _first_peak_scores(
     lam: np.ndarray, ends: np.ndarray, ratios: np.ndarray,
-    refusals: list[str], triads: dict[float, TransferTriad],
+    refusals: list[NumericError], triads: dict[float, TransferTriad],
 ) -> np.ndarray:
     """optimize_delta's score of a stack: each ratio's first_peak p_h, or a value that cannot win.
 
     Every window is bounded once (_peak_windows); one refused by
-    _peak_grid scores -inf, and its reason joins refusals, in stack
-    order.  The others are scanned (_window_scan) and polished
-    (_peak_polish) in descending order of their reach, the highest
-    group bound plus the rise, while it is not below the highest p_h
-    polished so far; each triad joins triads under its ratio.  A ratio
-    left out scores its highest coarse sample, below the stack's
-    winner, so the best score and its first index are those of
-    polishing every ratio.  The rise is certified: the polish keeps the
-    best sample or returns the root of dP/dt within one step h of it,
-    so P there exceeds the sample by at most max|P''| h^2 / 2 <=
-    (S1^2 + S2) h^2, plus the margin (_SKIP_DEVIATION, _SKIP_MARGIN).
+    _peak_grid scores -inf, and its NumericError joins refusals, in
+    stack order.  The others are scanned and polished in descending
+    order of their reach, top plus rise, while it is not below the
+    highest p_h polished so far; each triad of a full scan's sample
+    joins triads.  A ratio left out scores its top, below the stack's
+    winner, so the best score and its first index are those of polishing
+    every ratio.  The rise is certified: the polish keeps the best
+    sample or returns the root of dP/dt within one step h of it, where P
+    exceeds the sample by at most (S1^2 + S2) h^2, plus the margin.
     """
     windows = _peak_windows(lam, ends)
-    refusals += [str(window) for window in windows if isinstance(window, NumericError)]
-    s1, s2 = series_derivative_bounds(lam, ends)
-    scores, reach = [-math.inf] * len(windows), [-math.inf] * len(windows)
-    for i, window in enumerate(windows):
-        if isinstance(window, _PeakWindow):
-            deviation = _SKIP_DEVIATION * _EPS * window.window * float(lam[i, 0])
-            rise = (s1[i] ** 2 + s2[i]) * window.step**2 + deviation + _SKIP_MARGIN
-            scores[i], reach[i] = window.coarse, max(window.bounds) + float(rise)
+    refusals += [window for window in windows if isinstance(window, NumericError)]
+    scores = [w.top if isinstance(w, _PeakWindow) else -math.inf for w in windows]
+    reach = [w.top + w.rise if isinstance(w, _PeakWindow) else -math.inf for w in windows]
     top = -math.inf
     for i in sorted(range(len(windows)), key=lambda i: -reach[i]):
         window = windows[i]
         if isinstance(window, NumericError) or reach[i] < top:
             break
+        if not window.intervals.size:
+            continue
         scan = _window_scan(lam[i], ends[i], window)
         triad = _peak_polish(lam[i], ends[i], float(ratios[i]), scan)
-        triads[triad.delta_h] = triad
+        if scan.p_best >= window.floor:
+            triads[triad.delta_h] = triad
         scores[i] = triad.p_h
         top = max(top, scores[i])
     return np.array(scores)

@@ -29,10 +29,8 @@ from altchain import (
 )
 from altchain.dynamics import (
     _full_space_states,
-    grid_angles,
-    grid_pieces,
-    grid_starts,
     paired_grid_probability,
+    paired_sample_probability,
     paired_transfer_derivatives,
 )
 
@@ -274,10 +272,8 @@ def test_paired_series_matches_spectral_sum(n, delta, route):
 
 
 def grid_call(lam, ends, step, start, stop):
-    """P_N(k * step) for k = start..stop-1 from a full offset table and the call's block starts."""
-    offsets = grid_angles(lam, step, np.arange(256))
-    starts = grid_angles(lam, step, grid_starts(start, stop - start))
-    return paired_grid_probability(lam, ends, offsets, starts, stop - start)
+    """P_N(k * step) for k = start..stop-1 of one chain, from a stack of one."""
+    return paired_grid_probability(lam[None], ends[None], np.array([step]), np.array([start]), stop - start)[0]
 
 
 GRID_SHAPES = [
@@ -314,29 +310,24 @@ def test_grid_kernel_over_several_chunks(n):
 
 
 def allocating_grid_probability(lam, ends, step, start, stop):
-    """paired_grid_probability as written before its products took buffers."""
+    """paired_grid_probability of one chain as written with a new array for each product."""
     half, count = lam.size // 2, stop - start
     rate = 0.5 * lam[:half]
-    block = min(256, count)
+    block = math.isqrt(count - 1) + 1
     rows = -(-count // block)
     starts = np.multiply.outer((start + block * np.arange(rows)) * step, rate)
     offsets = np.multiply.outer(np.arange(block) * step, rate)
     sin_q, cos_q = 2.0 * ends[:half] * np.sin(starts), 2.0 * ends[:half] * np.cos(starts)
     sin_r, cos_r = np.sin(offsets).T, np.cos(offsets).T
-    series = np.empty((rows, block))
-    group = max(1, (1 << 18) // (block * half))
-    for i in range(0, rows, group):
-        q = slice(i, i + group)
-        if lam.size % 2 == 0:
-            series[q] = sin_q[q] @ cos_r + cos_q[q] @ sin_r
-        else:
-            series[q] = cos_q[q] @ cos_r - sin_q[q] @ sin_r + ends[half]
+    if lam.size % 2 == 0:
+        series = sin_q @ cos_r + cos_q @ sin_r
+    else:
+        series = cos_q @ cos_r - sin_q @ sin_r + ends[half]
     return series.ravel()[:count] ** 2
 
 
-# (start, stop): below one block, a partial last block, several row
-# groups with a one-row group last (N = 24, 25: groups of 85 rows), and
-# a whole chunk
+# (start, stop): a few samples, a partial last block, and about 200 000
+# and 65 536 samples
 KERNEL_RANGES = [(1, 101), (7, 7 + 3 * 256 + 17), (5, 5 + 256 * 85 * 3 + 256), (1, 65537)]
 
 
@@ -349,34 +340,24 @@ def test_grid_kernel_keeps_the_bits_of_the_allocating_expression(n):
         assert np.array_equal(grid_call(lam, ends, step, start, stop), expected)
 
 
-@pytest.mark.parametrize(
-    "n,count",
-    [(24, 65536), (20, 65536), (20, 26112 * 2 + 100), (14, 200), (14, 37376 + 256), (25, 30000)],
-)
-def test_grid_pieces_keep_the_bits_of_the_whole_call(n, count):
-    # every run of consecutive pieces, called alone, returns the bits of
-    # the whole call: N = 24 ends each chunk on a one-row group, and a
-    # lone partial last block joins the group before it
-    lam, ends = (x[0] for x in spectra(n, np.array([2.38])))
-    step = min(0.01, math.pi / (50.0 * lam[0]))
-    whole = grid_call(lam, ends, step, 1, count + 1)
-    cuts = grid_pieces(n, count)
-    assert cuts[0] == 0 and cuts[-1] == count and all(np.diff(cuts) > 0)
-    for i in range(len(cuts) - 1):
-        for j in range(i + 1, len(cuts)):
-            alone = grid_call(lam, ends, step, cuts[i] + 1, cuts[j] + 1)
-            assert np.array_equal(alone, whole[cuts[i]:cuts[j]])
-
-
-def test_grid_pieces_are_the_product_groups():
-    # N = 20 takes 102 rows of 256 samples per product; a last group of
-    # less than a block joins the group before it, so its call keeps
-    # blocks of 256 samples
-    assert grid_pieces(20, 65536) == [0, 26112, 52224, 65536]
-    assert grid_pieces(20, 2 * 26112 + 100) == [0, 26112, 2 * 26112 + 100]
-    assert grid_pieces(20, 2 * 26112 + 256) == [0, 26112, 52224, 2 * 26112 + 256]
-    assert grid_pieces(24, 65536) == [0, 21760, 43520, 65280, 65536]
-    assert grid_pieces(14, 200) == [0, 200]
+@pytest.mark.parametrize("n", range(4, 65, 4))
+def test_sample_series_keeps_each_bit_whatever_its_batch(n):
+    # the peak scans' fine samples: a time's value is the same in a batch
+    # of 1 or of 70 000, wherever the batch starts, for both parities
+    for size in (n, n + 1):
+        lam, ends = (x[0] for x in spectra(size, np.array([2.38])))
+        times = np.random.default_rng(size).uniform(0.0, 1.3 * math.pi / lam[size // 2 - 1], 70000)
+        whole = paired_sample_probability(lam, ends, times)
+        for batch in (1, 2, 3, 7, 64, 255, 4097, 70000):
+            for start in range(0, 70000 - batch + 1, max(batch, 9000)):
+                part = paired_sample_probability(lam, ends, times[start:start + batch])
+                assert np.array_equal(part, whole[start:start + batch])
+        # a stack of chains, and the direct series to rounding
+        stacked = paired_sample_probability(
+            np.stack([lam, lam]), np.stack([ends, ends]), np.stack([times[:5], times[5:10]])
+        )
+        assert np.array_equal(stacked.ravel(), whole[:10])
+        assert np.max(np.abs(whole - paired_transfer_probability(lam, ends, times))) <= 1e-13
 
 
 @pytest.mark.parametrize("n", [4, 5, 8, 9, 16])

@@ -8,6 +8,7 @@ import pytest
 from altchain import (
     ChainSpec,
     HorizonError,
+    NumericError,
     ValidationError,
     eigensystem_for,
     first_peak,
@@ -20,6 +21,7 @@ from altchain import (
     transfer_probability,
 )
 from altchain import search as search_mod
+from altchain.dynamics import paired_sample_probability
 from altchain.roots import bisect
 
 # frozen search outputs, produced on the closed-form eigensystems and
@@ -102,26 +104,50 @@ def test_first_peak_refuses_windows_beyond_the_horizon():
     assert all(math.isnan(v) for v in (rows[1].t_h1, rows[1].p_h1, rows[1].estimate))
 
 
+def _scan(lam, ends):
+    """The fine scan of one chain's first-peak window alone; a refusal is raised."""
+    (window,) = search_mod._peak_windows(lam[None], ends[None])
+    if isinstance(window, NumericError):
+        raise window
+    return search_mod._window_scan(lam, ends, window)
+
+
+def _peak(lam, ends, delta):
+    """first_peak of the chain whose levels and end products are given: a stack of one."""
+    refusals, triads = [], {}
+    search_mod._first_peak_scores(lam[None], ends[None], np.array([delta]), refusals, triads)
+    if refusals:
+        raise refusals[0]
+    return triads[float(delta)]
+
+
 @pytest.mark.parametrize(
     "tied,expected",
     [((3, 4), 3), ((6, 7), 6), ((7, 8), 7), ((20, 5), 5), ((13, 14), 13)],
 )
 def test_time_scan_ties_take_earliest(monkeypatch, tied, expected):
-    # blocks of 4 samples and chunks of 7: the pairs straddle a block
-    # boundary (3, 4), a chunk boundary (6, 7), both (7, 8), or lie apart
-    import altchain.dynamics
+    # coarse intervals of 4 samples, one interval per fine batch: the pairs
+    # straddle an interval boundary (3, 4) and (7, 8), share an interval
+    # (6, 7) and (13, 14), or lie apart (20, 5); the later tie's interval
+    # has the highest bound, so it is evaluated first, and the earlier tie
+    # still wins; the intervals whose bound lies below the ties are not
+    # evaluated
+    real = search_mod.paired_sample_probability
+    step = 0.01
 
-    real = search_mod._grid_probability
+    def tied_samples(lam, ends, times):
+        probs = real(lam, ends, times)
+        return np.where(np.isin(np.rint(times / step) - 1, tied), 2.0, probs)
 
-    def tied_grid(lam, ends, step, offsets, start, stop):
-        probs = real(lam, ends, step, offsets, start, stop)
-        return np.where(np.isin(np.arange(start - 1, stop - 1), tied), 2.0, probs)
-
-    monkeypatch.setattr(altchain.dynamics, "_ANGLE_BLOCK", 4)
-    monkeypatch.setattr(search_mod, "_TIME_CHUNK", 7)
-    monkeypatch.setattr(search_mod, "_grid_probability", tied_grid)
+    monkeypatch.setattr(search_mod, "paired_sample_probability", tied_samples)
+    monkeypatch.setattr(search_mod, "_FINE_BATCH", 4)
     lam, ends = (x[0] for x in spectra(6, np.array([2.38])))
-    assert _best_sample(lam, ends, 0.01, 30) == (expected, 2.0)
+    intervals = np.arange(8)
+    bounds = np.select([intervals == max(tied) // 4, intervals == min(tied) // 4], [3.5, 3.0], 1.5)
+    window = search_mod._PeakWindow(30 * step, step, 30, 4, intervals, bounds, -math.inf, 3.5, 0.0)
+    scan = search_mod._window_scan(lam, ends, window)
+    assert (scan.best, scan.p_best) == (expected, 2.0)
+    assert scan.evaluated <= 12  # batches of one and two intervals; those below 2.0 are left out
 
 
 @pytest.mark.parametrize(
@@ -129,67 +155,66 @@ def test_time_scan_ties_take_earliest(monkeypatch, tied, expected):
     [((3, 4), 3), ((7, 8), 7), ((9, 10), 9), ((13, 14), 13), ((25, 5), 5)],
 )
 def test_odd_piece_scan_ties_take_earliest(monkeypatch, tied, expected):
-    # an odd window of several chunks goes through the coarse bounds and
-    # the pruned piece loop; with blocks of 4 samples, one row of blocks
-    # per product and chunks of 10, the pieces are 0..3 and 4..9 of each
-    # chunk: the pairs straddle a block and a piece (3, 4), a block
-    # within a piece (7, 8), a chunk (9, 10), a piece (13, 14), or lie
-    # apart.  The tied samples of 2.0 exceed every certified bound, so
-    # the coarse samples next to them are raised too, the later one's
-    # highest: its piece is scanned first, and the earlier tie still wins
-    import altchain.dynamics
+    # an odd window through the coarse pass and the pruned fine scan, with
+    # coarse intervals of 4 samples, spans of 3 intervals (one kernel call
+    # each) and one interval per fine batch: the pairs straddle an interval
+    # (3, 4), (7, 8), share one (9, 10), (13, 14) in a second span, or lie
+    # apart.  The tied samples of 2.0 exceed every certified bound, so the
+    # coarse samples of their intervals are raised too, the later one's
+    # highest: its interval is scanned first, and the earlier tie still wins
+    real_kernel, real_samples, calls = search_mod.paired_grid_probability, search_mod.paired_sample_probability, []
 
-    real_grid, real_kernel = search_mod._grid_probability, search_mod.paired_grid_probability
-
-    def tied_grid(lam, ends, step, offsets, start, stop):
-        probs = real_grid(lam, ends, step, offsets, start, stop)
-        return np.where(np.isin(np.arange(start - 1, stop - 1), tied), 2.0, probs)
-
-    def tied_coarse(lam, ends, offsets, starts, count):
-        samples = real_kernel(lam, ends, offsets, starts, count)
-        if lam.ndim == 2:  # the coarse pass: samples k = 0..count-1, every second grid point
-            for rank, index in enumerate(sorted(tied)):
-                for k in ((index + 1) // 2, (index + 1) // 2 + 1):
-                    samples[:, k] = np.maximum(samples[:, k], 2.0 + rank)
+    def tied_coarse(lam, ends, step, first, count):
+        calls.append(len(lam))
+        samples = real_kernel(lam, ends, step, first, count)
+        points = first[:, None] + np.arange(count)
+        for rank, index in enumerate(sorted(tied)):
+            raised = (points == index // 4) | (points == index // 4 + 1)
+            samples[raised] = np.maximum(samples[raised], 2.0 + 1e-12 * rank)
         return samples
 
-    monkeypatch.setattr(altchain.dynamics, "_ANGLE_BLOCK", 4)
-    monkeypatch.setattr(altchain.dynamics, "_PRODUCT_SIZE", 4 * 3)
-    monkeypatch.setattr(search_mod, "_TIME_CHUNK", 10)
-    monkeypatch.setattr(search_mod, "_COARSE_GROUP_STRIDE", 2)
-    monkeypatch.setattr(search_mod, "_grid_probability", tied_grid)
+    def tied_samples(lam, ends, times):
+        probs = real_samples(lam, ends, times)
+        return np.where(np.isin(np.rint(times / 0.01) - 1, tied), 2.0, probs)
+
+    monkeypatch.setattr(search_mod, "_FINE_BATCH", 4)
+    monkeypatch.setattr(search_mod, "_GRID_CHUNK_ENTRIES", 3)
     monkeypatch.setattr(search_mod, "paired_grid_probability", tied_coarse)
+    monkeypatch.setattr(search_mod, "paired_sample_probability", tied_samples)
     lam, ends = (x[0] for x in spectra(7, np.array([2.38])))
-    cuts = search_mod._window_cuts(7, 30)
-    assert cuts == [0, 4, 10, 14, 20, 24, 30]
     scan = search_mod._window_scan(lam, ends, _bounded_window(lam, ends, 0.01, 30))
+    assert calls == [1, 1, 1]  # the spans of intervals 0..2, 3..5 and 6..7
     assert (scan.best, scan.p_best) == (expected, 2.0)
     assert scan.evaluated < scan.count
 
 
 def _bounded_window(lam, ends, step, count):
     """The _PeakWindow of a grid of count samples of one chain, bounded by the coarse pass."""
-    cuts = search_mod._window_cuts(lam.size, count)
-    unbounded = search_mod._PeakWindow(count * step, step, count, cuts, [], -math.inf)
-    (window,) = search_mod._coarse_bounds(lam[None], ends[None], [unbounded])
+    (window,) = search_mod._coarse_bounds(lam[None], ends[None], [(count * step, step, count)])
     return window
 
 
 def _best_sample(lam, ends, step, count):
     """(index, P) of the highest of P((index + 1) * step), index < count, earliest on ties.
 
-    The full-scan reference of the first-peak scans: every sample, in
-    chunks of _TIME_CHUNK samples by angle addition, all from one offset
-    table.
+    The full-scan reference of the first-peak scans, by the direct series
+    they promise (paired_sample_probability): every sample comes from
+    angle addition, in chunks of 65 536, and those within 1e-9 of the
+    highest, far beyond the two kernels' deviation, again from the
+    direct series.
     """
-    offsets = search_mod.grid_angles(lam, step, np.arange(search_mod.grid_block(count)))
-    return search_mod._first_argmax(
-        lambda start, stop: search_mod._grid_probability(
-            lam, ends, step, offsets, start + 1, stop + 1
-        ),
-        count,
-        search_mod._TIME_CHUNK,
-    )
+    top, near = -1.0, []
+    for start in range(0, count, 65536):
+        stop = min(start + 65536, count)
+        probs = search_mod.paired_grid_probability(
+            lam[None], ends[None], np.array([step]), np.array([start + 1]), stop - start
+        )[0]
+        top = max(top, float(probs.max()))
+        near.append(start + np.flatnonzero(probs >= top - 1e-9))
+    index = np.concatenate(near)
+    probs = paired_sample_probability(lam, ends, (index + 1) * step)
+    k = int(np.argmax(probs))  # index ascends: the earliest of the highest
+    return int(index[k]), float(probs[k])
 
 
 def _full_scan(lam, ends, scan):
@@ -203,7 +228,7 @@ def test_pruned_scan_finds_the_full_scan_sample(n, delta):
     # 1.05 lies below the regime threshold (N+2)/N of every N here
     lam, ends = (x[0] for x in spectra(n, np.array([delta])))
     try:
-        scan = search_mod._peak_scan(lam, ends)
+        scan = _scan(lam, ends)
     except HorizonError:
         return  # N = 22..26 at 3.5 and N = 26 at 2.8 lie beyond the horizon or the cap
     assert (scan.best, scan.p_best) == _full_scan(lam, ends, scan)
@@ -211,54 +236,55 @@ def test_pruned_scan_finds_the_full_scan_sample(n, delta):
 
 
 @pytest.mark.parametrize(
-    "n,delta,chunk,block,product",
+    "n,delta,long_window,batch,entries",
     [
-        # chunks and blocks that do not divide each other, and groups of
-        # one, two and three rows of blocks
-        (10, 2.38, 1000, 16, 16 * 5),
-        (12, 2.0, 777, 32, 2 * 32 * 6),
-        (14, 2.3, 4096, 64, 3 * 64 * 7),
-        (16, 2.38, 5000, 256, 1 << 18),
+        # windows of the long stride; fine batches of one interval to
+        # eight; spans of 80 coarse samples to whole runs
+        (10, 2.38, 1000, 16, 80),
+        (12, 2.0, 777, 32, 384),
+        (14, 2.3, 4096, 64, 1344),
+        (16, 2.38, 5000, 256, 262144),
     ],
 )
-def test_pruned_scan_straddles_chunks_and_blocks(monkeypatch, n, delta, chunk, block, product):
-    import altchain.dynamics
-
-    monkeypatch.setattr(search_mod, "_TIME_CHUNK", chunk)
-    monkeypatch.setattr(altchain.dynamics, "_ANGLE_BLOCK", block)
-    monkeypatch.setattr(altchain.dynamics, "_PRODUCT_SIZE", product)
+def test_pruned_scan_straddles_chunks_and_blocks(monkeypatch, n, delta, long_window, batch, entries):
+    # N = 10 splits its coarse run over two kernel calls
+    monkeypatch.setattr(search_mod, "_LONG_WINDOW", long_window)
+    monkeypatch.setattr(search_mod, "_FINE_BATCH", batch)
+    monkeypatch.setattr(search_mod, "_GRID_CHUNK_ENTRIES", entries)
     lam, ends = (x[0] for x in spectra(n, np.array([delta])))
-    scan = search_mod._peak_scan(lam, ends)
-    assert scan.count > chunk and scan.evaluated < scan.count
+    scan = _scan(lam, ends)
+    assert scan.count > long_window and scan.evaluated < scan.count
     assert (scan.best, scan.p_best) == _full_scan(lam, ends, scan)
 
 
 def test_pruned_scan_evaluates_under_half_the_window():
     lam, ends = (x[0] for x in spectra(20, np.array([2.3])))
-    scan = search_mod._peak_scan(lam, ends)
-    assert scan.count > 8 * search_mod._TIME_CHUNK
+    scan = _scan(lam, ends)
+    assert scan.count > 8 * 65536
     assert scan.evaluated < 0.5 * scan.count
 
 
-def test_one_group_windows_are_scanned_whole(monkeypatch):
-    # a window of one product group runs no coarse pass and is one kernel call
+def test_short_windows_take_the_coarse_pass(monkeypatch):
+    # a short window of a stack of one is bounded by the coarse pass too,
+    # and its pruned scan is the full scan
     bounded = []
     real = search_mod._coarse_bounds
 
-    def counting(lam, ends, windows):
-        bounded.append(len(windows))
-        return real(lam, ends, windows)
+    def counting(lam, ends, grids):
+        bounded.append(len(grids))
+        return real(lam, ends, grids)
 
     monkeypatch.setattr(search_mod, "_coarse_bounds", counting)
     lam, ends = (x[0] for x in spectra(12, np.array([2.0])))
-    scan = search_mod._peak_scan(lam, ends)
-    assert scan.count <= search_mod._TIME_CHUNK and scan.evaluated == scan.count
-    assert bounded == []
-    # an odd window of several chunks is bounded, and its pruned scan is the full scan
-    monkeypatch.setattr(search_mod, "_TIME_CHUNK", 64)
+    scan = _scan(lam, ends)
+    assert scan.count <= search_mod._LONG_WINDOW and scan.evaluated < scan.count
+    assert bounded == [1]
+    assert (scan.best, scan.p_best) == _full_scan(lam, ends, scan)
+    # an odd window of several kernel calls is bounded, and its pruned scan is the full scan
+    monkeypatch.setattr(search_mod, "_GRID_CHUNK_ENTRIES", 64)
     lam, ends = (x[0] for x in spectra(19, np.array([2.38])))
-    scan = search_mod._peak_scan(lam, ends)
-    assert scan.count > 64 and bounded == [1]
+    scan = _scan(lam, ends)
+    assert scan.count > 64 and bounded == [1, 1]
     assert (scan.best, scan.p_best) == _full_scan(lam, ends, scan)
 
 
@@ -266,14 +292,11 @@ def test_one_group_windows_are_scanned_whole(monkeypatch):
 def test_odd_window_of_several_groups_is_pruned(monkeypatch, n):
     # odd first-peak windows hold only tiny P; over 30 time units the
     # same chains transfer a few percent, and the coarse bounds leave out
-    # most of the groups of the grid
-    import altchain.dynamics
-
-    monkeypatch.setattr(altchain.dynamics, "_PRODUCT_SIZE", 2 * 256 * (n // 2))
-    monkeypatch.setattr(search_mod, "_TIME_CHUNK", 1200)
+    # most of the coarse intervals of the grid
+    monkeypatch.setattr(search_mod, "_GRID_CHUNK_ENTRIES", 400)
     lam, ends = (x[0] for x in spectra(n, np.array([2.38])))
     window = _bounded_window(lam, ends, 0.005, 6000)
-    assert len(window.cuts) > 8
+    assert window.intervals.size < 0.5 * 6000 / window.stride
     scan = search_mod._window_scan(lam, ends, window)
     assert (scan.best, scan.p_best) == _best_sample(lam, ends, 0.005, 6000)
     assert scan.p_best > 1e-3 and scan.evaluated < 0.5 * scan.count
@@ -305,7 +328,7 @@ def _polish_brackets():
     for n in (4, 6, 8, 12, 16, 20):
         for delta in (1.6, 2.0, 2.38, 2.8):
             lam, ends = (x[0] for x in spectra(n, np.array([delta])))
-            scan = search_mod._peak_scan(lam, ends)
+            scan = _scan(lam, ends)
             t_best = (scan.best + 1) * scan.step
             lo = max(t_best - scan.step, scan.step * 1e-3)
             yield lam, ends, lo, min(t_best + scan.step, scan.window)
@@ -358,10 +381,7 @@ def test_ratio_grid_takes_one_stacked_solve(monkeypatch):
     # the grid, then the polish: eight golden-section steps, four per stack
     assert calls[0] == 51 and len(calls) == 3 and min(calls[1:]) > 1
     grid = 2.3 + 0.002 * np.arange(51)
-    stacked = [
-        search_mod._spectrum_peak(lam, ends, float(delta))
-        for lam, ends, delta in zip(*spectra(8, grid), grid)
-    ]
+    stacked = [_peak(lam, ends, float(delta)) for lam, ends, delta in zip(*spectra(8, grid), grid)]
     assert stacked == [first_peak(ChainSpec(8, float(delta))) for delta in grid]
 
 
@@ -665,7 +685,7 @@ def _arrival(t):
 
 
 def _peaks(lam, ends, ratios):
-    return np.array([search_mod._spectrum_peak(*row).p_h for row in zip(lam, ends, ratios)])
+    return np.array([_peak(*row).p_h for row in zip(lam, ends, ratios)])
 
 
 def _refusing(score, lo, hi):
@@ -904,20 +924,24 @@ def _counted_scans(monkeypatch, record=lambda lam, ends, window: window):
 
 
 def test_long_windows_scan_at_most_two_groups(monkeypatch):
-    # one fine kernel call per group scanned; the windows hold 3 to 42 groups
-    groups = []
-    real = search_mod._grid_probability
+    # one fine batch per window scanned: the windows hold 2 330 to 28 347
+    # coarse intervals of 32 samples, and the scans evaluate at most the
+    # eight of one batch
+    batches = []
+    real = search_mod.paired_sample_probability
 
-    def counting(*args):
-        groups[-1] += 1
-        return real(*args)
+    def counting(lam, ends, times):
+        if lam.ndim == 1:  # a fine batch; the seeds come as a stack
+            batches[-1] += 1
+        return real(lam, ends, times)
 
-    windows = _counted_scans(monkeypatch, lambda lam, ends, window: groups.append(0) or window)
-    monkeypatch.setattr(search_mod, "_grid_probability", counting)
+    windows = _counted_scans(monkeypatch, lambda lam, ends, window: batches.append(0) or window)
+    monkeypatch.setattr(search_mod, "paired_sample_probability", counting)
     rows = table1_sweep(2.3, [14, 16, 18, 20])
     assert all(row.note == "" for row in rows)
-    assert [len(window.cuts) - 1 for window in windows] == [3, 6, 19, 42]
-    assert all(1 <= count <= 2 for count in groups)
+    assert [(w.count - 1) // w.stride + 1 for w in windows] == [2330, 5359, 12325, 28347]
+    assert all(1 <= w.intervals.size <= 8 for w in windows)
+    assert batches == [1, 1, 1, 1]
 
 
 @pytest.mark.parametrize("n", [4, 5, 8, 9, 12, 16])
@@ -928,9 +952,9 @@ def test_polish_rises_within_the_certified_bound(n):
     lam, ends = spectra(n, ratios)
     s1, s2 = search_mod.series_derivative_bounds(lam, ends)
     for i, delta in enumerate(ratios):
-        scan = search_mod._peak_scan(lam[i], ends[i])
+        scan = _scan(lam[i], ends[i])
         rise = (s1[i] ** 2 + s2[i]) * scan.step**2 + search_mod._SKIP_MARGIN
-        p_h = search_mod._spectrum_peak(lam[i], ends[i], float(delta)).p_h
+        p_h = _peak(lam[i], ends[i], float(delta)).p_h
         assert scan.p_best - 1e-12 <= p_h <= scan.p_best + rise
 
 
@@ -940,72 +964,82 @@ def test_first_peak_scores_keep_the_best_of_polishing_every_ratio(n, lo, hi):
     # score their p_h, so the best score and its first index are unchanged
     grid = search_mod._ratio_grid(lo, hi, 0.002)
     lam, ends = spectra(n, grid)
-    scores = search_mod._first_peak_scores(lam, ends, grid, [], {})
-    p_h = np.array([search_mod._spectrum_peak(*row).p_h for row in zip(lam, ends, grid)])
+    triads = {}
+    scores = search_mod._first_peak_scores(lam, ends, grid, [], triads)
+    p_h = np.array([_peak(*row).p_h for row in zip(lam, ends, grid)])
     best = int(np.argmax(p_h))
     assert int(np.argmax(scores)) == best and scores[best] == p_h[best]
     assert np.all((scores == p_h) | (scores < p_h[best]))
+    # every triad a stack records is its ratio's first_peak
+    assert triads and all(triad == _peak(lam[i], ends[i], delta) for i, delta in enumerate(grid)
+                          for triad in [triads.get(float(delta))] if triad is not None)
 
 
 def _assert_stack_scans_alone(lam, ends):
-    """The scans of a stack bounded together, each equal to its ratio's scan alone or refusal."""
+    """The scans of a stack bounded together against each ratio's scan alone, or its refusal.
+
+    A row whose best sample reaches its floor can hold the stack's
+    winner, and its scan is its scan alone; below the floor the row
+    cannot win, and its scan alone lies below the floor too.
+    """
+    windows = search_mod._peak_windows(lam, ends)
     scans = [
         window if isinstance(window, HorizonError) else search_mod._window_scan(*row, window)
-        for row, window in zip(zip(lam, ends), search_mod._peak_windows(lam, ends))
+        for row, window in zip(zip(lam, ends), windows)
     ]
     assert len(scans) == len(lam)
-    for row, scan in zip(zip(lam, ends), scans):
+    for row, window, scan in zip(zip(lam, ends), windows, scans):
         try:
-            alone = search_mod._peak_scan(*row)
+            alone = _scan(*row)
         except HorizonError as exc:
             assert isinstance(scan, HorizonError) and str(scan) == str(exc)
             continue
-        # field by field: window, step, count, best, p_best, evaluated
-        assert scan == alone
+        assert scan[:3] == alone[:3]  # window, step, count
+        if scan.p_best >= window.floor:
+            assert (scan.best, scan.p_best) == (alone.best, alone.p_best)
+        else:
+            assert alone.p_best < window.floor
     return scans
 
 
 @pytest.mark.parametrize("lo", [1.6, 2.0, 2.4, 2.8])
 @pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
 def test_stack_scan_equals_the_scan_of_each_ratio(n, lo):
-    # N = 12 from 2.8 on has windows of more than one chunk next to
-    # windows of one call
+    # N = 12 from 2.8 on has windows of the long stride next to windows
+    # of the short one
     lam, ends = spectra(n, np.linspace(lo, lo + 0.2, 21))
     scans = _assert_stack_scans_alone(lam, ends)
-    for row, scan in zip(zip(lam, ends), scans):
-        if scan.count <= search_mod._TIME_CHUNK:
+    for row, window, scan in zip(zip(lam, ends), search_mod._peak_windows(lam, ends), scans):
+        if scan.count <= search_mod._LONG_WINDOW and scan.p_best >= window.floor:
             assert (scan.best, scan.p_best) == _full_scan(*row, scan)
 
 
 @pytest.mark.parametrize(
-    "n,block,product,chunk",
+    "n,entries,batch,long_window",
     [
-        # N = 6 windows of 1534..1804 samples lie below one block, the
-        # others above it
-        pytest.param(6, 2048, 1 << 18, 65536, id="windows-below-a-block"),
-        # two rows of blocks per product group: several groups per window
-        pytest.param(6, 256, 2048, 65536, id="several-product-groups-6"),
-        pytest.param(8, 256, 2048, 65536, id="several-product-groups-8"),
-        # windows of several chunks next to windows of one call: even
-        # ones scanned where their envelope can win, odd ones whole
-        pytest.param(6, 256, 1 << 18, 3000, id="several-chunks-6"),
-        pytest.param(8, 256, 1 << 18, 5000, id="several-chunks-8"),
-        pytest.param(7, 64, 1 << 18, 300, id="several-chunks-odd"),
+        # N = 6 windows of 1534..1804 samples on both sides of the long stride
+        pytest.param(6, 1 << 20, 256, 1700, id="windows-below-a-block"),
+        # spans of 64 coarse samples: several spans per window
+        pytest.param(6, 64, 256, 65536, id="several-product-groups-6"),
+        pytest.param(8, 64, 256, 65536, id="several-product-groups-8"),
+        # fine batches of one interval, spans of a few samples, and windows
+        # on both sides of the long stride
+        pytest.param(6, 1 << 20, 4, 3000, id="several-chunks-6"),
+        pytest.param(8, 300, 4, 5000, id="several-chunks-8"),
+        pytest.param(7, 100, 8, 300, id="several-chunks-odd"),
     ],
 )
-def test_stack_scan_straddles_blocks_groups_and_chunks(monkeypatch, n, block, product, chunk):
-    import altchain.dynamics
-
-    monkeypatch.setattr(altchain.dynamics, "_ANGLE_BLOCK", block)
-    monkeypatch.setattr(altchain.dynamics, "_PRODUCT_SIZE", product)
-    monkeypatch.setattr(search_mod, "_TIME_CHUNK", chunk)
+def test_stack_scan_straddles_blocks_groups_and_chunks(monkeypatch, n, entries, batch, long_window):
+    monkeypatch.setattr(search_mod, "_GRID_CHUNK_ENTRIES", entries)
+    monkeypatch.setattr(search_mod, "_FINE_BATCH", batch)
+    monkeypatch.setattr(search_mod, "_LONG_WINDOW", long_window)
     lam, ends = spectra(n, np.linspace(1.6, 2.8, 25))
     scans = _assert_stack_scans_alone(lam, ends)
-    for row, scan in zip(zip(lam, ends), scans):
-        assert (scan.best, scan.p_best) == _full_scan(*row, scan)
+    for row, window, scan in zip(zip(lam, ends), search_mod._peak_windows(lam, ends), scans):
+        if scan.p_best >= window.floor:
+            assert (scan.best, scan.p_best) == _full_scan(*row, scan)
     counts = [scan.count for scan in scans]
-    assert min(counts) < block < max(counts) or block <= 256
-    assert min(counts) <= chunk < max(counts) or chunk == 65536
+    assert min(counts) <= long_window < max(counts) or long_window == 65536
 
 
 def test_stack_scan_keeps_the_order_of_refusals(monkeypatch):
@@ -1021,79 +1055,65 @@ def test_stack_scan_keeps_the_order_of_refusals(monkeypatch):
     expected = []
     for row in zip(lam, ends):
         try:
-            search_mod._peak_scan(*row)
+            _scan(*row)
         except HorizonError as exc:
             expected.append(str(exc))
     refusals = []
     scores = search_mod._first_peak_scores(lam, ends, ratios, refusals, {})
-    assert refusals == expected and len(set(refusals)) == 4
+    assert [str(refusal) for refusal in refusals] == expected and len(set(expected)) == 4
+    assert all(isinstance(refusal, HorizonError) for refusal in refusals)
     assert np.all(np.isneginf(scores[refused]))
     assert np.all(np.isfinite(np.delete(scores, refused)))
 
 
 def _counted_tables(monkeypatch):
-    """(stack size, offset table?) of each grid_angles call of search.
-
-    An offset table starts at k = 0, a block-start table after it.
-    """
+    """The stack size of each coarse kernel call of search, which builds its own tables."""
     builds = []
-    real = search_mod.grid_angles
+    real = search_mod.paired_grid_probability
 
-    def counting(lam, step, index):
-        builds.append((lam.shape[0] if lam.ndim == 2 else None, int(index[0]) == 0))
-        return real(lam, step, index)
+    def counting(lam, ends, step, first, count):
+        builds.append(len(lam))
+        return real(lam, ends, step, first, count)
 
-    monkeypatch.setattr(search_mod, "grid_angles", counting)
+    monkeypatch.setattr(search_mod, "paired_grid_probability", counting)
     return builds
 
 
-def _scanned_groups(window, scan):
-    """The groups a fine scan evaluated: those whose bound is not below its best sample."""
-    return [i for i, bound in enumerate(window.bounds) if bound >= scan.p_best]
+def _scanned_samples(window, scan):
+    """The fine samples of the intervals whose bound is not below a scan's best sample."""
+    scanned = window.intervals[window.bounds >= scan.p_best]
+    return int(np.minimum(scanned * window.stride + window.stride, window.count).sum()
+               - (scanned * window.stride).sum())
 
 
 def test_envelope_scan_builds_one_offset_table(monkeypatch):
-    # a long even window: one offset table for the fine scan, then only
-    # the block starts of each group it scans
+    # a long even window: one table of offsets and block starts for its
+    # coarse pass, none for the fine scan, which evaluates only the
+    # intervals that can hold its winner
     lam, ends = spectra(20, np.array([2.3]))
-    (window,) = search_mod._peak_windows(lam, ends)
     builds = _counted_tables(monkeypatch)
+    (window,) = search_mod._peak_windows(lam, ends)
     scan = search_mod._window_scan(lam[0], ends[0], window)
-    scanned = _scanned_groups(window, scan)
-    assert builds == [(None, True)] + [(None, False)] * len(scanned)
-    assert 1 <= len(scanned) <= 2 and scan.evaluated < scan.count
-    assert scan.evaluated == sum(window.cuts[i + 1] - window.cuts[i] for i in scanned)
+    assert builds == [1]
+    assert 1 <= window.intervals.size <= 8 and scan.evaluated < scan.count
+    assert scan.evaluated >= _scanned_samples(window, scan)
     assert (scan.best, scan.p_best) == _full_scan(lam[0], ends[0], scan)
 
 
 def test_chunked_scan_builds_one_offset_table(monkeypatch):
-    # an odd window of several chunks, each of several product groups:
-    # the coarse pass builds its offset and block-start tables, then the
-    # fine scan one offset table and one block-start table per group it
-    # scans
-    import altchain.dynamics
-
-    # blocks of 16 samples, two rows of blocks per product, chunks of 70
-    monkeypatch.setattr(altchain.dynamics, "_ANGLE_BLOCK", 16)
-    monkeypatch.setattr(altchain.dynamics, "_PRODUCT_SIZE", 2 * 16 * 3)
-    monkeypatch.setattr(search_mod, "_TIME_CHUNK", 70)
+    # an odd window of several spans: one table per coarse kernel call,
+    # and none for the fine scan
+    monkeypatch.setattr(search_mod, "_GRID_CHUNK_ENTRIES", 16)
     lam, ends = spectra(7, np.array([2.38]))
     window, step, count = search_mod._peak_grid(lam[0])
-    chunk = search_mod._TIME_CHUNK
-    pieces = sum(
-        len(search_mod.grid_pieces(7, min(chunk, count - start))) - 1
-        for start in range(0, count, chunk)
-    )
-    chunks = -(-count // chunk)
-    assert chunks >= 3 and pieces > chunks
+    spans = -(-((count - 1) // search_mod._COARSE_STRIDE + 1) // 16)
+    assert spans >= 3
     builds = _counted_tables(monkeypatch)
     windows = _counted_scans(monkeypatch)
-    scan = search_mod._peak_scan(lam[0], ends[0])
-    assert len(windows[0].cuts) - 1 == pieces
-    scanned = _scanned_groups(windows[0], scan)
-    assert builds == [(1, True)] * 2 + [(None, True)] + [(None, False)] * len(scanned)
+    scan = _scan(lam[0], ends[0])
+    assert builds == [1] * spans
     assert scan.count == count
-    assert scan.evaluated == sum(windows[0].cuts[i + 1] - windows[0].cuts[i] for i in scanned)
+    assert scan.evaluated >= _scanned_samples(windows[0], scan)
     assert (scan.best, scan.p_best) == _full_scan(lam[0], ends[0], scan)
 
 
@@ -1102,15 +1122,13 @@ def test_first_peak_scores_build_one_table_per_sub_stack(monkeypatch):
     lam, ends = spectra(8, grid)
     stride = search_mod._COARSE_STRIDE
     size = max(-(-search_mod._peak_grid(row)[2] // stride) + 1 for row in lam)
-    monkeypatch.setattr(search_mod, "_GRID_CHUNK_ENTRIES", 30 * size)  # 30 ratios per sub-stack
+    monkeypatch.setattr(search_mod, "_GRID_CHUNK_ENTRIES", 30 * size)  # 30 full windows per call
     polished = _counted_polishes(monkeypatch)
     builds = _counted_tables(monkeypatch)
     search_mod._first_peak_scores(lam, ends, grid, [], {})
-    # the coarse pass: 101 ratios in sub-stacks of 30, an offset and a
-    # block-start table each; then each polished ratio's fine scan, its
-    # window one group: its offset table and its block starts
-    assert builds[:8] == [(30, True)] * 6 + [(11, True)] * 2
-    assert builds[8:] == [(None, True), (None, False)] * len(polished)
+    # the coarse pass: the 101 ratios' spans, at least 30 to a call, one
+    # table each; then each polished ratio's fine scan, which builds none
+    assert len(builds) <= 4 and sum(builds) <= 101
     assert 1 <= len(polished) <= 8
 
 
@@ -1127,63 +1145,103 @@ def _counted_polishes(monkeypatch):
     return polished
 
 
-def _group_maxima(lam, ends, window):
-    """The highest fine sample of each group of a window, every sample evaluated."""
-    block = search_mod.grid_block(window.count)
-    offsets = search_mod.grid_angles(lam, window.step, np.arange(block))
-    return [
-        float(search_mod._grid_probability(lam, ends, window.step, offsets, a + 1, b + 1).max())
-        for a, b in zip(window.cuts[:-1], window.cuts[1:])
-    ]
-
-
 def _assert_bounds_cover_the_groups(n, ratios):
-    """Every group of every bounded window of N = n lies at or below its coarse bound."""
-    lam, ends = spectra(n, np.array(ratios))
+    """Every kept interval of every bounded window of N = n lies at or below its coarse bound.
+
+    Each ratio alone, and the stack of them: every sample of a kept
+    interval lies at or below its bound, and the full scan's winner of
+    each row that can win (it reaches the row's floor, as a row alone
+    always does) lies in a kept interval.  Returns the windows bounded
+    alone.
+    """
     bounded = 0
-    for row, window in zip(zip(lam, ends), search_mod._peak_windows(lam, ends)):
-        if isinstance(window, HorizonError):
-            continue  # N = 26 at 2.8 lies beyond the horizon
-        maxima = _group_maxima(*row, window)
-        assert all(top <= bound for top, bound in zip(maxima, window.bounds))
-        bounded += 1
+    for stack in [[ratio] for ratio in ratios] + [ratios]:
+        lam, ends = spectra(n, np.array(stack))
+        for row, window in zip(zip(lam, ends), search_mod._peak_windows(lam, ends)):
+            if isinstance(window, HorizonError):
+                continue  # N = 26 at 2.8 lies beyond the horizon
+            index = (window.intervals[:, None] * window.stride + np.arange(window.stride)).ravel()
+            times = (np.minimum(index, window.count - 1) + 1) * window.step
+            probs = np.where(index < window.count, paired_sample_probability(*row, times), -1.0)
+            assert np.all(probs.reshape(-1, window.stride).max(axis=1) <= window.bounds)
+            best, p_best = _best_sample(*row, window.step, window.count)
+            assert p_best >= window.floor or len(stack) > 1
+            if p_best >= window.floor:
+                assert best // window.stride in window.intervals
+                bounded += len(stack) == 1
     return bounded
 
 
 @pytest.mark.parametrize("n", range(4, 27))
 def test_coarse_bounds_cover_every_group(n):
-    # even and odd chains, below and above the regime threshold; one
-    # group of stride _COARSE_STRIDE up to N = 12, several groups of
-    # stride _COARSE_GROUP_STRIDE beyond
+    # even and odd chains, below and above the regime threshold; the
+    # short stride up to N = 12, the long one beyond
     assert _assert_bounds_cover_the_groups(n, [1.2, 2.0, 2.38, 2.8]) >= 3
 
 
 @pytest.mark.parametrize("n", [5, 7, 9, 11, 13])
 def test_coarse_bounds_cover_odd_windows_of_several_groups(monkeypatch, n):
-    import altchain.dynamics
-
-    # blocks of 16 samples, two rows of blocks per product, chunks of 100
-    monkeypatch.setattr(altchain.dynamics, "_ANGLE_BLOCK", 16)
-    monkeypatch.setattr(altchain.dynamics, "_PRODUCT_SIZE", 2 * 16 * (n // 2))
-    monkeypatch.setattr(search_mod, "_TIME_CHUNK", 100)
-    lam, ends = spectra(n, np.array([1.0, 2.38]))
-    for row, window in zip(zip(lam, ends), search_mod._peak_windows(lam, ends)):
-        assert len(window.cuts) > 3
-        maxima = _group_maxima(*row, window)
-        assert all(top <= bound for top, bound in zip(maxima, window.bounds))
-        scan = search_mod._window_scan(*row, window)
-        assert (scan.best, scan.p_best) == _full_scan(*row, scan)
+    # spans of 8 coarse samples: several kernel calls per window
+    monkeypatch.setattr(search_mod, "_GRID_CHUNK_ENTRIES", 8)
+    for delta in (1.0, 2.38):
+        lam, ends = (x[0] for x in spectra(n, np.array([delta])))
+        (window,) = search_mod._peak_windows(lam[None], ends[None])
+        assert (window.count - 1) // window.stride + 1 > 3 * 8
+        scan = search_mod._window_scan(lam, ends, window)
+        assert (scan.best, scan.p_best) == _full_scan(lam, ends, scan)
+    assert _assert_bounds_cover_the_groups(n, [1.0, 2.38]) == 2
 
 
 @pytest.mark.parametrize("n", [4, 5, 8, 13, 16, 20])
 def test_coarse_margin_covers_the_rounding_alone(monkeypatch, n):
-    # at stride 1 every fine sample is a coarse sample, evaluated with
-    # other blocks; with the curvature term zeroed the bound is the
-    # coarse sample plus the margin, which must cover the two roundings
+    # at stride 1 every fine sample is a coarse sample, evaluated by angle
+    # addition; with the curvature term zeroed the bound is the coarse
+    # sample plus the margin, which must cover the two roundings
     monkeypatch.setattr(search_mod, "_COARSE_STRIDE", 1)
-    monkeypatch.setattr(search_mod, "_COARSE_GROUP_STRIDE", 1)
+    monkeypatch.setattr(search_mod, "_COARSE_LONG_STRIDE", 1)
     monkeypatch.setattr(
         search_mod, "series_derivative_bounds",
         lambda lam, ends: (np.zeros(lam.shape[:-1]),) * 2,
     )
     assert _assert_bounds_cover_the_groups(n, [1.6, 2.0, 2.38]) == 3
+
+
+def _envelope_margin(lam, window):
+    """The rounding margin the gate allows a fine sample above the envelope."""
+    return search_mod._SKIP_DEVIATION * search_mod._EPS * window * lam[0] + search_mod._SKIP_MARGIN
+
+
+@pytest.mark.parametrize("delta", [1.2, 2.0, 2.38, 2.8])
+@pytest.mark.parametrize("n", range(3, 29))
+def test_fine_samples_lie_below_the_envelope(n, delta):
+    # (c0 + a |f(lambda_min t / 2)| + b)^2, f = sin on even chains and cos
+    # on odd ones, plus the margin, bounds every fine sample of the window
+    # (every sample up to 100 000, an even spread of them beyond)
+    lam, ends = (x[0] for x in spectra(n, np.array([delta])))
+    try:
+        window, step, count = search_mod._peak_grid(lam)
+    except HorizonError:
+        return  # N = 26 and 28 at 2.8 lie beyond the horizon
+    c0, a, b = (float(x[0]) for x in search_mod._envelope_terms(lam[None], ends[None]))
+    index = np.unique(np.linspace(0, count - 1, min(count, 100_000)).astype(int))
+    times = (index + 1) * step
+    phases = 0.5 * lam[n // 2 - 1] * times
+    slow = np.abs(np.sin(phases) if n % 2 == 0 else np.cos(phases))
+    envelope = (c0 + a * slow + b) ** 2
+    assert np.all(paired_sample_probability(lam, ends, times) <= envelope + _envelope_margin(lam, window))
+
+
+@pytest.mark.parametrize("rate", np.linspace(0.3, 3.0, 61))
+def test_gate_keeps_a_winner_on_the_envelope(rate):
+    # two levels +-rate: P = sin^2(rate t / 2) is its own envelope, and
+    # the seed at pi / lambda_min is the sample nearest the peak, the
+    # winner; in a stack of two the gate's level passes through it, and
+    # only the margin keeps the winner's interval
+    lam, ends = np.array([rate, -rate]), np.array([0.5, -0.5])
+    (window,) = search_mod._peak_windows(lam[None], ends[None])
+    alone = search_mod._window_scan(lam, ends, window)
+    windows = search_mod._peak_windows(np.stack([lam, lam]), np.stack([ends, ends]))
+    assert windows[0].floor > 0.99  # the stack is gated by its seeds
+    for stacked in windows:
+        scan = search_mod._window_scan(lam, ends, stacked)
+        assert (scan.best, scan.p_best) == (alone.best, alone.p_best) == _full_scan(lam, ends, scan)
