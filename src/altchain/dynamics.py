@@ -14,13 +14,16 @@ The bipartite chain pairs its levels as +-lambda, with partner columns
 into N/2 real terms at every node: pure cosines plus a zero-mode
 constant on odd nodes, pure sines on even nodes.  That series,
 applied to one chain or to a stack as spectral.spectra returns it, is
-paired_transfer_probability, the one probability kernel: every search,
-every sampled curve (node_probability, sample_curve) and the verify
-checks on sampled curves run on it.  The peak scan's coarse pass, which
-only bounds, takes it on a uniform time grid by angle addition
-(paired_grid_probability), its fine samples, whose bits must not depend
-on the batch, from paired_sample_probability, and its polish from the
-series' first two time derivatives (paired_transfer_derivatives).
+paired_transfer_probability, the one probability kernel: every search
+(the peak scan's fine samples and seeds, its polished p_h, the
+fixed-time score), every sampled curve (node_probability,
+sample_curve) and the verify checks on sampled curves run on it.  It
+sums each time's terms along their own axis, so a value has the bits
+of its time alone, whatever batch or stack it is evaluated in.  The
+peak scan's coarse pass, which only bounds, takes the series on a
+uniform time grid by angle addition (paired_grid_probability), and its
+polish the series' first two time derivatives
+(paired_transfer_derivatives).
 
 transfer_probability keeps the complex spectral sum at node N as the
 reference route: the closed-form reduced series, the paired kernel and
@@ -77,8 +80,8 @@ class TransferCurve:
 def _as_times(t: float | np.ndarray) -> tuple[np.ndarray, bool]:
     times = np.asarray(t, dtype=float)
     scalar = times.ndim == 0
-    times = np.atleast_1d(times)
-    if np.any(times < 0.0):
+    times = times[None] if scalar else times
+    if (times < 0.0).any():
         raise ValidationError("times must be non-negative")
     return times, scalar
 
@@ -142,41 +145,25 @@ def paired_transfer_probability(
 
     j over the positive eigenvalues and c_0 the product of the zero
     mode, which only an odd chain has.  t is a scalar or (..., T); the
-    result is (..., T), or (...).
+    result is (..., T), or (...).  The terms are summed along their
+    contiguous axis, not by a matrix product (BLAS rounds a row
+    differently in products of other shapes), so each value has the
+    bits of its own time, whatever batch or stack it sits in.
     """
     times, scalar = _as_times(t)
     n = lam.shape[-1]
     half = n // 2
     phases = 0.5 * times[..., :, None] * lam[..., None, :half]
-    if (n if node is None else node) % 2 == 0:
-        series = 2.0 * (np.sin(phases) @ ends[..., :half, None])
-    else:
-        series = 2.0 * (np.cos(phases) @ ends[..., :half, None])
-        if n % 2 == 1:
-            series += ends[..., half:half + 1, None]
-    probs = series[..., 0] ** 2
+    odd = (n if node is None else node) % 2 == 1
+    terms = np.cos(phases, out=phases) if odd else np.sin(phases, out=phases)
+    terms *= 2.0 * ends[..., None, :half]
+    series = terms.sum(axis=-1)
+    if odd and n % 2 == 1:
+        series += ends[..., half, None]
+    probs = np.square(series, out=series)
     if not scalar:
         return probs
     return float(probs[0]) if probs.ndim == 1 else probs[..., 0]
-
-
-def paired_sample_probability(lam: np.ndarray, ends: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """P_N at each time by the paired series, each value's bits those of its time alone.
-
-    The series of paired_transfer_probability for lam and ends (..., N)
-    and times (..., T), result (..., T), with its phases, but its terms
-    summed along their contiguous axis, not by a matrix product (BLAS
-    rounds a row differently in products of other shapes).
-    """
-    n = lam.shape[-1]
-    half = n // 2
-    phases = 0.5 * times[..., :, None] * lam[..., None, :half]
-    terms = np.sin(phases, out=phases) if n % 2 == 0 else np.cos(phases, out=phases)
-    terms *= 2.0 * ends[..., None, :half]
-    series = terms.sum(axis=-1)
-    if n % 2 == 1:
-        series += ends[..., half, None]
-    return np.square(series, out=series)
 
 
 def paired_grid_probability(

@@ -19,21 +19,21 @@ of the rest by its end samples plus the curvature bound of the series
 (series_derivative_bounds; Breiman and Cutler 1993, as in Hansen,
 Jaumard and Lu 1992; _peak_windows), and the fine scan evaluates the
 intervals in descending order of their bounds until the bound lies
-below its best sample (_window_scan).  Its samples come from
-paired_sample_probability, whose bits do not depend on the batch, so it
-finds the full scan's sample, to the bit; the polished values come from
-paired_transfer_probability.  optimize_delta and fixed_time_optimize
-are one ratio search (_ratio_search) under two scores, which passes
-over a refused ratio: its spectrum fails its checks, or its score is
-out of reach.  On chains of up to _LOOK_AHEAD_SITES its golden-section
-polish solves ahead: one stacked solve holds every ratio that golden
-section can evaluate in its next _LOOK_AHEAD steps, and only the ratios
-it does evaluate are scored.  optimize_delta's score scans and polishes
-only the ratios that can win (_first_peak_scores), no ratio twice, and
-first_peak is its stack of one.  Every search returns at least its own
-grid winner.  All searches are deterministic: grids are fixed by the
-parameters alone and tie-breaks take the earliest time (or smallest
-ratio).
+below its best sample (_window_scan).  Its samples, the seeds and the
+polished values all come from paired_transfer_probability, whose bits
+do not depend on the batch, so the scan finds the full scan's sample,
+to the bit, and the polish compares values of one series.
+optimize_delta and fixed_time_optimize are one ratio search
+(_ratio_search) under two scores, which passes over a refused ratio:
+its spectrum fails its checks, or its score is out of reach.  On chains
+of up to _LOOK_AHEAD_SITES its golden-section polish solves ahead: one
+stacked solve holds every ratio that golden section can evaluate in its
+next _LOOK_AHEAD steps, and only the ratios it does evaluate are
+scored.  optimize_delta's score scans and polishes only the ratios that
+can win (_first_peak_scores), no ratio twice, and first_peak is its
+stack of one.  Every search returns at least its own grid winner.  All
+searches are deterministic: grids are fixed by the parameters alone and
+tie-breaks take the earliest time (or smallest ratio).
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from .chain import ChainSpec, check_sites
 from .dynamics import (
     check_horizon,
     paired_grid_probability,
-    paired_sample_probability,
     paired_transfer_derivatives,
     paired_transfer_probability,
     series_derivative_bounds,
@@ -383,7 +382,7 @@ def _coarse_bounds(
     if len(grids) > 1 or count[0] > _LONG_WINDOW:
         seeds = np.rint(math.pi / (lam_min * step)[:, None] * _SEED_FRACTIONS)
         seeds = np.minimum(np.maximum(seeds, 1.0), count[:, None]) * step[:, None]
-        own = paired_sample_probability(lam, ends, seeds).max(axis=1).tolist()
+        own = paired_transfer_probability(lam, ends, seeds).max(axis=1).tolist()
     else:
         own = [-math.inf]
     best = max(own)
@@ -529,7 +528,7 @@ def _window_scan(lam: np.ndarray, ends: np.ndarray, window: _PeakWindow) -> _Pea
         if spill > 0:
             index = index[:-spill]
         done, size = done + size, min(2 * size, most)
-        probs = paired_sample_probability(lam, ends, index * window.step)
+        probs = paired_transfer_probability(lam, ends, index * window.step)
         evaluated += index.size
         k = int(np.argmax(probs))  # index ascends: the earliest of the highest
         if probs[k] > p_best or (probs[k] == p_best and index[k] <= best):

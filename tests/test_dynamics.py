@@ -12,6 +12,7 @@ from altchain import (
     NumericError,
     ResourceError,
     ValidationError,
+    VerificationError,
     build_coupling_matrix,
     eigensystem_even,
     eigensystem_for,
@@ -27,12 +28,14 @@ from altchain import (
     transfer_probability_even_form,
     transfer_probability_odd_form,
 )
+from altchain import dynamics
 from altchain.dynamics import (
     _full_space_states,
+    check_horizon,
     paired_grid_probability,
-    paired_sample_probability,
     paired_transfer_derivatives,
 )
+from altchain.verify import run_all
 
 P_8303 = 0.9999853660555051  # four sites, ratio 2.272
 P_N5_EARLY = 0.9423883339086744  # five sites, uniform, first high peak
@@ -342,22 +345,64 @@ def test_grid_kernel_keeps_the_bits_of_the_allocating_expression(n):
 
 @pytest.mark.parametrize("n", range(4, 65, 4))
 def test_sample_series_keeps_each_bit_whatever_its_batch(n):
-    # the peak scans' fine samples: a time's value is the same in a batch
-    # of 1 or of 70 000, wherever the batch starts, for both parities
+    # every probability of the paired series, at the end node (70 000 times)
+    # and at inner nodes of both parities (the first 9 000): a time's value
+    # is the same in a batch of 1 or of 70 000, wherever the batch starts,
+    # and for a scalar time
     for size in (n, n + 1):
         lam, ends = (x[0] for x in spectra(size, np.array([2.38])))
-        times = np.random.default_rng(size).uniform(0.0, 1.3 * math.pi / lam[size // 2 - 1], 70000)
-        whole = paired_sample_probability(lam, ends, times)
-        for batch in (1, 2, 3, 7, 64, 255, 4097, 70000):
-            for start in range(0, 70000 - batch + 1, max(batch, 9000)):
-                part = paired_sample_probability(lam, ends, times[start:start + batch])
-                assert np.array_equal(part, whole[start:start + batch])
-        # a stack of chains, and the direct series to rounding
-        stacked = paired_sample_probability(
-            np.stack([lam, lam]), np.stack([ends, ends]), np.stack([times[:5], times[5:10]])
-        )
+        eig = eigensystem_for(ChainSpec(size, 2.38))
+        window = 1.3 * math.pi / lam[size // 2 - 1]
+        times = np.random.default_rng(size).uniform(0.0, window, 70000)
+        nodes = [(None, ends, times)]
+        nodes += [(k, eig.vectors[0] * eig.vectors[k - 1], times[:9000]) for k in (2, 3)]
+        for node, weights, at in nodes:
+            whole = paired_transfer_probability(lam, weights, at, node)
+            for batch in (1, 2, 3, 7, 64, 255, 4097, 70000):
+                for start in range(0, at.size - batch + 1, max(batch, 9000)):
+                    part = paired_transfer_probability(lam, weights, at[start:start + batch], node)
+                    assert np.array_equal(part, whole[start:start + batch])
+            for i in (0, 1, at.size - 1):
+                assert paired_transfer_probability(lam, weights, float(at[i]), node) == whole[i]
+        # a stack of chains, at one time each and at a scalar time
+        stack = np.stack([lam, lam]), np.stack([ends, ends])
+        whole = paired_transfer_probability(lam, ends, times)
+        stacked = paired_transfer_probability(*stack, np.stack([times[:5], times[5:10]]))
         assert np.array_equal(stacked.ravel(), whole[:10])
-        assert np.max(np.abs(whole - paired_transfer_probability(lam, ends, times))) <= 1e-13
+        assert paired_transfer_probability(*stack, float(times[3])).tolist() == [whole[3]] * 2
+        # the complex reference route to rounding, at 9 000 times inside the horizon
+        reach = min(window, 0.5e-9 / (lam[0] * np.finfo(float).eps))
+        check_horizon(reach, float(lam[0]))
+        inside = times[:9000] * (reach / window)
+        reference = transfer_probability(eig, inside)
+        assert np.max(np.abs(paired_transfer_probability(lam, ends, inside) - reference)) <= 1e-13
+
+
+def _without_zero_mode(kernel):
+    """The kernel with an odd chain's zero-mode constant dropped."""
+
+    def defect(lam, ends, t, node=None):
+        if lam.shape[-1] % 2:
+            ends = ends.copy()
+            ends[..., lam.shape[-1] // 2] = 0.0
+        return kernel(lam, ends, t, node)
+
+    return defect
+
+
+def _scaled(kernel):
+    """The kernel with its output scaled by 1 + 1e-9."""
+    return lambda lam, ends, t, node=None: kernel(lam, ends, t, node) * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("defect", [_without_zero_mode, _scaled], ids=["zero-mode", "scaled"])
+def test_verify_guards_the_kernel(monkeypatch, defect):
+    # the unitarity check sums P over every node of odd and even chains,
+    # so a defect seeded in the one kernel fails it
+    run_all(checks=["unitarity"])
+    monkeypatch.setattr(dynamics, "paired_transfer_probability", defect(paired_transfer_probability))
+    with pytest.raises(VerificationError, match=r"^unitarity:"):
+        run_all(checks=["unitarity"])
 
 
 @pytest.mark.parametrize("n", [4, 5, 8, 9, 16])
