@@ -182,8 +182,8 @@ def paired_grid_probability(
     so the series of a chain is two (count/B x N/2) @ (N/2 x B) products
     of a block-start and an offset table, about 2 sqrt(count) sines and
     cosines per level.  The offsets round their phases differently from
-    the direct series, so the two differ by a few eps * t * lambda_max
-    (1e-15 to 1e-12 over the first-peak windows up to N=22).
+    the direct series; rounding_bound bounds how far either lies from
+    the series of their inputs.
     """
     n = lam.shape[-1]
     half, block = n // 2, math.isqrt(count - 1) + 1
@@ -229,21 +229,46 @@ def paired_transfer_derivatives(lam: np.ndarray, ends: np.ndarray, t: float) -> 
     return float(2.0 * s * ds), float(2.0 * (ds * ds + s * dds))
 
 
-def series_derivative_bounds(lam: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(S1, S2) = (sum_j |c_j| lambda_j, 1/2 sum_j |c_j| lambda_j^2) over the positive half.
+def series_bounds(lam: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(c0, a, b, S1, S2) of the series s of P_N = s^2, from the weights 2|c_j| of its levels.
 
-    lam and ends are (..., N) as in paired_transfer_probability; the
-    sums are (...).  At every t the series s of P_N = s^2 obeys
-    |s'| <= S1 and |s''| <= S2, and |s| <= sum over all levels of
-    |c_j| <= 1 (Cauchy-Schwarz on u_1 and u_N), so
-    |P''| = |2 s'^2 + 2 s s''| <= 2 (S1^2 + S2): between samples d
-    apart P exceeds the larger by at most (S1^2 + S2) d^2 / 4 (the peak
-    scan's coarse bounds), and within h of a stationary point it lies at
-    most (S1^2 + S2) h^2 below it (the rise of a polish).
+    lam and ends are (..., N) as in paired_transfer_probability, each
+    bound (...).  a is the slowest level's weight, b the sum of the
+    others' and c0 = |c_0| the zero mode's (0 on an even chain): |s| <=
+    c0 + a |f(lambda_min t/2)| + b, f = sin on an even chain and cos on
+    an odd one, and c0 + a + b <= 1 (Cauchy-Schwarz on u_1 and u_N).
+    S1 = sum_j |c_j| lambda_j and S2 = 1/2 sum_j |c_j| lambda_j^2 bound
+    |s'| and |s''|, so |P''| <= 2 (S1^2 + S2): between samples d apart P
+    exceeds the larger by at most (S1^2 + S2) d^2 / 4, and within h of
+    a stationary point it lies at most (S1^2 + S2) h^2 below it.
     """
     half = lam.shape[-1] // 2
-    rates = np.abs(ends[..., :half]) * lam[..., :half]
-    return rates.sum(axis=-1), 0.5 * (rates * lam[..., :half]).sum(axis=-1)
+    weights = 2.0 * np.abs(ends[..., :half])
+    rates = weights * lam[..., :half]
+    zero = np.abs(ends[..., half]) if lam.shape[-1] % 2 else np.zeros(lam.shape[:-1])
+    slow, fast = weights[..., half - 1], weights[..., :half - 1].sum(axis=-1)
+    return zero, slow, fast, 0.5 * rates.sum(axis=-1), 0.25 * (rates * lam[..., :half]).sum(axis=-1)
+
+
+def rounding_bound(n: int, size: float, s1: float, t: float) -> float:
+    """How far P_N of an N-site chain, by either kernel at times up to t, lies from its series.
+
+    The series of the kernels' float inputs at the float times, with
+    size >= |s| and s1 = S1 (series_bounds).  With u = eps/2 the
+    computed s lies within e = u (3 t S1 + (N + 12) size) of it, and
+    P = s^2 within e (2 size + e) + u (size + e)^2 (Higham 2002, ch. 3).
+    Phases: the direct series rounds lambda t/2 once; angle addition
+    rounds step*K, step*r and both phases and is compared at fl(step*k),
+    3 u t lambda/2 in all, 3 u t S1 over the weights 2|c_j|.  Per level,
+    the sines and cosines (accurate to an ulp, 2 sqrt(2) u in angle
+    addition's sin(Ka) cos(ra) + cos(Ka) sin(ra)) and the products by
+    2 c_j and the offsets round; the sums over the levels add gamma_{N/2},
+    and those of the two products and of c_0 u each.  The rest is slack,
+    for second-order terms and comparisons with the bound.
+    """
+    u = 0.5 * _EPS
+    e = u * (3.0 * t * s1 + (n + 12) * size)
+    return e * (2.0 * size + e) + u * (size + e) ** 2
 
 
 def sample_curve(

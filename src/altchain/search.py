@@ -16,8 +16,8 @@ nine samples near pi / lambda_min bound the stack's winner from below,
 an analytic envelope of the series leaves out the times that cannot
 reach that bound, a coarse pass by angle addition bounds each interval
 of the rest by its end samples plus the curvature bound of the series
-(series_derivative_bounds; Breiman and Cutler 1993, as in Hansen,
-Jaumard and Lu 1992; _peak_windows), and the fine scan evaluates the
+(series_bounds; Breiman and Cutler 1993, as in Hansen, Jaumard and Lu
+1992; _peak_windows), and the fine scan evaluates the
 intervals in descending order of their bounds until the bound lies
 below its best sample (_window_scan).  Its samples, the seeds and the
 polished values all come from paired_transfer_probability, whose bits
@@ -51,7 +51,8 @@ from .dynamics import (
     paired_grid_probability,
     paired_transfer_derivatives,
     paired_transfer_probability,
-    series_derivative_bounds,
+    rounding_bound,
+    series_bounds,
 )
 from .errors import HorizonError, NumericError, ResourceError, ValidationError
 from .spectral import _masked_spectra, spectra
@@ -72,21 +73,12 @@ _MAX_GRID_POINTS = 100_000_000
 _MAX_RATIO_STEPS = 1_000_000
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_EPS = float(np.finfo(float).eps)
 # the ratio polish solves the candidate points of its next _LOOK_AHEAD
 # golden-section steps in one stack, 2^(k+1) - 1 ratios for k steps, on
 # chains of up to _LOOK_AHEAD_SITES; on longer ones the 31 ratios cost
 # more to solve than the calls they save, and it solves one at a time
 _LOOK_AHEAD = 4
 _LOOK_AHEAD_SITES = 32
-# the margin of a skip above its bound (the envelope, a coarse interval's
-# bound, the rise of a polish): the angle-addition coarse pass
-# differs from the direct series by at most 0.15 eps * window * lambda_max
-# (measured over N = 4..26 at ratios 1.5..3.5); the margin allows
-# _SKIP_DEVIATION times that, plus _SKIP_MARGIN for the rounding of the
-# bound and of the polished p_h
-_SKIP_DEVIATION = 8.0
-_SKIP_MARGIN = 1e-10
 # grid samples per coarse interval on windows of up to _LONG_WINDOW samples and beyond
 _COARSE_STRIDE = 4
 _COARSE_LONG_STRIDE = 32
@@ -322,28 +314,14 @@ def _peak_windows(lam: np.ndarray, ends: np.ndarray) -> list[_PeakWindow | Numer
     return windows
 
 
-def _envelope_terms(lam: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(c0, a, b) of each chain of a stack: P_N(t) <= (c0 + a |f(lambda_min t / 2)| + b)^2.
-
-    f is sin for an even chain and cos for an odd one, a = 2|c_min| the
-    weight of the slowest level, b = 2 sum |c_j| over the faster ones
-    and c0 = |c_0| the zero mode's, 0 on an even chain: the series
-    takes the slowest term exactly and bounds every other by its weight.
-    """
-    half = lam.shape[-1] // 2
-    weights = 2.0 * np.abs(ends[..., :half])
-    zero = np.abs(ends[..., half]) if lam.shape[-1] % 2 else np.zeros(lam.shape[:-1])
-    return zero, weights[..., half - 1], weights[..., :half - 1].sum(axis=-1)
-
-
 def _envelope_runs(
     c0: float, a: float, b: float, level: float, even: bool
 ) -> list[tuple[float, float]]:
     """The runs of phases lambda_min t / 2 in [0, pi) where the envelope reaches level.
 
-    The envelope is _envelope_terms'.  The window's phases stay below pi:
-    one run on an even chain, around pi / 2, and at most two on an odd
-    one, from 0 and to the window end.
+    The envelope is (c0 + a |f(lambda_min t / 2)| + b)^2 (series_bounds).
+    The window's phases stay below pi: one run on an even chain, around
+    pi / 2, and at most two on an odd one, from 0 and to the window end.
     """
     amount = math.sqrt(max(level, 0.0)) - c0 - b
     if amount <= 0.0:
@@ -366,19 +344,19 @@ def _coarse_bounds(
     short window takes none, as it could only save coarse samples of
     its one kernel call.  A row needs only the samples that reach its
     floor, max(its own nine, L - its rise): below that it cannot win.
-    The coarse pass samples P at every m-th grid point of the intervals
-    where the envelope plus the rounding margin reaches the floor
-    (_envelope_runs), by angle addition in spans of at most
-    _GRID_CHUNK_ENTRIES samples (_coarse_calls).  As |P''| <= 2 (S1^2 +
-    S2), P between two coarse samples exceeds the larger by at most
-    (S1^2 + S2) (m h)^2 / 4, which an interval's bound adds, with twice
-    _SKIP_DEVIATION times the kernel's deviation (of a coarse and a fine
-    sample) and _SKIP_MARGIN; a coarse sample less that margin bounds a
+    Either kernel's P lies within E of the series up to the last coarse
+    sample, m steps past the window at most (rounding_bound).  The
+    coarse pass samples P at every m-th grid point of the intervals
+    where the envelope reaches the floor less E (_envelope_runs), by
+    angle addition in spans of at most _GRID_CHUNK_ENTRIES samples
+    (_coarse_calls).  As |P''| <= 2 (S1^2 + S2), P between two coarse
+    samples exceeds the larger by at most (S1^2 + S2) (m h)^2 / 4, which
+    an interval's bound adds, with 2E; a coarse sample less 2E bounds a
     fine sample from below, and raises the floor of its span.
     """
-    half = lam.shape[-1] // 2
-    window, step, count = np.array(grids).T
-    lam_min = lam[:, half - 1]
+    sites = lam.shape[-1]
+    _, step, count = np.array(grids).T
+    lam_min = lam[:, sites // 2 - 1]
     if len(grids) > 1 or count[0] > _LONG_WINDOW:
         seeds = np.rint(math.pi / (lam_min * step)[:, None] * _SEED_FRACTIONS)
         seeds = np.minimum(np.maximum(seeds, 1.0), count[:, None]) * step[:, None]
@@ -386,24 +364,21 @@ def _coarse_bounds(
     else:
         own = [-math.inf]
     best = max(own)
-    rows = zip(
-        window.tolist(), step.tolist(), count.tolist(), lam[:, 0].tolist(), lam_min.tolist(),
-        *(x.tolist() for x in series_derivative_bounds(lam, ends)),
-        *(x.tolist() for x in _envelope_terms(lam, ends)), own,
-    )
+    terms = (x.tolist() for x in series_bounds(lam, ends))
+    rows = zip(step.tolist(), count.tolist(), lam_min.tolist(), *terms, own)
     strides, guards, slack, floor, top, rise, segments = [], [], [], [], [], [], []
-    for i, (span, h, n, lam_max, lam_low, s1, s2, c0, a, b, seed) in enumerate(rows):
+    for i, (h, n, lam_low, c0, a, b, s1, s2, seed) in enumerate(rows):
         m = _COARSE_LONG_STRIDE if n > _LONG_WINDOW else _COARSE_STRIDE
-        curvature, deviation = s1 * s1 + s2, _SKIP_DEVIATION * _EPS * span * lam_max
+        curvature, error = s1 * s1 + s2, rounding_bound(sites, c0 + a + b, s1, (n + m) * h)
         strides.append(m)
-        guards.append(2.0 * deviation + _SKIP_MARGIN)
-        rise.append(curvature * h * h + deviation + _SKIP_MARGIN)
+        guards.append(2.0 * error)
+        rise.append(curvature * h * h + 2.0 * error)
         floor.append(max(seed, best - rise[-1]))
-        top.append(floor[-1] - deviation - _SKIP_MARGIN)  # the envelope's level
+        top.append(floor[-1] - error)  # the envelope's level
         slack.append(curvature * (m * h) ** 2 / 4 + guards[-1])
         # interval j, samples j*m .. j*m + m - 1, spans the phases j * width .. (j + 1) * width
         width, last = 0.5 * lam_low * m * h, int(n - 1) // m
-        for lo, hi in _envelope_runs(c0, a, b, top[-1], half * 2 == lam.shape[-1]):
+        for lo, hi in _envelope_runs(c0, a, b, top[-1], sites % 2 == 0):
             first, stop = max(0, math.ceil(lo / width) - 1), int(min(hi / width, last))
             if first <= stop:
                 segments.append((i, first, stop))
@@ -458,8 +433,8 @@ def _peak_polish(lam: np.ndarray, ends: np.ndarray, delta: float, scan: _PeakSca
 
     The root is sought within one step h of the sample (_slope_root);
     it is kept where P there is not below the sample, so p_h lies at
-    most (S1^2 + S2) h^2 above the sample, the rise optimize_delta's
-    grid relies on to skip a ratio.
+    most (S1^2 + S2) h^2 above the sample, plus twice rounding_bound:
+    the rise optimize_delta's grid relies on to skip a ratio.
     """
     estimate = math.pi / float(lam[lam.size // 2 - 1])
     step, best, p_best = scan.step, scan.best, scan.p_best
@@ -665,7 +640,7 @@ def _first_peak_scores(
     winner, so the best score and its first index are those of polishing
     every ratio.  The rise is certified: the polish keeps the best
     sample or returns the root of dP/dt within one step h of it, where P
-    exceeds the sample by at most (S1^2 + S2) h^2, plus the margin.
+    exceeds the sample by at most (S1^2 + S2) h^2, plus 2E (_coarse_bounds).
     """
     windows = _peak_windows(lam, ends)
     refusals += [window for window in windows if isinstance(window, NumericError)]

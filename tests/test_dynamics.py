@@ -34,7 +34,10 @@ from altchain.dynamics import (
     check_horizon,
     paired_grid_probability,
     paired_transfer_derivatives,
+    rounding_bound,
+    series_bounds,
 )
+from altchain.search import _peak_grid
 from altchain.verify import run_all
 
 P_8303 = 0.9999853660555051  # four sites, ratio 2.272
@@ -403,6 +406,50 @@ def test_verify_guards_the_kernel(monkeypatch, defect):
     monkeypatch.setattr(dynamics, "paired_transfer_probability", defect(paired_transfer_probability))
     with pytest.raises(VerificationError, match=r"^unitarity:"):
         run_all(checks=["unitarity"])
+
+
+def long_double_probability(lam, ends, times):
+    """P_N of the paired series of lam and ends at the given float times, in long double."""
+    lam, ends, times = (np.asarray(x, dtype=np.longdouble) for x in (lam, ends, times))
+    half = lam.size // 2
+    phases = np.multiply.outer(times, lam[:half]) / 2
+    series = (np.cos(phases) if lam.size % 2 else np.sin(phases)) @ (2 * ends[:half])
+    if lam.size % 2:
+        series += ends[half]
+    return series * series
+
+
+@pytest.mark.skipif(
+    not np.finfo(np.longdouble).eps < 1e-18, reason="long double is no wider than double here"
+)
+def test_kernels_lie_within_the_rounding_bound():
+    # both kernels on 4096-sample chunks at the start, middle and end of
+    # every first-peak window that _peak_grid lays out (113 of the 132),
+    # against their own series in long double at the same float times:
+    # each lies within rounding_bound, and the bound is not loose by more
+    # than a factor of ten somewhere
+    worst = 0.0
+    for n in [*range(4, 33), 40, 48, 56, 64]:
+        lam, ends = spectra(n, np.array([0.5, 1.0, 2.38, 8.0]))
+        for row_lam, row_ends in zip(lam, ends):
+            try:
+                _, step, count = _peak_grid(row_lam)
+            except NumericError:
+                continue  # even N at 8 from N = 14, and at 2.38 from N = 32
+            c0, a, b, s1, _ = (float(x) for x in series_bounds(row_lam, row_ends))
+            size = min(count, 4096)
+            for first in (1, max(1, (count - size) // 2), count - size + 1):
+                times = np.arange(first, first + size) * step
+                bound = rounding_bound(n, c0 + a + b, s1, float(times[-1]))
+                exact = long_double_probability(row_lam, row_ends, times)
+                grid = paired_grid_probability(
+                    row_lam[None], row_ends[None], np.array([step]), np.array([first]), size
+                )[0]
+                for kernel in (grid, paired_transfer_probability(row_lam, row_ends, times)):
+                    error = float(np.max(np.abs(kernel - exact)))
+                    assert error <= bound
+                    worst = max(worst, error / bound)
+    assert worst >= 0.1
 
 
 @pytest.mark.parametrize("n", [4, 5, 8, 9, 16])

@@ -21,6 +21,7 @@ from altchain import (
     transfer_probability,
 )
 from altchain import search as search_mod
+from altchain.dynamics import rounding_bound, series_bounds
 from altchain.roots import bisect
 
 # frozen search outputs, produced on the closed-form eigensystems and
@@ -801,8 +802,8 @@ def test_ideal_ratio_dwell_contains_arrival():
 
 
 def _no_skip(lam, ends):
-    """series_derivative_bounds with an unbounded curvature: every grid ratio is polished."""
-    return (np.full(lam.shape[:-1], math.inf),) * 2
+    """series_bounds with an unbounded curvature: every grid ratio is polished."""
+    return (*series_bounds(lam, ends)[:3], *(np.full(lam.shape[:-1], math.inf),) * 2)
 
 
 def _poison_above(monkeypatch, n, cut):
@@ -838,7 +839,7 @@ def test_skipped_grid_ratios_change_no_output(monkeypatch, n, lo, hi, ratios_per
     if cut is not None:
         _poison_above(monkeypatch, n, cut)
     skipping = repr(optimize_delta(n, lo, hi))
-    monkeypatch.setattr(search_mod, "series_derivative_bounds", _no_skip)
+    monkeypatch.setattr(search_mod, "series_bounds", _no_skip)
     assert repr(optimize_delta(n, lo, hi)) == skipping
 
 
@@ -950,10 +951,11 @@ def test_polish_rises_within_the_certified_bound(n):
     # rise a skipped grid ratio is allowed
     ratios = np.linspace(1.6, 3.2, 17)
     lam, ends = spectra(n, ratios)
-    s1, s2 = search_mod.series_derivative_bounds(lam, ends)
+    c0, a, b, s1, s2 = series_bounds(lam, ends)
     for i, delta in enumerate(ratios):
         scan = _scan(lam[i], ends[i])
-        rise = (s1[i] ** 2 + s2[i]) * scan.step**2 + search_mod._SKIP_MARGIN
+        error = rounding_bound(n, c0[i] + a[i] + b[i], s1[i], scan.window)
+        rise = (s1[i] ** 2 + s2[i]) * scan.step**2 + 2.0 * error
         p_h = _peak(lam[i], ends[i], float(delta)).p_h
         assert scan.p_best - 1e-12 <= p_h <= scan.p_best + rise
 
@@ -1195,20 +1197,18 @@ def test_coarse_bounds_cover_odd_windows_of_several_groups(monkeypatch, n):
 @pytest.mark.parametrize("n", [4, 5, 8, 13, 16, 20])
 def test_coarse_margin_covers_the_rounding_alone(monkeypatch, n):
     # at stride 1 every fine sample is a coarse sample, evaluated by angle
-    # addition; with the curvature term zeroed the bound is the coarse
-    # sample plus the margin, which must cover the two roundings
+    # addition; with the curvature term zeroed (S2 = -S1^2, and S1, which
+    # the rounding bound reads, kept) the bound is the coarse sample plus
+    # the margin, which must cover the two roundings
     monkeypatch.setattr(search_mod, "_COARSE_STRIDE", 1)
     monkeypatch.setattr(search_mod, "_COARSE_LONG_STRIDE", 1)
-    monkeypatch.setattr(
-        search_mod, "series_derivative_bounds",
-        lambda lam, ends: (np.zeros(lam.shape[:-1]),) * 2,
-    )
+
+    def flat(lam, ends):
+        c0, a, b, s1, _ = series_bounds(lam, ends)
+        return c0, a, b, s1, -s1 * s1
+
+    monkeypatch.setattr(search_mod, "series_bounds", flat)
     assert _assert_bounds_cover_the_groups(n, [1.6, 2.0, 2.38]) == 3
-
-
-def _envelope_margin(lam, window):
-    """The rounding margin the gate allows a fine sample above the envelope."""
-    return search_mod._SKIP_DEVIATION * search_mod._EPS * window * lam[0] + search_mod._SKIP_MARGIN
 
 
 @pytest.mark.parametrize("delta", [1.2, 2.0, 2.38, 2.8])
@@ -1222,13 +1222,14 @@ def test_fine_samples_lie_below_the_envelope(n, delta):
         window, step, count = search_mod._peak_grid(lam)
     except HorizonError:
         return  # N = 26 and 28 at 2.8 lie beyond the horizon
-    c0, a, b = (float(x[0]) for x in search_mod._envelope_terms(lam[None], ends[None]))
+    c0, a, b, s1, _ = (float(x) for x in series_bounds(lam, ends))
     index = np.unique(np.linspace(0, count - 1, min(count, 100_000)).astype(int))
     times = (index + 1) * step
     phases = 0.5 * lam[n // 2 - 1] * times
     slow = np.abs(np.sin(phases) if n % 2 == 0 else np.cos(phases))
     envelope = (c0 + a * slow + b) ** 2
-    assert np.all(paired_transfer_probability(lam, ends, times) <= envelope + _envelope_margin(lam, window))
+    margin = rounding_bound(n, c0 + a + b, s1, window)  # the gate's allowance above the envelope
+    assert np.all(paired_transfer_probability(lam, ends, times) <= envelope + margin)
 
 
 @pytest.mark.parametrize("rate", np.linspace(0.3, 3.0, 61))
