@@ -545,15 +545,15 @@ def _ratio_search(
     ratios, one solve each; golden section refines within one step of
     its first best ratio, and the grid winner stands where that does not
     beat it (as at a range end, which golden section never evaluates).
-    Up to _LOOK_AHEAD_SITES the polish solves ahead: each stack holds
-    every ratio golden section can evaluate in its next _LOOK_AHEAD
-    steps (the grid winner rides with the first), and only the ratios
-    it does evaluate are scored, one row at a time; longer chains solve
-    one ratio per stack.  A stacked row equals the solve of its ratio alone, so no
-    ratio scores differently.  lam and ends are the spectrum of the
-    returned ratio, as spectra gives it.  A ratio whose spectrum fails
-    its checks (_masked_spectra), or that score gives -inf, is refused
-    and no candidate; a range of refused ratios raises NumericError,
+    Up to _LOOK_AHEAD_SITES the polish solves ahead: each stack, kept
+    whole, holds every ratio golden section can evaluate in its next
+    _LOOK_AHEAD steps (the grid winner rides with the first), and only
+    the ratios it evaluates are cut from it and scored; longer chains
+    solve one ratio per stack.  A stacked row equals the solve of its
+    ratio alone, so no ratio scores differently.  lam and ends are the
+    spectrum of the returned ratio, as spectra gives it.  A ratio whose
+    spectrum fails its checks (_masked_spectra), or that score gives
+    -inf, is refused; a range of refused ratios raises NumericError,
     which names the first ratio's reason: its failed checks, or else
     the first of refusals, where score records why it gave -inf.
     """
@@ -570,17 +570,17 @@ def _ratio_search(
             reason = f"the spectrum at delta={lo:.6g} fails the checks of spectra"
         raise NumericError(f"refused every ratio of [{lo:.6g}, {hi:.6g}] at N={n_sites}: {reason}")
     winner = float(grid[best])
-    rows: dict[float, tuple[np.ndarray, np.ndarray, bool]] = {}
+    rows: dict[float, tuple[tuple[np.ndarray, np.ndarray, np.ndarray], int]] = {}  # (stack, row)
 
     def prefetch(points: list[float]) -> None:
         ratios = [p for p in dict.fromkeys([*points, winner]) if p not in rows]
-        lam, ends, ok = _masked_spectra(n_sites, np.array(ratios))
-        for i, ratio in enumerate(ratios):
-            rows[ratio] = (lam[i:i + 1], ends[i:i + 1], bool(ok[i]))
+        stack = _masked_spectra(n_sites, np.array(ratios))
+        rows.update((ratio, (stack, i)) for i, ratio in enumerate(ratios))
 
     def polish(delta: float) -> float:
-        lam, ends, ok = rows[delta]
-        return float(score(lam, ends, np.array([delta]))[0]) if ok else -math.inf
+        (lam, ends, ok), i = rows[delta]
+        row = slice(i, i + 1)
+        return float(score(lam[row], ends[row], np.array([delta]))[0]) if ok[i] else -math.inf
 
     ahead = _LOOK_AHEAD if n_sites <= _LOOK_AHEAD_SITES else 0
     delta, p = _golden_max(
@@ -588,8 +588,8 @@ def _ratio_search(
     )
     if not p > p_best:
         delta, p = winner, p_best
-    lam, ends, _ = rows[delta]
-    return delta, p, (lam[0], ends[0])
+    (lam, ends, _), i = rows[delta]
+    return delta, p, (lam[i], ends[i])
 
 
 def optimize_delta(n_sites: int, delta_lo: float, delta_hi: float) -> TransferTriad:

@@ -17,7 +17,7 @@ the levels and the end products u_1j * u_Nj, and a stack of ratios
 identity c_j = prod_i b_i / prod_{k != j} (lambda_j - lambda_k)
 (Parlett 1998, ch. 7; de Boor and Golub 1978), checked by the sum
 rules 2 sum_j |c_j| = 1 (even N, a mirror-symmetric chain) and
-2 sum_j c_j + c_0 = 0 (odd N).
+2 sum_j c_j + c_0 = 0 (odd N), all in whole-stack operations.
 
 The closed forms of the paper are kept as independent oracles for
 verify, the tests and `altchain eigs --method even|odd`, and pass the
@@ -329,12 +329,12 @@ def _bidiagonal_t(bonds: np.ndarray) -> np.ndarray:
     bidiagonal for both parities and its reduction to bidiagonal form is
     exact.  B[i, i] is bond 2i+1 and B[i+1, i] bond 2i+2.
     """
-    diag, sub = bonds[:, 0::2], bonds[:, 1::2]
-    rows, cols, k = (bonds.shape[1] + 2) // 2, diag.shape[1], sub.shape[1]
-    bt = np.zeros((bonds.shape[0], rows, rows))
-    bt[:, np.arange(cols), np.arange(cols)] = diag
-    bt[:, np.arange(k), np.arange(1, k + 1)] = sub
-    return bt
+    stack, m = bonds.shape
+    rows = m // 2 + 1
+    bt = np.zeros((stack, rows * rows))  # each chain's flattened
+    bt[:, : (m + 1) // 2 * (rows + 1) : rows + 1] = bonds[:, 0::2]
+    bt[:, 1 : m // 2 * (rows + 1) : rows + 1] = bonds[:, 1::2]
+    return bt.reshape(stack, rows, rows)
 
 
 def _svd(bt: np.ndarray, compute_uv: bool):
@@ -344,7 +344,7 @@ def _svd(bt: np.ndarray, compute_uv: bool):
         raise NumericError(f"bidiagonal SVD failed: {exc}") from exc
 
 
-def _levels(bonds: np.ndarray, bt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _levels(bonds: np.ndarray, bt: np.ndarray) -> tuple[np.ndarray, ...]:
     """(S, N//2) positive levels, descending, of a (S, N-1) stack of chains, and their verdict.
 
     bt is the stack's _bidiagonal_t.  The one source of levels for both
@@ -357,24 +357,26 @@ def _levels(bonds: np.ndarray, bt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     its error only by eps*s_max; the other levels stay away from 0, so
     the identity keeps s_min to full relative precision.
 
-    Also returns an (S,) mask of the chains whose levels pass: finite,
-    descending and nonnegative, and obeying the trace rule
-    sum_j s_j^2 = sum_i b_i^2 (the Frobenius norm of B) to _TRACE_REL_TOL.
+    Also returns an (S,) mask of the chains whose levels descend, an odd
+    chain's nonnegative, and obey the trace rule sum_j s_j^2 = sum_i b_i^2
+    to _TRACE_REL_TOL (no NaN or infinite level does), and the checks'
+    frame, read by _end_products: bonds and levels, stack last, over the
+    power of 2 at each chain's largest level.
     """
-    levels = _svd(bt, compute_uv=False)[:, : (bonds.shape[1] + 1) // 2]
-    if bonds.shape[1] % 2 == 1:
-        log_det = np.log(bonds[:, 0::2]).sum(axis=1)
-        levels[:, -1] = np.exp(log_det - np.log(levels[:, :-1]).sum(axis=1))
-    scale = bonds.max(axis=1)[:, None]
-    norm = np.square(bonds / scale).sum(axis=1)
-    trace = np.abs(np.square(levels / scale).sum(axis=1) - norm)
-    ok = (
-        np.isfinite(levels).all(axis=1)
-        & (levels[:, 1:] - levels[:, :-1] <= _ORDER_TOL).all(axis=1)
-        & (levels[:, -1] >= 0.0)
-        & (trace <= _TRACE_REL_TOL * norm)
-    )
-    return levels, ok
+    m = bonds.shape[1]
+    levels = _svd(bt, compute_uv=False)[:, : (m + 1) // 2]
+    if m % 2 == 1:
+        # the row layout keeps the bits of the levels' pairwise log-sum
+        log_det = np.add.reduce(np.log(bonds.T[0::2], order="C"))
+        np.exp(log_det - np.add.reduce(np.log(levels[:, :-1]), axis=1), out=levels[:, -1])
+    scale = -np.frexp(levels[:, 0])[1]
+    b, s = np.ldexp(bonds.T, scale, order="C"), np.ldexp(levels.T, scale, order="C")
+    norm = np.vecdot(b, b, axis=0)
+    ok = np.abs(np.vecdot(s, s, axis=0) - norm) <= _TRACE_REL_TOL * norm
+    ok &= np.logical_and.reduce(s[1:] - s[:-1] <= np.ldexp(_ORDER_TOL, scale))
+    if m % 2 == 0:
+        ok &= s[-1] >= 0.0
+    return levels, ok, b, s
 
 
 def _bond_svd(bonds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -388,7 +390,7 @@ def _bond_svd(bonds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     lambda*t/2 multiplies it by t.  Failing levels raise NumericError.
     """
     bt = _bidiagonal_t(bonds)
-    levels, ok = _levels(bonds, bt)
+    levels, ok, _, _ = _levels(bonds, bt)
     if not ok.all():
         raise NumericError("levels fail their checks: finite, descending, trace rule")
     v, _, ut = _svd(bt, compute_uv=True)
@@ -448,30 +450,30 @@ def eigensystem_for(spec: ChainSpec) -> EigenSystem:
 
 
 def _product(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Product over the last axis as mantissa and exponent, mantissa * 2**exponent.
+    """Product over the first axis as mantissa and exponent, mantissa * 2**exponent.
 
-    frexp splits every factor exactly into a mantissa of magnitude in
-    [1/2, 1) and an integer exponent.  The mantissas multiply in runs of
-    _PRODUCT_RUN, whose products stay normal, and the running product
-    is split again after each run, so no length overflows or underflows
-    and the result carries the roundings of the plain product only.
+    frexp splits every factor exactly, in place, into a mantissa of
+    magnitude in [1/2, 1) and an integer exponent.  The mantissas multiply
+    term by term, a row a step, in runs of _PRODUCT_RUN whose products
+    stay normal and are split again before the next, so no length
+    overflows or underflows and the result has the plain roundings only.
     """
-    mant, expo = np.frexp(factors)
-    prod, total = np.frexp(mant[..., :_PRODUCT_RUN].prod(axis=-1))
-    total += expo.sum(axis=-1)
-    for start in range(_PRODUCT_RUN, factors.shape[-1], _PRODUCT_RUN):
-        prod, e = np.frexp(prod * mant[..., start:start + _PRODUCT_RUN].prod(axis=-1))
-        total += e
+    mant, expo = np.frexp(factors, out=(factors, None))
+    prod, total = np.multiply.reduce(mant[:_PRODUCT_RUN]), np.add.reduce(expo, dtype=expo.dtype)
+    for start in range(_PRODUCT_RUN, len(mant), _PRODUCT_RUN):
+        prod, e = np.frexp(prod)
+        prod, total = prod * np.multiply.reduce(mant[start:start + _PRODUCT_RUN]), total + e
     return prod, total
 
 
-def _end_products(bonds: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """End products u_1j * u_Nj of a (S, N-1) stack, (S, N) as spectra lays them out.
+def _end_products(b: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """End products u_1j * u_Nj, (S, N) as spectra lays them out, from the frame of _levels.
 
     The residue of the (1, N) entry of the resolvent of a Jacobi matrix
     (Parlett 1998, ch. 7; de Boor and Golub 1978) gives them from the
-    levels alone: c_j = prod_i b_i / prod_{k != j} (lambda_j - lambda_k).
-    On the paired spectrum the level s_j has
+    levels alone: c_j = prod_i b_i / prod_{k != j} (lambda_j - lambda_k),
+    which the frame's power of 2 changes by no bit.  On the paired
+    spectrum the level s_j has
 
         c_j = prod b / (2 s_j prod_{i != j} (s_j - s_i)(s_j + s_i)),
 
@@ -484,53 +486,51 @@ def _end_products(bonds: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np
     by _product, so prod b overflows nowhere (8^511 at N=1023, delta=8).
 
     Also returns an (S,) mask of the chains that obey their sum rule:
-    for even N the chain is mirror-symmetric, so |c_j| = u_1j^2 and
-    2 sum_j |c_j| = 1; for odd N rows 1 and N of the eigenvector matrix
-    are orthogonal, so 2 sum_j c_j + c_0 = 0, relative to
-    2 sum_j |c_j| + |c_0|.  The tolerance follows the levels' smallest
+    for even N the chain is mirror-symmetric, so |c_j| = u_1j^2 and the
+    N end products have sum_j |c_j| = 1; for odd N rows 1 and N of the
+    eigenvector matrix are orthogonal, so sum_j c_j = 0, relative to a
+    finite sum_j |c_j|.  The tolerance follows the levels' smallest
     relative gap (_SUM_RULE_GAIN, _SUM_RULE_CAP).  Non-finite end
     products (coinciding levels) fail too.
     """
-    n, half = bonds.shape[1] + 1, levels.shape[1]
-    # c_j is homogeneous of degree 0 in the bonds and levels: dividing both
-    # by the power of 2 at the largest bond keeps every factor below 4 and
-    # changes no bit of a normal number
-    scale = -np.frexp(bonds.max(axis=1))[1][:, None]
-    b, s = np.ldexp(bonds, scale), np.ldexp(levels, scale)
-    # one product per row, padded with ones: row j < N//2 the denominator
-    # of c_j (an even chain's edge mode without its factor s_min), row N//2
-    # prod b, and the last row the numerator of that edge mode or the
-    # denominator prod_i s_i^2 of an odd chain's zero mode
-    factors = np.ones((b.shape[0], half + 2, n - 1))
-    diag = np.arange(half)
-    factors[:, :half, :half] = (s[:, :, None] - s[:, None]) * (s[:, :, None] + s[:, None])
-    factors[:, diag, diag] = 2.0 * s
+    n, half, stack = len(b) + 1, len(s), s.shape[1]
+    # the factors of one product per column, padded with ones: column
+    # j < N//2 the denominator of c_j (an even chain's edge mode without
+    # its factor s_min), column N//2 prod b, and the last column the
+    # numerator of that edge mode or the denominator prod_i s_i^2 of an
+    # odd chain's zero mode
+    factors = np.empty((n - 1, half + 2, stack))
+    factors[half + n % 2:, :half] = 1.0
     factors[:, half] = b
-    if n % 2 == 0:
-        factors[:, half - 1, half - 1] = 2.0
-        factors[:, -1, : half - 1], factors[:, -1, half - 1 : n - 2] = b[:, 1::2], s[:, :-1]
-    else:
-        factors[:, diag, half] = s
-        factors[:, -1, :half], factors[:, -1, half:] = s, s
-    mant, expo = _product(factors)
-
-    def quotient(top, bottom):  # the product of row(s) top over that of row(s) bottom
-        return np.ldexp(mant[:, top] / mant[:, bottom], expo[:, top] - expo[:, bottom])
-
+    diag = factors.reshape(-1, stack)[: half * (half + 3) : half + 3]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ends = quotient(slice(half, half + 1), slice(0, half))
-        if n % 2 == 0:
-            ends[:, -1] = quotient(-1, half - 1)
-            defect, total = np.abs(2.0 * np.abs(ends).sum(axis=1) - 1.0), 1.0
-            ends = np.concatenate([ends, -ends[:, ::-1]], axis=1)
+        diff = np.subtract(s, s[:, None])  # s_j - s_i at [i, j]
+        np.add(s, s[:, None], out=factors[:half, :half])
+        factors[:half, :half] *= diff
+        np.multiply(s, 2.0, out=diag)
+        if n % 2:
+            factors[half, :half] = factors[:half, -1] = factors[half:, -1] = s
         else:
-            zero = (-1.0) ** half * quotient(half, -1)
-            defect = np.abs(2.0 * ends.sum(axis=1) + zero)
-            total = 2.0 * np.abs(ends).sum(axis=1) + np.abs(zero)
-            ends = np.concatenate([ends, zero[:, None], ends[:, ::-1]], axis=1)
-        gap = np.min((levels[:, :-1] - levels[:, 1:]) / levels[:, :-1], axis=1, initial=1.0)
-        tol = np.minimum(_SUM_RULE_GAIN * _EPS / np.maximum(gap, 0.0), _SUM_RULE_CAP)
-    return ends, np.isfinite(ends).all(axis=1) & (defect <= tol * total)
+            diag[-1], factors[-1, -1] = 2.0, 1.0
+            factors[: half - 1, -1], factors[half - 1 : n - 2, -1] = b[1::2], s[:-1]
+        # the smallest relative gap, from s_j - s_j+1 at [j + 1, j]
+        gap = np.minimum.reduce(diff.reshape(-1, stack)[half :: half + 1] / s[:-1], initial=1.0)
+        del diff  # before _product allocates
+        mant, expo = _product(factors)
+        ends = np.empty((n, stack))  # the (S, N) result, transposed
+        np.ldexp(mant[half] / mant[:half], expo[half] - expo[:half], out=ends[:half])
+        # min(GAIN eps / max(gap, 0), CAP) to the bit: GAIN eps over the floor is CAP
+        tol = _SUM_RULE_GAIN * _EPS / np.maximum(gap, _SUM_RULE_GAIN * _EPS / _SUM_RULE_CAP)
+        if n % 2:
+            np.ldexp(mant[half] / (mant[-1] * (-1) ** half), expo[half] - expo[-1], out=ends[half])
+            ends[half + 1:] = ends[half - 1::-1]
+            total = np.add.reduce(np.abs(ends))
+            ok = (np.abs(np.add.reduce(ends)) <= tol * total) & (total < math.inf)
+        else:
+            np.ldexp(mant[-1] / mant[half - 1], expo[-1] - expo[half - 1], out=ends[half - 1])
+            np.negative(ends[half - 1::-1], out=ends[half:])
+            ok = np.abs(np.add.reduce(np.abs(ends)) - 1.0) <= tol
+    return np.ascontiguousarray(ends.T), ok
 
 
 def _masked_spectra(n_sites: int, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -544,11 +544,11 @@ def _masked_spectra(n_sites: int, deltas: np.ndarray) -> tuple[np.ndarray, np.nd
     ratios = np.asarray(deltas, dtype=float)
     if ratios.ndim != 1 or ratios.size == 0:
         raise ValidationError(f"deltas must be a non-empty 1-D array, got shape {ratios.shape}")
-    if not (np.all(np.isfinite(ratios)) and np.all(ratios > 0.0)):
+    if not (np.minimum.reduce(ratios) > 0.0 and np.maximum.reduce(ratios) < math.inf):
         raise ValidationError("deltas must be finite and positive")
     bonds = alternating_couplings(n, ratios)
-    levels, levels_ok = _levels(bonds, _bidiagonal_t(bonds))
-    ends, ends_ok = _end_products(bonds, levels)
+    levels, levels_ok, b, s = _levels(bonds, _bidiagonal_t(bonds))
+    ends, ends_ok = _end_products(b, s)
     return _paired_levels(levels, n), ends, levels_ok & ends_ok
 
 

@@ -1,7 +1,8 @@
 """End-to-end consistency suite.
 
 Runs every cross-check the library promises: analytic spectra against
-the SVD engine, reduced probability forms against the spectral
+the SVD engine, the values-only spectra of the searches against that
+engine's eigensystems, reduced probability forms against the spectral
 sum, the subspace dynamics against the full Hilbert-space propagator,
 probability caps against sampled curves, and determinism of the ratio
 search.  Checks run in order and the first violation aborts with the
@@ -33,6 +34,7 @@ from .spectral import (
     eigensystem_numeric,
     eigensystem_odd,
     solve_even_roots,
+    spectra,
 )
 
 _EVEN_GRID = [(n, d) for n in range(4, 17, 2) for d in (2.0, 2.38, 3.0)]
@@ -99,6 +101,28 @@ def check_spectral_negation() -> None:
         diff = float(abs(lam + lam[::-1]).max())
         if not diff <= 1e-10:
             _fail("spectral-negation", f"N={n} delta={d}: asymmetry {diff:.3e}")
+
+
+def check_spectra_route() -> None:
+    """spectra, the route of every search number, against eigensystem_for.
+
+    Both parities and one long chain: the levels must be bit-equal and
+    the end products within 1e-12 of u_1j * u_Nj from the singular
+    vectors; a stack that spectra refuses fails the check.
+    """
+    deltas = np.array([0.5, 2.38])
+    for n in (8, 9, 64):
+        try:
+            lam, ends = spectra(n, deltas)
+        except NumericError as exc:
+            _fail("spectra-route", f"N={n}: {exc}")
+        for i, delta in enumerate(deltas):
+            eig = eigensystem_for(ChainSpec(n, float(delta)))
+            if not np.array_equal(lam[i], eig.eigenvalues):
+                _fail("spectra-route", f"N={n} delta={delta}: levels differ from eigensystem_for")
+            diff = float(np.max(np.abs(ends[i] - eig.vectors[0] * eig.vectors[-1])))
+            if not diff <= 1e-12:
+                _fail("spectra-route", f"N={n} delta={delta}: end products off by {diff:.3e}")
 
 
 def check_form_equivalence() -> None:
@@ -268,6 +292,7 @@ CHECKS: list[tuple[str, Callable[[], None]]] = [
     ("even-root-count", check_even_root_count),
     ("lambda-min-decreasing", check_lambda_min_decreasing),
     ("spectral-negation", check_spectral_negation),
+    ("spectra-route", check_spectra_route),
     ("form-equivalence", check_form_equivalence),
     ("unitarity", check_unitarity),
     ("full-space-oracle", check_full_space_oracle),

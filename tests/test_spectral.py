@@ -20,6 +20,7 @@ from altchain import (
     NumericError,
     RegimeError,
     ValidationError,
+    VerificationError,
     build_coupling_matrix,
     eigensystem_even,
     eigensystem_for,
@@ -29,6 +30,8 @@ from altchain import (
     spectra,
 )
 from altchain import spectral as spectral_mod
+from altchain.chain import alternating_couplings
+from altchain.verify import run_all
 from conftest import dense_matrix
 
 # four sites, ratio 2.272: trig root, hyperbolic root, spectrum
@@ -424,12 +427,35 @@ def test_stacked_rows_equal_single_solves(n):
             assert ends[i].tobytes() == ends_1[0].tobytes(), delta
 
 
+def test_sum_rule_tolerance_floor_rounds_to_the_cap():
+    # _end_products takes min(GAIN eps / max(gap, 0), CAP) as GAIN eps over
+    # max(gap, GAIN eps / CAP), which is the same number only while this holds
+    gain_eps = spectral_mod._SUM_RULE_GAIN * spectral_mod._EPS
+    assert gain_eps / (gain_eps / spectral_mod._SUM_RULE_CAP) == spectral_mod._SUM_RULE_CAP
+
+
+@pytest.mark.parametrize("n", [513, 514, 1025, 1026])
+def test_stacked_rows_equal_single_solves_across_product_runs(n):
+    # the rows of these chains cross a run of _PRODUCT_RUN factors: prod b
+    # from N = 514 on, the denominators from N = 1025 on; levels, end
+    # products and verdict of each stacked row are those of its solve alone
+    deltas = np.array([0.5, 2.38, 3.3, 8.0])
+    lam, ends, ok = spectral_mod._masked_spectra(n, deltas)
+    for i, delta in enumerate(deltas):
+        lam_1, ends_1, ok_1 = spectral_mod._masked_spectra(n, deltas[i:i + 1])
+        assert ok[i] == ok_1[0]
+        assert lam[i].tobytes() == lam_1[0].tobytes(), delta
+        assert ends[i].tobytes() == ends_1[0].tobytes(), delta
+
+
 def _corrupt_svd(monkeypatch, corrupt, chain):
     """Make np.linalg.svd damage one chain's triplets of every stack it returns.
 
-    The values-only return (all that spectra asks for) gets a NaN level,
-    a level scaled by 1 + 1e-8 or a level shifted by 1e-6; the vectors
-    of the full return a NaN or the same scaling.
+    The values-only return (all that spectra asks for) gets a NaN or an
+    infinite level, a level scaled by 1 + 1e-8 or shifted by 1e-6, its
+    two largest levels swapped, or, on an odd chain, whose last value is
+    the zero row's, its smallest level negated; the vectors of the full
+    return a NaN or the same scaling.
     """
     real = np.linalg.svd
 
@@ -438,10 +464,16 @@ def _corrupt_svd(monkeypatch, corrupt, chain):
             s = real(stack, compute_uv=False).copy()
             if corrupt == "nan":
                 s[chain, 0] = math.nan
+            elif corrupt == "inf":
+                s[chain, 0] = math.inf
             elif corrupt == "scale":
                 s[chain, 0] *= 1.0 + 1e-8
             elif corrupt == "shift":
                 s[chain, 0] += 1e-6
+            elif corrupt == "swap":
+                s[chain, :2] = s[chain, 1::-1]
+            elif corrupt == "negative":
+                s[chain, -2] *= -1.0
             return s
         first, s, last = (w.copy() for w in real(stack))
         if corrupt == "nan":
@@ -458,6 +490,24 @@ def test_spectra_validates_every_system(monkeypatch, corrupt):
     _corrupt_svd(monkeypatch, corrupt, chain=1)
     with pytest.raises(NumericError):
         spectra(6, np.array([2.0, 2.1, 2.2]))
+
+
+@pytest.mark.parametrize(
+    "corrupt,n", [("inf", 6), ("inf", 7), ("swap", 6), ("swap", 7), ("negative", 7)]
+)
+def test_level_checks_flag_the_damaged_chain(monkeypatch, corrupt, n):
+    # one pass of folded checks: an infinite level breaks the trace rule,
+    # two swapped levels the order, and an odd chain's negated smallest level
+    # only the sign, for order and trace cannot see it (an even chain's
+    # smallest level is set from det B, whatever the SVD returns)
+    _corrupt_svd(monkeypatch, corrupt, chain=1)
+    deltas = np.array([2.0, 2.1, 2.2])
+    bonds = alternating_couplings(n, deltas)
+    ok = spectral_mod._levels(bonds, spectral_mod._bidiagonal_t(bonds))[1]
+    assert ok.tolist() == [True, False, True]
+    assert spectral_mod._masked_spectra(n, deltas)[2].tolist() == [True, False, True]
+    with pytest.raises(NumericError, match=rf"N={n}, delta=2\.1$"):
+        spectra(n, deltas)
 
 
 @pytest.mark.parametrize("corrupt", ["nan", "scale", "shift"])
@@ -501,3 +551,32 @@ def test_spectrum_pairs_exactly(n, delta):
         assert np.array_equal(levels, -levels[::-1])
         if n % 2:
             assert levels[n // 2] == 0.0
+
+
+def _scaled_ends(ends: np.ndarray, n: int) -> np.ndarray:
+    return ends * 1.001
+
+
+def _swapped_ends(ends: np.ndarray, n: int) -> np.ndarray:
+    if n % 2 == 0:
+        ends = ends.copy()
+        ends[:, :2] = ends[:, 1::-1]
+    return ends
+
+
+@pytest.mark.parametrize("defect", [_scaled_ends, _swapped_ends], ids=["scaled", "swapped"])
+def test_verify_watches_the_spectra_route(monkeypatch, defect):
+    # every end product x 1.001 passed the other checks of verify, and an
+    # even chain's first two end products swapped keep every sum rule;
+    # spectra-route compares the route of the searches with the singular
+    # vectors of eigensystem_for and fails both
+    run_all(checks=["spectra-route"])
+    real = spectral_mod._end_products
+
+    def damaged(b, s):
+        ends, ok = real(b, s)
+        return defect(ends, len(b) + 1), ok
+
+    monkeypatch.setattr(spectral_mod, "_end_products", damaged)
+    with pytest.raises(VerificationError, match=r"^spectra-route:"):
+        run_all(checks=["spectra-route"])
