@@ -411,13 +411,17 @@ def test_refused_chain_leaves_one_solve(monkeypatch):
     assert np.array_equal(lam[:1], lam_alone) and np.array_equal(ends[:1], ends_alone)
 
 
-@pytest.mark.parametrize("n", range(2, 33))
+@pytest.mark.parametrize("n", [*range(2, 33), 513, 514, 1025, 1026])
 def test_stacked_rows_equal_single_solves(n):
     # the ratio polish solves ratios ahead in one stack and reads each row
     # as the solve of its ratio alone: levels, end products and verdict
-    # agree to the bit, on both sides of the even threshold (N+2)/N
+    # agree to the bit, on both sides of the even threshold (N+2)/N, and
+    # where prod b (from N = 514) or the denominators (from N = 1025)
+    # cross a run of _PRODUCT_RUN factors, at four ratios to keep it short
     rng = np.random.default_rng(n)
     deltas = np.concatenate([rng.uniform(0.3, 4.0, 12), [1e-14, (n + 2) / n]])
+    if n > 512:
+        deltas = np.array([0.5, 2.38, 3.3, 8.0])
     lam, ends, ok = spectral_mod._masked_spectra(n, deltas)
     for i, delta in enumerate(deltas):
         lam_1, ends_1, ok_1 = spectral_mod._masked_spectra(n, deltas[i:i + 1])
@@ -432,20 +436,6 @@ def test_sum_rule_tolerance_floor_rounds_to_the_cap():
     # max(gap, GAIN eps / CAP), which is the same number only while this holds
     gain_eps = spectral_mod._SUM_RULE_GAIN * spectral_mod._EPS
     assert gain_eps / (gain_eps / spectral_mod._SUM_RULE_CAP) == spectral_mod._SUM_RULE_CAP
-
-
-@pytest.mark.parametrize("n", [513, 514, 1025, 1026])
-def test_stacked_rows_equal_single_solves_across_product_runs(n):
-    # the rows of these chains cross a run of _PRODUCT_RUN factors: prod b
-    # from N = 514 on, the denominators from N = 1025 on; levels, end
-    # products and verdict of each stacked row are those of its solve alone
-    deltas = np.array([0.5, 2.38, 3.3, 8.0])
-    lam, ends, ok = spectral_mod._masked_spectra(n, deltas)
-    for i, delta in enumerate(deltas):
-        lam_1, ends_1, ok_1 = spectral_mod._masked_spectra(n, deltas[i:i + 1])
-        assert ok[i] == ok_1[0]
-        assert lam[i].tobytes() == lam_1[0].tobytes(), delta
-        assert ends[i].tobytes() == ends_1[0].tobytes(), delta
 
 
 def _corrupt_svd(monkeypatch, corrupt, chain):
