@@ -493,7 +493,7 @@ def test_level_checks_flag_the_damaged_chain(monkeypatch, corrupt, n):
     _corrupt_svd(monkeypatch, corrupt, chain=1)
     deltas = np.array([2.0, 2.1, 2.2])
     bonds = alternating_couplings(n, deltas)
-    ok = spectral_mod._levels(bonds, spectral_mod._bidiagonal_t(bonds))[1]
+    ok = spectral_mod._levels(bonds, spectral_mod._bidiagonal_t(bonds), 0.0)[1]
     assert ok.tolist() == [True, False, True]
     assert spectral_mod._masked_spectra(n, deltas)[2].tolist() == [True, False, True]
     with pytest.raises(NumericError, match=rf"N={n}, delta=2\.1$"):
