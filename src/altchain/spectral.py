@@ -344,7 +344,7 @@ def _svd(bt: np.ndarray, compute_uv: bool):
         raise NumericError(f"bidiagonal SVD failed: {exc}") from exc
 
 
-def _levels(bonds: np.ndarray, bt: np.ndarray, log_det: np.ndarray | float) -> tuple:
+def _levels(bonds: np.ndarray, bt: np.ndarray) -> tuple:
     """(S, N//2) positive levels, descending, of a (S, N-1) stack of chains, and their verdict.
 
     bt is the stack's _bidiagonal_t.  The one source of levels for both
@@ -352,11 +352,10 @@ def _levels(bonds: np.ndarray, bt: np.ndarray, log_det: np.ndarray | float) -> t
     accuracy).  For even N the smallest level, the edge-mode splitting
     that shrinks exponentially with N above (N+2)/N, is set from det B,
     the product of its diagonal bonds: s_min = det B / prod_j s_j over
-    the other levels, summed in logarithms (log_det is log det B, 0 on an
-    alternating chain) so that no chain length overflows (at N=1024,
-    delta=8 s_min underflows to 0).  LAPACK bounds its error only by
-    eps*s_max; the other levels stay away from 0, so the identity keeps
-    s_min to full relative precision.
+    the other levels, summed in logarithms so that no chain length
+    overflows (at N=1024, delta=8 s_min underflows to 0).  LAPACK bounds
+    its error only by eps*s_max; the other levels stay away from 0, so
+    the identity keeps s_min to full relative precision.
 
     Also returns an (S,) mask of the chains whose levels descend, an odd
     chain's nonnegative, and obey the trace rule sum_j s_j^2 = sum_i b_i^2
@@ -366,12 +365,13 @@ def _levels(bonds: np.ndarray, bt: np.ndarray, log_det: np.ndarray | float) -> t
     """
     m = bonds.shape[1]
     levels = _svd(bt, compute_uv=False)[:, : (m + 1) // 2]
-    if m % 2 == 1:  # the row layout keeps the bits of the levels' pairwise log-sum
+    if m % 2 == 1:  # the row layout keeps the bits of the pairwise log-sums
+        log_det = np.add.reduce(np.log(bonds[:, 0::2]), axis=1)
         np.exp(log_det - np.add.reduce(np.log(levels[:, :-1]), axis=1), out=levels[:, -1])
     scale = -np.frexp(levels[:, 0])[1]
     b, s = np.ldexp(bonds.T, scale, order="C"), np.ldexp(levels.T, scale, order="C")
-    norm = np.vecdot(b, b, axis=0)
-    ok = np.abs(np.vecdot(s, s, axis=0) - norm) <= _TRACE_REL_TOL * norm
+    norm = np.add.reduce(b * b)
+    ok = np.abs(np.add.reduce(s * s) - norm) <= _TRACE_REL_TOL * norm
     ok &= np.logical_and.reduce(s[1:] - s[:-1] <= np.ldexp(_ORDER_TOL, scale))
     if m % 2 == 0:
         ok &= s[-1] >= 0.0
@@ -389,7 +389,7 @@ def _bond_svd(bonds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     lambda*t/2 multiplies it by t.  Failing levels raise NumericError.
     """
     bt = _bidiagonal_t(bonds)
-    levels, ok, _, _ = _levels(bonds, bt, np.log(bonds[:, 0::2]).sum(axis=1))
+    levels, ok, _, _ = _levels(bonds, bt)
     if not ok.all():
         raise NumericError("levels fail their checks: finite, descending, trace rule")
     v, _, ut = _svd(bt, compute_uv=True)
@@ -518,8 +518,7 @@ def _end_products(b: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         mant, expo = _product(factors)
         ends = np.empty((n, stack))  # the (S, N) result, transposed
         np.ldexp(mant[half] / mant[:half], expo[half] - expo[:half], out=ends[:half])
-        # min(GAIN eps / max(gap, 0), CAP) to the bit: GAIN eps over the floor is CAP
-        tol = _SUM_RULE_GAIN * _EPS / np.maximum(gap, _SUM_RULE_GAIN * _EPS / _SUM_RULE_CAP)
+        tol = np.minimum(_SUM_RULE_GAIN * _EPS / np.maximum(gap, 0.0), _SUM_RULE_CAP)
         if n % 2:
             np.ldexp(mant[half] / (mant[-1] * (-1) ** half), expo[half] - expo[-1], out=ends[half])
             ends[half + 1:] = ends[half - 1::-1]
@@ -546,7 +545,7 @@ def _masked_spectra(n_sites: int, deltas: np.ndarray) -> tuple[np.ndarray, np.nd
     if not (np.minimum.reduce(ratios) > 0.0 and np.maximum.reduce(ratios) < math.inf):
         raise ValidationError("deltas must be finite and positive")
     bonds = alternating_couplings(n, ratios)
-    levels, levels_ok, b, s = _levels(bonds, _bidiagonal_t(bonds), 0.0)  # its odd bonds are 1
+    levels, levels_ok, b, s = _levels(bonds, _bidiagonal_t(bonds))
     ends, ends_ok = _end_products(b, s)
     return _paired_levels(levels, n), ends, levels_ok & ends_ok
 

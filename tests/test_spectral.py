@@ -431,13 +431,6 @@ def test_stacked_rows_equal_single_solves(n):
             assert ends[i].tobytes() == ends_1[0].tobytes(), delta
 
 
-def test_sum_rule_tolerance_floor_rounds_to_the_cap():
-    # _end_products takes min(GAIN eps / max(gap, 0), CAP) as GAIN eps over
-    # max(gap, GAIN eps / CAP), which is the same number only while this holds
-    gain_eps = spectral_mod._SUM_RULE_GAIN * spectral_mod._EPS
-    assert gain_eps / (gain_eps / spectral_mod._SUM_RULE_CAP) == spectral_mod._SUM_RULE_CAP
-
-
 def _corrupt_svd(monkeypatch, corrupt, chain):
     """Make np.linalg.svd damage one chain's triplets of every stack it returns.
 
@@ -493,7 +486,7 @@ def test_level_checks_flag_the_damaged_chain(monkeypatch, corrupt, n):
     _corrupt_svd(monkeypatch, corrupt, chain=1)
     deltas = np.array([2.0, 2.1, 2.2])
     bonds = alternating_couplings(n, deltas)
-    ok = spectral_mod._levels(bonds, spectral_mod._bidiagonal_t(bonds), 0.0)[1]
+    ok = spectral_mod._levels(bonds, spectral_mod._bidiagonal_t(bonds))[1]
     assert ok.tolist() == [True, False, True]
     assert spectral_mod._masked_spectra(n, deltas)[2].tolist() == [True, False, True]
     with pytest.raises(NumericError, match=rf"N={n}, delta=2\.1$"):
