@@ -181,22 +181,18 @@ def paired_grid_probability(
 
     so the series of a chain is two (count/B x N/2) @ (N/2 x B) products
     of a block-start and an offset table, about 2 sqrt(count) sines and
-    cosines per level.  The offsets round their phases differently from
-    the direct series; rounding_bound bounds how far either lies from
-    the series of their inputs.
+    cosines per level.  One broadcast product gives the phases of every
+    chain, so a chain's row has the bits of its call alone.  The offsets
+    round their phases differently from the direct series;
+    rounding_bound bounds how far either lies from the series of their
+    inputs.
     """
     n = lam.shape[-1]
     half, block = n // 2, math.isqrt(count - 1) + 1
     index = np.empty((len(lam), block + -(-count // block)))
     index[:, :block] = np.arange(block)
     index[:, block:] = first[:, None] + np.arange(0, count, block)
-    times, rates = step[:, None] * index, 0.5 * lam[:, :half]
-    if len(lam) == 1:
-        phases = times[..., None] * rates[:, None, :]
-    else:  # a strided multiply per level beats a broadcast over the short level axis
-        phases = np.empty((*times.shape, half))
-        for j in range(half):
-            np.multiply(times, rates[:, j, None], out=phases[..., j])
+    phases = (step[:, None] * index)[..., None] * (0.5 * lam[:, None, :half])
     table = np.empty((2, *phases.shape))  # sines, cosines: offsets, then block starts
     np.sin(phases, out=table[0])
     np.cos(phases, out=table[1])

@@ -42,7 +42,6 @@ class IdealSolution:
     delta_bar: float
     t_bar: float
     probability: float
-    validated: bool
 
 
 def n4_frequencies(delta: float) -> tuple[float, float]:
@@ -108,7 +107,6 @@ def ideal_solutions(max_product: int) -> list[IdealSolution]:
                     delta_bar=delta_bar,
                     t_bar=t_bar,
                     probability=probability,
-                    validated=True,
                 )
             )
     seen.sort(key=lambda sol: (sol.t_bar, sol.a, sol.b))

@@ -85,8 +85,6 @@ _COARSE_LONG_STRIDE = 32
 _LONG_WINDOW = 1 << 16
 # the times of the samples that bound a stack's winner, in pi / lambda_min
 _SEED_FRACTIONS = np.linspace(0.95, 1.05, 9)
-# fine samples of a window's first batch of coarse intervals
-_FINE_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -213,22 +211,6 @@ def _golden_max(
             fc, fd = fd, value(d)
     x = 0.5 * (a + b)
     return x, value(x)
-
-
-def _first_argmax(
-    values: Callable[[int, int], np.ndarray], count: int, chunk: int
-) -> tuple[int, float]:
-    """(first index, value) of the largest entry of values(start, stop) over 0..count-1.
-
-    values returns the entries start..stop-1; they are taken in chunks.
-    """
-    best, best_p = 0, -1.0
-    for start in range(0, count, chunk):
-        probs = values(start, min(start + chunk, count))
-        k = int(np.argmax(probs))
-        if probs[k] > best_p:
-            best, best_p = start + k, float(probs[k])
-    return best, best_p
 
 
 def _ratio_grid(lo: float, hi: float, step: float) -> np.ndarray:
@@ -483,18 +465,19 @@ def _slope_root(lam: np.ndarray, ends: np.ndarray, lo: float, hi: float) -> floa
 def _window_scan(lam: np.ndarray, ends: np.ndarray, window: _PeakWindow) -> _PeakScan:
     """The fine scan of a window: its highest sample, earliest on ties.
 
-    The coarse intervals are evaluated in descending order of their
-    bounds, _FINE_BATCH samples first and twice as many each time after,
-    until the next bound lies strictly below the best sample so far.  A
-    sample has the bits of the full scan, so the winner is its, to the bit.
+    The coarse intervals are evaluated in batches of
+    max(1, _GRID_CHUNK_ENTRIES // (m N)) intervals of m samples, the
+    memory cap of a kernel call, in descending order of their bounds
+    (sorted only where they fill more than one batch), until the next
+    bound lies strictly below the best sample so far.  A sample has the
+    bits of the full scan, so the winner is its, to the bit.
     """
     stride, intervals, bounds = window.stride, window.intervals, window.bounds
-    size = max(1, _FINE_BATCH // stride)
+    size = max(1, _GRID_CHUNK_ENTRIES // (stride * lam.size))
     ordered = intervals.size > size  # one batch needs no order
     if ordered:
         order = np.argsort(-bounds, kind="stable")
         intervals, bounds = intervals[order], bounds[order]
-    most = max(size, _GRID_CHUNK_ENTRIES // (stride * lam.size))
     best, p_best, evaluated, done = 0, -1.0, 0, 0
     while done < intervals.size and bounds[done] >= p_best:
         batch = np.sort(intervals[done:done + size]) if ordered else intervals
@@ -502,7 +485,7 @@ def _window_scan(lam: np.ndarray, ends: np.ndarray, window: _PeakWindow) -> _Pea
         spill = int(index[-1]) - window.count  # the last interval may end past the window
         if spill > 0:
             index = index[:-spill]
-        done, size = done + size, min(2 * size, most)
+        done += size
         probs = paired_transfer_probability(lam, ends, index * window.step)
         evaluated += index.size
         k = int(np.argmax(probs))  # index ascends: the earliest of the highest
@@ -526,8 +509,6 @@ def _ratio_scores(
 ) -> np.ndarray:
     """score of each ratio of a stack, from one solve; a ratio whose spectrum fails scores -inf."""
     lam, ends, ok = _masked_spectra(n_sites, ratios)
-    if ok.all():
-        return score(lam, ends, ratios)
     scores = np.full(ratios.size, -math.inf)
     scores[ok] = score(lam[ok], ends[ok], ratios[ok])
     return scores
@@ -559,11 +540,13 @@ def _ratio_search(
     """
     _validate_delta_range(lo, hi)
     grid = _ratio_grid(lo, hi, step)
-    best, p_best = _first_argmax(
-        lambda a, b: _ratio_scores(n_sites, grid[a:b], score),
-        grid.size,
-        max(1, _GRID_CHUNK_ENTRIES // (n_sites * n_sites)),
-    )
+    chunk = max(1, _GRID_CHUNK_ENTRIES // (n_sites * n_sites))
+    best, p_best = 0, -1.0
+    for start in range(0, grid.size, chunk):
+        scores = _ratio_scores(n_sites, grid[start:start + chunk], score)
+        k = int(np.argmax(scores))  # the first of the highest
+        if scores[k] > p_best:
+            best, p_best = start + k, float(scores[k])
     if not p_best >= 0.0:
         reason = str(refusals[0]) if refusals else "its score is out of reach"
         if not _masked_spectra(n_sites, grid[:1])[2][0]:

@@ -378,27 +378,6 @@ def _levels(bonds: np.ndarray, bt: np.ndarray) -> tuple:
     return levels, ok, b, s
 
 
-def _bond_svd(bonds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Validated SVD of the bond bidiagonals B of a (S, N-1) stack of chains.
-
-    Returns the (S, N//2) positive levels of _levels, with U
-    (S, ceil(N/2), ceil(N/2)) and V (S, N//2, N//2), singular vectors
-    in columns.  Two SVDs: the levels come from the values-only one,
-    because those of the divide-and-conquer SVD that supplies the
-    vectors carry about three times the error at N=16, and a phase
-    lambda*t/2 multiplies it by t.  Failing levels raise NumericError.
-    """
-    bt = _bidiagonal_t(bonds)
-    levels, ok, _, _ = _levels(bonds, bt)
-    if not ok.all():
-        raise NumericError("levels fail their checks: finite, descending, trace rule")
-    v, _, ut = _svd(bt, compute_uv=True)
-    cols = levels.shape[1]
-    u, v = np.swapaxes(ut, 1, 2), v[:, :cols, :cols]
-    _validate_svd(bonds, levels, u, v)
-    return levels, u, v
-
-
 def _paired_levels(levels: np.ndarray, n: int) -> np.ndarray:
     """Full descending spectrum (..., N) from the positive levels (..., N//2)."""
     zero = np.zeros(levels.shape[:-1] + (n % 2,))
@@ -430,17 +409,28 @@ def _assemble(levels: np.ndarray, x: np.ndarray, y: np.ndarray, provenance: str)
 
 
 def eigensystem_numeric(matrix: CouplingMatrix) -> EigenSystem:
-    """Diagonalise a coupling matrix through the SVD of its bond bidiagonal.
+    """Diagonalise a coupling matrix through the SVD of its bond bidiagonal B.
 
-    The single-chain case of the engine: the eigenvectors of level s_j
-    are (u_j, +-v_j)/sqrt(2) from the singular vectors of B, and an odd
-    chain's zero mode is the extra column of u as it stands.
+    The eigenvectors of level s_j are (u_j, +-v_j)/sqrt(2) from the
+    singular vectors of B, and an odd chain's zero mode is the extra
+    column of u as it stands.  Two SVDs: the levels come from the
+    values-only one (_levels), because those of the divide-and-conquer
+    SVD that supplies the vectors carry about three times the error at
+    N=16, and a phase lambda*t/2 multiplies it by t.  Levels that fail
+    their checks raise NumericError.
     """
     half = matrix.size // 2
-    levels, u, v = (w[0] for w in _bond_svd(matrix.offdiagonal[None]))
+    bonds = matrix.offdiagonal[None]
+    bt = _bidiagonal_t(bonds)
+    levels, ok, _, _ = _levels(bonds, bt)
+    if not ok[0]:
+        raise NumericError("levels fail their checks: finite, descending, trace rule")
+    v, _, ut = _svd(bt, compute_uv=True)
+    u, v = ut[0].T, v[0, :half, :half]
+    _validate_svd(bonds, levels, u[None], v[None])
     x = u / np.sqrt(2.0)
     x[:, half:] = u[:, half:]
-    return _assemble(levels, x, v / np.sqrt(2.0), PROVENANCE_NUMERIC)
+    return _assemble(levels[0], x, v / np.sqrt(2.0), PROVENANCE_NUMERIC)
 
 
 def eigensystem_for(spec: ChainSpec) -> EigenSystem:

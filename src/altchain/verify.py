@@ -2,11 +2,12 @@
 
 Runs every cross-check the library promises: analytic spectra against
 the SVD engine, the values-only spectra of the searches against that
-engine's eigensystems, reduced probability forms against the spectral
-sum, the subspace dynamics against the full Hilbert-space propagator,
-probability caps against sampled curves, and determinism of the ratio
-search.  Checks run in order and the first violation aborts with the
-offending parameters in the message.
+engine's eigensystems, the searches' peaks against the reference
+probability route at their own ratio and time, reduced probability forms
+against the spectral sum, the subspace dynamics against the full
+Hilbert-space propagator, probability caps against sampled curves, and
+determinism of the ratio search.  Checks run in order and the first
+violation aborts with the offending parameters in the message.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .dynamics import (
 )
 from .errors import NumericError, VerificationError
 from .ideal4 import ideal_solutions, n4_frequencies, n4_probability
-from .search import first_peak, optimize_delta
+from .search import first_peak, fixed_time_optimize, optimize_delta
 from .spectral import (
     eigensystem_even,
     eigensystem_for,
@@ -40,6 +41,8 @@ from .spectral import (
 _EVEN_GRID = [(n, d) for n in range(4, 17, 2) for d in (2.0, 2.38, 3.0)]
 _ODD_GRID = [(n, d) for n in range(3, 16, 2) for d in (1.0, 1.5, 2.0)]
 _TRIADS = [(4, 2.272), (6, 2.373), (8, 2.557)]
+_ROUTE_PEAKS = [(4, 2.272), (8, 2.557), (9, 2.38)]
+_ROUTE_ARRIVALS = [(8, 60.0, 2.0, 3.0), (5, 37.5, 1.7, 2.1)]
 
 
 def _fail(name: str, detail: str):
@@ -216,8 +219,6 @@ def check_ideal_family() -> None:
     if not solutions:
         _fail("ideal-family", "no solutions emitted for max_product=100")
     for sol in solutions:
-        if not sol.validated:
-            _fail("ideal-family", f"(a={sol.a}, b={sol.b}) emitted unvalidated")
         p = n4_probability(sol.delta_bar, sol.t_bar)
         if not p >= 1.0 - 1e-9:
             _fail("ideal-family", f"(a={sol.a}, b={sol.b}): P={p:.15f}")
@@ -248,6 +249,28 @@ def check_peak_estimate() -> None:
                 f"N={n} delta={d}: t_h {triad.t_h:.4f} vs estimate "
                 f"{triad.lambda_min_estimate:.4f} ({rel:.1%})",
             )
+
+
+def check_search_route() -> None:
+    """The searches' p_h against the reference route at their own (delta_h, t_h).
+
+    first_peak on both parities and fixed_time_optimize on an even and
+    an odd chain: p_h must lie within 1e-12 of transfer_probability on
+    eigensystem_for at (delta_h, t_h), and a first-peak t_h inside its
+    window (0, 1.3 pi / lambda_min], with a relative slack of 1e-12 for
+    a peak at the window end.
+    """
+    cases = [(n, first_peak(ChainSpec(n, d)), True) for n, d in _ROUTE_PEAKS]
+    cases += [(args[0], fixed_time_optimize(*args), False) for args in _ROUTE_ARRIVALS]
+    for n, triad, peak in cases:
+        eig = eigensystem_for(ChainSpec(n, triad.delta_h))
+        ctx = f"N={n} delta_h={triad.delta_h:.12g} t_h={triad.t_h:.12g}"
+        diff = abs(triad.p_h - float(transfer_probability(eig, triad.t_h)))
+        if not diff <= 1e-12:
+            _fail("search-route", f"{ctx}: p_h off the reference route by {diff:.3e}")
+        window = 1.3 * math.pi / eig.smallest_positive()
+        if peak and not 0.0 < triad.t_h <= window * (1.0 + 1e-12):
+            _fail("search-route", f"{ctx}: t_h outside the peak window (0, {window:.12g}]")
 
 
 def check_search_determinism() -> None:
@@ -301,6 +324,7 @@ CHECKS: list[tuple[str, Callable[[], None]]] = [
     ("f2-limit", check_f2_limit),
     ("ideal-family", check_ideal_family),
     ("peak-estimate", check_peak_estimate),
+    ("search-route", check_search_route),
     ("search-determinism", check_search_determinism),
     ("inner-nodes", check_inner_nodes),
     ("odd-amplitude-decay", check_odd_amplitude_decay),

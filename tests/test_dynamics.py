@@ -28,7 +28,7 @@ from altchain import (
     transfer_probability_even_form,
     transfer_probability_odd_form,
 )
-from altchain import dynamics
+from altchain import dynamics, search
 from altchain.dynamics import (
     _full_space_states,
     check_horizon,
@@ -315,6 +315,20 @@ def test_grid_kernel_over_several_chunks(n):
     assert np.max(np.abs(blocked - direct)) <= 8.0 * rounding
 
 
+@pytest.mark.parametrize("rows", [2, 3, 5])
+@pytest.mark.parametrize("n", range(3, 26))
+def test_stacked_grid_kernel_equals_each_row_alone(n, rows):
+    # rows of different ratios, steps and first samples, equal counts: a
+    # stacked call returns each row's call alone, to the bit
+    rng = np.random.default_rng(1000 * n + rows)
+    lam, ends = spectra(n, rng.uniform(1.2, 3.0, rows))
+    step = rng.uniform(0.001, 0.01, rows)
+    first = rng.integers(1, 5000, rows)
+    stacked = paired_grid_probability(lam, ends, step, first, 301)
+    for i in range(rows):
+        assert np.array_equal(stacked[i], grid_call(lam[i], ends[i], step[i], first[i], first[i] + 301))
+
+
 def allocating_grid_probability(lam, ends, step, start, stop):
     """paired_grid_probability of one chain as written with a new array for each product."""
     half, count = lam.size // 2, stop - start
@@ -406,6 +420,17 @@ def test_verify_guards_the_kernel(monkeypatch, defect):
     monkeypatch.setattr(dynamics, "paired_transfer_probability", defect(paired_transfer_probability))
     with pytest.raises(VerificationError, match=r"^unitarity:"):
         run_all(checks=["unitarity"])
+
+
+@pytest.mark.parametrize("defect", [_without_zero_mode, _scaled], ids=["zero-mode", "scaled"])
+def test_verify_guards_the_search_route(monkeypatch, defect):
+    # the search-route check compares the p_h of first_peak and
+    # fixed_time_optimize, odd and even chains, with the reference route,
+    # so a defect seeded in the kernel the searches bind fails it
+    run_all(checks=["search-route"])
+    monkeypatch.setattr(search, "paired_transfer_probability", defect(paired_transfer_probability))
+    with pytest.raises(VerificationError, match=r"^search-route:"):
+        run_all(checks=["search-route"])
 
 
 def long_double_probability(lam, ends, times):

@@ -5,6 +5,8 @@ residual column is rounding noise that may differ across CPUs).  Headers
 and non-float cells must match exactly, floats within 1e-11 relative or
 1e-14 absolute, so a refactor that promises unchanged output is checked
 here, and a deliberate change of output shows up as a golden-file diff.
+tests/golden/pinned/ holds rows the README commands do not reach, compared
+byte for byte, here and by CI against the installed console script.
 """
 
 import json
@@ -26,6 +28,34 @@ GOLDEN_COMMANDS = {
     "table1.csv": ["table1", "--delta", "2.380", "--n", "4,6,8,10,12,14,16"],
     "ideal4.csv": ["ideal4", "--max-product", "60"],
     "bound.json": ["bound", "--n", "5", "--delta", "2.0", "--format", "json"],
+}
+
+# the fine scan on long windows (N = 18..30 at 2.38, optimize windows of the
+# long stride), the ratio polish on both sides of search._LOOK_AHEAD_SITES
+# (fixed-time at N = 5, 9, 14 and at 33, 64) and the scans at ratio 8, where
+# the kernels come closest to dynamics.rounding_bound
+PINNED_COMMANDS = {
+    "table1-2.38-n18-28.csv": ["table1", "--delta", "2.38", "--n", "18,20,22,24,26,28"],
+    "table1-2.38-n30.csv": ["table1", "--delta", "2.38", "--n", "30"],
+    "table1-8-n6-12.csv": ["table1", "--delta", "8", "--n", "6,8,10,12"],
+    "optimize-n16-2-3.csv": ["optimize", "--n", "16", "--delta-min", "2", "--delta-max", "3"],
+    "optimize-n16-4-4.5.csv": ["optimize", "--n", "16", "--delta-min", "4", "--delta-max", "4.5"],
+    "optimize-n10-7.9-8.1.csv": ["optimize", "--n", "10", "--delta-min", "7.9", "--delta-max", "8.1"],
+    "fixed-time-n5.csv": [
+        "fixed-time", "--n", "5", "--time", "37.5", "--delta-min", "1.7", "--delta-max", "2.1",
+    ],
+    "fixed-time-n9.csv": [
+        "fixed-time", "--n", "9", "--time", "60", "--delta-min", "2.0", "--delta-max", "2.3",
+    ],
+    "fixed-time-n14.csv": [
+        "fixed-time", "--n", "14", "--time", "80", "--delta-min", "2.9", "--delta-max", "3.2",
+    ],
+    "fixed-time-n33.csv": [
+        "fixed-time", "--n", "33", "--time", "40", "--delta-min", "1.5", "--delta-max", "3",
+    ],
+    "fixed-time-n64.csv": [
+        "fixed-time", "--n", "64", "--time", "120", "--delta-min", "2", "--delta-max", "3",
+    ],
 }
 
 
@@ -65,6 +95,12 @@ def test_readme_output_matches_golden(name, capsys):
         assert len(got) == len(want), f"row {i + 1}"
         bad = [(g, w) for g, w in zip(got, want) if not _same_cell(g, w)]
         assert not bad, f"row {i + 1}: {bad}"
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_COMMANDS))
+def test_pinned_output_is_byte_identical(name, capsys):
+    assert main(PINNED_COMMANDS[name]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "pinned" / name).read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize(

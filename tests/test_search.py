@@ -126,12 +126,12 @@ def _peak(lam, ends, delta):
     [((3, 4), 3), ((6, 7), 6), ((7, 8), 7), ((20, 5), 5), ((13, 14), 13)],
 )
 def test_time_scan_ties_take_earliest(monkeypatch, tied, expected):
-    # coarse intervals of 4 samples, one interval per fine batch: the pairs
-    # straddle an interval boundary (3, 4) and (7, 8), share an interval
-    # (6, 7) and (13, 14), or lie apart (20, 5); the later tie's interval
-    # has the highest bound, so it is evaluated first, and the earlier tie
-    # still wins; the intervals whose bound lies below the ties are not
-    # evaluated
+    # coarse intervals of 4 samples, one interval per fine batch (a cap of
+    # 4 * 6 entries on N = 6): the pairs straddle an interval boundary
+    # (3, 4) and (7, 8), share an interval (6, 7) and (13, 14), or lie
+    # apart (20, 5); the later tie's interval has the highest bound, so it
+    # is evaluated first, and the earlier tie still wins; the intervals
+    # whose bound lies below the ties are not evaluated
     real = search_mod.paired_transfer_probability
     step = 0.01
 
@@ -140,14 +140,14 @@ def test_time_scan_ties_take_earliest(monkeypatch, tied, expected):
         return np.where(np.isin(np.rint(times / step) - 1, tied), 2.0, probs)
 
     monkeypatch.setattr(search_mod, "paired_transfer_probability", tied_samples)
-    monkeypatch.setattr(search_mod, "_FINE_BATCH", 4)
+    monkeypatch.setattr(search_mod, "_GRID_CHUNK_ENTRIES", 24)
     lam, ends = (x[0] for x in spectra(6, np.array([2.38])))
     intervals = np.arange(8)
     bounds = np.select([intervals == max(tied) // 4, intervals == min(tied) // 4], [3.5, 3.0], 1.5)
     window = search_mod._PeakWindow(30 * step, step, 30, 4, intervals, bounds, -math.inf, 3.5, 0.0)
     scan = search_mod._window_scan(lam, ends, window)
     assert (scan.best, scan.p_best) == (expected, 2.0)
-    assert scan.evaluated <= 12  # batches of one and two intervals; those below 2.0 are left out
+    assert scan.evaluated <= 12  # batches of one interval; those below 2.0 are left out
 
 
 @pytest.mark.parametrize(
@@ -178,7 +178,6 @@ def test_odd_piece_scan_ties_take_earliest(monkeypatch, tied, expected):
         probs = real_samples(lam, ends, times)
         return np.where(np.isin(np.rint(times / 0.01) - 1, tied), 2.0, probs)
 
-    monkeypatch.setattr(search_mod, "_FINE_BATCH", 4)
     monkeypatch.setattr(search_mod, "_GRID_CHUNK_ENTRIES", 3)
     monkeypatch.setattr(search_mod, "paired_grid_probability", tied_coarse)
     monkeypatch.setattr(search_mod, "paired_transfer_probability", tied_samples)
@@ -237,24 +236,57 @@ def test_pruned_scan_finds_the_full_scan_sample(n, delta):
 
 
 @pytest.mark.parametrize(
-    "n,delta,long_window,batch,entries",
+    "n,delta,long_window,entries",
     [
-        # windows of the long stride; fine batches of one interval to
-        # eight; spans of 80 coarse samples to whole runs
-        (10, 2.38, 1000, 16, 80),
-        (12, 2.0, 777, 32, 384),
-        (14, 2.3, 4096, 64, 1344),
-        (16, 2.38, 5000, 256, 262144),
+        # windows of the long stride; fine batches of entries // (32 N),
+        # one interval to 512; spans of 80 coarse samples to whole runs
+        (10, 2.38, 1000, 80),
+        (12, 2.0, 777, 384),
+        (14, 2.3, 4096, 1344),
+        (16, 2.38, 5000, 262144),
     ],
 )
-def test_pruned_scan_straddles_chunks_and_blocks(monkeypatch, n, delta, long_window, batch, entries):
+def test_pruned_scan_straddles_chunks_and_blocks(monkeypatch, n, delta, long_window, entries):
     # N = 10 splits its coarse run over two kernel calls
     monkeypatch.setattr(search_mod, "_LONG_WINDOW", long_window)
-    monkeypatch.setattr(search_mod, "_FINE_BATCH", batch)
     monkeypatch.setattr(search_mod, "_GRID_CHUNK_ENTRIES", entries)
     lam, ends = (x[0] for x in spectra(n, np.array([delta])))
     scan = _scan(lam, ends)
     assert scan.count > long_window and scan.evaluated < scan.count
+    assert (scan.best, scan.p_best) == _full_scan(lam, ends, scan)
+
+
+@pytest.mark.parametrize(
+    "n,delta,entries",
+    [
+        # batches of one to ten intervals, of the short stride and the long
+        (8, 2.38, 32),
+        (9, 2.38, 150),
+        (12, 2.0, 100),
+        (15, 2.0, 600),
+        (16, 2.38, 1100),
+        (20, 2.3, 2000),
+    ],
+)
+def test_fine_batches_take_the_memory_cap(monkeypatch, n, delta, entries):
+    # each fine kernel call of a window of several batches holds at most
+    # entries // (m N) coarse intervals of m samples, and the scan still
+    # finds the full scan's sample
+    monkeypatch.setattr(search_mod, "_GRID_CHUNK_ENTRIES", entries)
+    lam, ends = (x[0] for x in spectra(n, np.array([delta])))
+    (window,) = search_mod._peak_windows(lam[None], ends[None])
+    sizes = []
+    real = search_mod.paired_transfer_probability
+
+    def counting(lam, ends, times):
+        sizes.append(times.size)
+        return real(lam, ends, times)
+
+    monkeypatch.setattr(search_mod, "paired_transfer_probability", counting)
+    scan = search_mod._window_scan(lam, ends, window)
+    batch = max(1, entries // (window.stride * n))
+    assert len(sizes) > 1
+    assert max(-(-size // window.stride) for size in sizes) <= batch
     assert (scan.best, scan.p_best) == _full_scan(lam, ends, scan)
 
 
@@ -1017,23 +1049,22 @@ def test_stack_scan_equals_the_scan_of_each_ratio(n, lo):
 
 
 @pytest.mark.parametrize(
-    "n,entries,batch,long_window",
+    "n,entries,long_window",
     [
         # N = 6 windows of 1534..1804 samples on both sides of the long stride
-        pytest.param(6, 1 << 20, 256, 1700, id="windows-below-a-block"),
+        pytest.param(6, 1 << 20, 1700, id="windows-below-a-block"),
         # spans of 64 coarse samples: several spans per window
-        pytest.param(6, 64, 256, 65536, id="several-product-groups-6"),
-        pytest.param(8, 64, 256, 65536, id="several-product-groups-8"),
-        # fine batches of one interval, spans of a few samples, and windows
-        # on both sides of the long stride
-        pytest.param(6, 1 << 20, 4, 3000, id="several-chunks-6"),
-        pytest.param(8, 300, 4, 5000, id="several-chunks-8"),
-        pytest.param(7, 100, 8, 300, id="several-chunks-odd"),
+        pytest.param(6, 64, 65536, id="several-product-groups-6"),
+        pytest.param(8, 64, 65536, id="several-product-groups-8"),
+        # fine batches of one interval to nine, spans of a few samples, and
+        # windows on both sides of the long stride
+        pytest.param(6, 24, 3000, id="several-chunks-6"),
+        pytest.param(8, 300, 5000, id="several-chunks-8"),
+        pytest.param(7, 100, 300, id="several-chunks-odd"),
     ],
 )
-def test_stack_scan_straddles_blocks_groups_and_chunks(monkeypatch, n, entries, batch, long_window):
+def test_stack_scan_straddles_blocks_groups_and_chunks(monkeypatch, n, entries, long_window):
     monkeypatch.setattr(search_mod, "_GRID_CHUNK_ENTRIES", entries)
-    monkeypatch.setattr(search_mod, "_FINE_BATCH", batch)
     monkeypatch.setattr(search_mod, "_LONG_WINDOW", long_window)
     lam, ends = spectra(n, np.linspace(1.6, 2.8, 25))
     scans = _assert_stack_scans_alone(lam, ends)
