@@ -286,7 +286,8 @@ def eigensystem_odd(spec: ChainSpec) -> EigenSystem:
     +-sqrt(1 + 2 delta cos(theta_nu) + delta^2); even sites hold
     A*sin(pi nu j/(N+1)) and odd sites the delta-weighted combination
     of the two neighbouring even-site sines.  The zero mode lives on
-    odd sites only, with geometrically decaying weight (-delta)^((N-j)/2).
+    odd sites only, with geometrically decaying weight (-delta)^((N-j)/2);
+    where delta^(N+1) overflows a float its normalisation raises NumericError.
     """
     n, delta = spec.n_sites, spec.delta
     if n % 2 != 1:
@@ -311,8 +312,11 @@ def eigensystem_odd(spec: ChainSpec) -> EigenSystem:
     else:
         try:
             weight = math.sqrt((delta * delta - 1.0) / (delta ** (n + 1) - 1.0))
-        except OverflowError:
-            weight = 0.0  # validation below reports the breakdown
+        except OverflowError as exc:
+            raise NumericError(
+                f"zero-mode normalisation would overflow for N={n}, delta={delta}; "
+                "use the numeric eigensolver"
+            ) from exc
     odd[:, m] = weight * np.power(-delta, (n - j_odd) // 2)
 
     root2 = math.sqrt(2.0)

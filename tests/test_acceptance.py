@@ -269,12 +269,10 @@ def test_criterion_09_peak_estimate():
 
 def test_criterion_10_property_suite(tmp_path):
     with criterion("C10 property suite", 180.0):
-        verify_mod.check_even_agreement()
-        verify_mod.check_odd_agreement()
-        verify_mod.check_form_equivalence()
-        verify_mod.check_unitarity()
-        verify_mod.check_full_space_oracle()
-        verify_mod.check_inner_nodes()
+        verify_mod.run_all(checks=[
+            "even-agreement", "odd-agreement", "form-equivalence",
+            "unitarity", "full-space-oracle", "inner-nodes",
+        ])
         outputs = []
         for name in ("first.csv", "second.csv"):
             target = tmp_path / name

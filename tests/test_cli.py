@@ -170,6 +170,15 @@ def test_beyond_horizon_exit_code(capsys, argv):
     assert err.startswith("numeric failure:")
 
 
+@pytest.mark.parametrize("n, delta", [("301", "100"), ("301", "1e3"), ("2001", "2.38")])
+def test_odd_closed_form_overflow_exit_code(capsys, n, delta):
+    # delta^(N+1) overflows a float: the zero mode has no normalisation,
+    # and the refusal names it instead of a NaN or a failed orthonormality
+    code, out, err = run_cli("eigs", "--n", n, "--delta", delta, "--method", "odd", capsys=capsys)
+    assert code == 3 and out == ""
+    assert err.startswith(f"numeric failure: zero-mode normalisation would overflow for N={n}")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -18,6 +18,8 @@ from altchain.cli import main
 EXTREMES = ["inf", "-inf", "nan", "0", "-0", "-1", "1e300", "-1e300", "5e-324"]
 # integer flags that parse to no int, or to one beyond every cap
 HUGE_COUNTS = ["inf", "-inf", "1e300", "99999999999999999999", "-99999999999999999999"]
+# the provenance column of each `eigs --method`
+PROVENANCE = {"numeric": "numeric", "even": "analytic-even", "odd": "analytic-odd"}
 
 
 def assert_huge_refused(code: int, err: str) -> None:
@@ -81,17 +83,26 @@ def assert_inside(delta_h: str, delta_min: str, delta_max: str) -> None:
 
 
 @settings(deadline=None, max_examples=60)
-@given(n=st.one_of(counts(2, 64), st.sampled_from(HUGE_COUNTS)), delta=numbers(1e-3, 50.0))
-@example(n="99999999999999999999", delta="2.0")
-def test_eigs_outcomes(n, delta):
-    code, rows, err = run(["eigs", f"--n={n}", "--delta", delta])
+@given(
+    n=st.one_of(counts(2, 400), st.sampled_from(HUGE_COUNTS)),
+    delta=numbers(1e-3, 1e3),
+    method=st.sampled_from(sorted(PROVENANCE)),
+)
+@example(n="99999999999999999999", delta="2.0", method="numeric")
+# delta^(N+1) overflows: the odd closed form refuses its zero mode
+@example(n="301", delta="1e3", method="odd")
+def test_eigs_outcomes(n, delta, method):
+    # the closed forms refuse what they cannot hold: a chain of the other
+    # parity or below the even threshold (exit 1), an overflowing
+    # normalisation (exit 3)
+    code, rows, err = run(["eigs", f"--n={n}", "--delta", delta, "--method", method])
     if n in HUGE_COUNTS:
         assert_huge_refused(code, err)
     if code != 0:
         return
     assert len(rows) == int(n)
     for _, lam, provenance, residual, diff in rows:
-        assert provenance == "numeric"
+        assert provenance == PROVENANCE[method]
         assert all(math.isfinite(float(v)) for v in (lam, residual, diff))
     # the printed +-lambda pairs agree to the printed precision
     levels = [float(row[1]) for row in rows]

@@ -12,7 +12,6 @@ from altchain import (
     NumericError,
     ResourceError,
     ValidationError,
-    VerificationError,
     build_coupling_matrix,
     eigensystem_even,
     eigensystem_for,
@@ -38,7 +37,7 @@ from altchain.dynamics import (
     series_bounds,
 )
 from altchain.search import _peak_grid
-from altchain.verify import run_all
+from test_verify import _kernel, _scaled, _without_zero_mode, assert_seeded_defect_fails
 
 P_8303 = 0.9999853660555051  # four sites, ratio 2.272
 P_N5_EARLY = 0.9423883339086744  # five sites, uniform, first high peak
@@ -395,42 +394,19 @@ def test_sample_series_keeps_each_bit_whatever_its_batch(n):
         assert np.max(np.abs(paired_transfer_probability(lam, ends, inside) - reference)) <= 1e-13
 
 
-def _without_zero_mode(kernel):
-    """The kernel with an odd chain's zero-mode constant dropped."""
-
-    def defect(lam, ends, t, node=None):
-        if lam.shape[-1] % 2:
-            ends = ends.copy()
-            ends[..., lam.shape[-1] // 2] = 0.0
-        return kernel(lam, ends, t, node)
-
-    return defect
-
-
-def _scaled(kernel):
-    """The kernel with its output scaled by 1 + 1e-9."""
-    return lambda lam, ends, t, node=None: kernel(lam, ends, t, node) * (1.0 + 1e-9)
-
-
 @pytest.mark.parametrize("defect", [_without_zero_mode, _scaled], ids=["zero-mode", "scaled"])
-def test_verify_guards_the_kernel(monkeypatch, defect):
+def test_verify_guards_the_kernel(defect):
     # the unitarity check sums P over every node of odd and even chains,
     # so a defect seeded in the one kernel fails it
-    run_all(checks=["unitarity"])
-    monkeypatch.setattr(dynamics, "paired_transfer_probability", defect(paired_transfer_probability))
-    with pytest.raises(VerificationError, match=r"^unitarity:"):
-        run_all(checks=["unitarity"])
+    assert_seeded_defect_fails("unitarity", _kernel(dynamics, defect))
 
 
 @pytest.mark.parametrize("defect", [_without_zero_mode, _scaled], ids=["zero-mode", "scaled"])
-def test_verify_guards_the_search_route(monkeypatch, defect):
+def test_verify_guards_the_search_route(defect):
     # the search-route check compares the p_h of first_peak and
     # fixed_time_optimize, odd and even chains, with the reference route,
     # so a defect seeded in the kernel the searches bind fails it
-    run_all(checks=["search-route"])
-    monkeypatch.setattr(search, "paired_transfer_probability", defect(paired_transfer_probability))
-    with pytest.raises(VerificationError, match=r"^search-route:"):
-        run_all(checks=["search-route"])
+    assert_seeded_defect_fails("search-route", _kernel(search, defect))
 
 
 def long_double_probability(lam, ends, times):

@@ -20,7 +20,6 @@ from altchain import (
     NumericError,
     RegimeError,
     ValidationError,
-    VerificationError,
     build_coupling_matrix,
     eigensystem_even,
     eigensystem_for,
@@ -31,8 +30,8 @@ from altchain import (
 )
 from altchain import spectral as spectral_mod
 from altchain.chain import alternating_couplings
-from altchain.verify import run_all
 from conftest import dense_matrix
+from test_verify import _end_products, _scaled_ends, _swapped_ends, assert_seeded_defect_fails
 
 # four sites, ratio 2.272: trig root, hyperbolic root, spectrum
 X1_4 = 1.3809385445889233
@@ -60,20 +59,6 @@ def test_root_count_grows_with_n():
         roots = solve_even_roots(ChainSpec(n, 2.38))
         assert roots.x_roots.shape == (n // 2 - 1,)
         assert roots.y_root > 0.0
-
-
-def test_verify_root_count_reports_solver_failure(monkeypatch):
-    from altchain import VerificationError
-    from altchain import verify as verify_mod
-
-    verify_mod.check_even_root_count()
-
-    def miscounting(spec):
-        raise NumericError(f"x-root scan found 0 sign changes (N={spec.n_sites})")
-
-    monkeypatch.setattr(verify_mod, "solve_even_roots", miscounting)
-    with pytest.raises(VerificationError, match=r"^even-root-count: N=4 delta=2.0: x-root scan"):
-        verify_mod.check_even_root_count()
 
 
 def test_y_root_below_log_delta():
@@ -536,30 +521,10 @@ def test_spectrum_pairs_exactly(n, delta):
             assert levels[n // 2] == 0.0
 
 
-def _scaled_ends(ends: np.ndarray, n: int) -> np.ndarray:
-    return ends * 1.001
-
-
-def _swapped_ends(ends: np.ndarray, n: int) -> np.ndarray:
-    if n % 2 == 0:
-        ends = ends.copy()
-        ends[:, :2] = ends[:, 1::-1]
-    return ends
-
-
 @pytest.mark.parametrize("defect", [_scaled_ends, _swapped_ends], ids=["scaled", "swapped"])
-def test_verify_watches_the_spectra_route(monkeypatch, defect):
+def test_verify_watches_the_spectra_route(defect):
     # every end product x 1.001 passed the other checks of verify, and an
     # even chain's first two end products swapped keep every sum rule;
     # spectra-route compares the route of the searches with the singular
     # vectors of eigensystem_for and fails both
-    run_all(checks=["spectra-route"])
-    real = spectral_mod._end_products
-
-    def damaged(b, s):
-        ends, ok = real(b, s)
-        return defect(ends, len(b) + 1), ok
-
-    monkeypatch.setattr(spectral_mod, "_end_products", damaged)
-    with pytest.raises(VerificationError, match=r"^spectra-route:"):
-        run_all(checks=["spectra-route"])
+    assert_seeded_defect_fails("spectra-route", _end_products(defect))
