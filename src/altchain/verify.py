@@ -7,8 +7,8 @@ probability route at their own ratio and time, reduced probability forms
 against the spectral sum, the subspace dynamics against the full
 Hilbert-space propagator, and probability caps against sampled curves.
 Checks run in order and the first violation aborts with the offending
-parameters in the message; a route that refuses its input inside a
-check fails that check.
+parameters in the message; a route that raises inside a check fails
+that check.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .dynamics import (
     transfer_probability_even_form,
     transfer_probability_odd_form,
 )
-from .errors import NumericError, ValidationError, VerificationError
+from .errors import VerificationError
 from .ideal4 import ideal_solutions
 from .search import first_peak, fixed_time_optimize
 from .spectral import (
@@ -56,13 +56,11 @@ def _check_columns_match(a: np.ndarray, b: np.ndarray, tol: float, ctx: str):
 
 
 def _eigen_agreement(grid, analytic: Callable[[ChainSpec], object]):
+    # the levels are held to each route's vectors by its eigenpair residual (_validate_svd)
     for n, d in grid:
         spec = ChainSpec(n, d)
         ana = analytic(spec)
         num = eigensystem_for(spec)
-        lam_diff = float(abs(ana.eigenvalues - num.eigenvalues).max())
-        if not lam_diff <= 1e-9:
-            raise VerificationError(f"N={n} delta={d}: eigenvalues differ by {lam_diff:.3e}")
         _check_columns_match(ana.vectors, num.vectors, 1e-8, f"N={n} delta={d}")
 
 
@@ -268,8 +266,7 @@ def run_all(stream: TextIO | None = None, checks: Iterable[str] | None = None) -
 
     Raises VerificationError on the first failing check, its message the
     check name and the offending parameters.  A check fails on its own
-    comparisons and on any NumericError or ValidationError raised by the
-    routes it runs.
+    comparisons and on any exception raised by the routes it runs.
     """
     wanted = None if checks is None else set(checks)
     known = {name for name, _ in CHECKS}
@@ -283,7 +280,7 @@ def run_all(stream: TextIO | None = None, checks: Iterable[str] | None = None) -
             stream.flush()
         try:
             fn()
-        except (VerificationError, NumericError, ValidationError) as exc:
+        except Exception as exc:
             if stream is not None:
                 stream.write("FAIL\n")
             raise VerificationError(f"{name}: {exc}") from exc

@@ -218,6 +218,14 @@ def test_tiny_ratios_print_rows(capsys, argv):
         assert rows[0][2] == "0.001"
 
 
+def test_longest_even_chain_prints_a_nan_row(capsys):
+    # N = 1024 at ratio 8: s_min underflows to 0, and the unbounded peak
+    # window refuses the row, which prints as NaN
+    code, out, _ = run_cli("table1", "--delta", "8", "--n", "1024", capsys=capsys)
+    assert code == 0
+    assert out == "n,delta,d1_t_h1,p_h1,pi_over_lambda_min\n1024,8,nan,nan,nan\n"
+
+
 def test_every_ratio_refused_exit_code(capsys):
     code, out, err = run_cli(
         "fixed-time", "--n", "8", "--time", "60", "--delta-min", "5e-324",

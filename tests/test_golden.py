@@ -6,7 +6,7 @@ and non-float cells must match exactly, floats within 1e-11 relative or
 1e-14 absolute, so a refactor that promises unchanged output is checked
 here, and a deliberate change of output shows up as a golden-file diff.
 tests/golden/pinned/ holds rows the README commands do not reach, compared
-byte for byte, here and by CI against the installed console script.
+byte for byte.
 """
 
 import json

@@ -1263,6 +1263,28 @@ def test_fine_samples_lie_below_the_envelope(n, delta):
     assert np.all(paired_transfer_probability(lam, ends, times) <= envelope + margin)
 
 
+@pytest.mark.parametrize("even", [True, False])
+@pytest.mark.parametrize(
+    "c0,a,b", [(0.0, 0.9, 0.05), (0.0, 0.3, 0.0), (0.2, 0.5, 0.1), (0.05, 0.8, 0.0)]
+)
+def test_envelope_runs_hold_every_phase_at_the_level(even, c0, a, b):
+    # (c0 + a |f| + b)^2 on a dense grid of phases in [0, pi), f = sin on
+    # even chains and cos on odd ones: each phase that reaches the level
+    # lies in a run, and there is none exactly when the level tops the
+    # envelope's maximum
+    phases = np.linspace(0.0, math.pi, 100_000, endpoint=False)
+    envelope = (c0 + a * np.abs(np.sin(phases) if even else np.cos(phases)) + b) ** 2
+    top = (c0 + a + b) ** 2
+    for fraction in (0.0, 0.01, 0.3, 0.6, 0.9, 0.999, 1.001, 1.5):
+        level = fraction * top
+        runs = search_mod._envelope_runs(c0, a, b, level, even)
+        assert (runs == []) == (level > top)
+        inside = np.zeros(phases.size, dtype=bool)
+        for lo, hi in runs:
+            inside |= (lo <= phases) & (phases <= hi)
+        assert inside[envelope >= level].all()
+
+
 @pytest.mark.parametrize("rate", np.linspace(0.3, 3.0, 61))
 def test_gate_keeps_a_winner_on_the_envelope(rate):
     # two levels +-rate: P = sin^2(rate t / 2) is its own envelope, and
